@@ -102,6 +102,14 @@ def _coerce(c, mode):
     return complex(c)
 
 
+def require_length(pair, length=None):
+    """The given length, else the pair's own; raises when neither exists."""
+    length = length or pair.length
+    if length is None:
+        raise UnsupportedLengthError("pair %r has no length" % pair.name)
+    return length
+
+
 def _check_same(a, b):
     if a.pair.signature != b.pair.signature:
         raise ModeMismatchError("elements belong to different pairs")
@@ -201,9 +209,7 @@ class _Supported:
 
     def max_support_length(self, length=None):
         """Largest length over the support; 0 for the zero element."""
-        length = length or self.pair.length
-        if length is None:
-            raise UnsupportedLengthError("pair %r has no length" % self.pair.name)
+        length = require_length(self.pair, length)
         return max((length(k.rep) for k in self.terms), default=0)
 
     def to_float(self):
@@ -430,9 +436,7 @@ def norms(f, length=None, s=1):
     exact mode.
     """
     pair = f.pair
-    length = length or pair.length
-    if length is None:
-        raise UnsupportedLengthError("pair %r has no length" % pair.name)
+    length = require_length(pair, length)
     exact = f.mode == "exact" and length.exact and isinstance(s, int) and s >= 0
     l2_sq = Fraction(0) if exact else 0.0
     sob_sq = Fraction(0) if exact else 0.0
@@ -453,9 +457,7 @@ def sobolev_inner(f1, f2, length=None, s=1):
     """<f1, f2>_{s,L} over right cosets; exact (QQi) in exact mode."""
     _check_same(f1, f2)
     pair = f1.pair
-    length = length or pair.length
-    if length is None:
-        raise UnsupportedLengthError("pair %r has no length" % pair.name)
+    length = require_length(pair, length)
     exact = f1.mode == "exact" and length.exact and isinstance(s, int) and s >= 0
     acc = QQi() if f1.mode == "exact" else 0j
     for d, c in f1.terms.items():

@@ -2,8 +2,9 @@
 
 Every JSON artifact embeds the resolved configuration that produced it, and
 exact-mode runs are byte-identical for identical (command, config, seed).
-Exit codes: 0 success, 2 validation failure (a machine-readable failure
-object is printed), 1 internal error.
+Exit codes: 0 success; 2 for a failed check, a bad configuration, a length
+the pair lacks or an exhausted enumeration budget (a machine-readable
+failure object is printed); 1 internal error.
 """
 
 import argparse
@@ -18,6 +19,7 @@ from fractions import Fraction
 from .algebra import HeckeElement, L2Vector, QQi, convolve
 from .cosets import decompose_double_coset, enumerate_ball
 from .diagnostics import (
+    _fmt,
     degree_growth_fit,
     haagerup_scan_exact,
     haagerup_scan_operator,
@@ -27,9 +29,9 @@ from .diagnostics import (
     spawn_rng,
     transfer_check,
 )
-from .errors import ConfigError, HeckeError
+from .errors import BudgetExceededError, ConfigError, UnsupportedLengthError
 from .jolissaint import jolissaint_seminorm
-from .operators import norm_lower, norm_upper
+from .operators import norm_lower
 from .pairs import build_pair, catalog_list
 
 
@@ -350,10 +352,6 @@ def _write_csv(cfg, name, rows):
     return path
 
 
-def _fmt(x):
-    return "%.12g" % x
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -450,14 +448,14 @@ def cmd_normest(cfg):
     radii = cfg.get_radii(default=(2, 4, 6))
     seed = cfg.seed or 0
     tol = float(cfg.get("tol", "1e-10"))
+    brackets = [norm_lower(pair, f, length=length, radius=r, tol=tol, seed=seed)
+                for r in radii]
     rows = [["radius", "lower", "upper", "method", "iterations", "residual",
              "converged"]]
-    last = None
-    for r in radii:
-        b = norm_lower(pair, f, length=length, radius=r, tol=tol, seed=seed)
+    for r, b in zip(radii, brackets):
         rows.append([r, _fmt(b.lower), _fmt(b.upper), b.method, b.iterations,
                      _fmt(b.residual), b.converged])
-        last = b
+    last = brackets[-1]
     _write_csv(cfg, "normest.csv", rows)
     _write_json(cfg, "normest.json", {
         "f": element_to_json(f),
@@ -467,8 +465,9 @@ def cmd_normest(cfg):
         "radius": last.radius,
         "converged": last.converged,
     })
-    return "normest: ||lambda(f)|| in [%.9g, %.9g] at radius %d" % (
+    return "normest: ||lambda(f)|| in [%.9g, %.9g] at radius %d%s" % (
         last.lower, last.upper, radii[-1],
+        "" if all(b.converged for b in brackets) else "; NOT converged",
     )
 
 
@@ -548,10 +547,10 @@ def cmd_jolissaint(cfg):
     alpha = cfg.get_fraction("alpha", "1/2")
     q = cfg.get_int("q", 1)
     res = jolissaint_seminorm(pair, f, length=length, alpha=alpha, q=q)
-    rows = [["N", "rho", "block_dims"]]
+    rows = [["N", "rho", "block_dims", "converged"]]
     for level in res.rows:
         dims = "%dx%d;%dx%d" % (level.block1_shape + level.block2_shape)
-        rows.append([level.n, _fmt(level.value), dims])
+        rows.append([level.n, _fmt(level.value), dims, level.converged])
     _write_csv(cfg, "jolissaint.csv", rows)
     _write_json(cfg, "jolissaint.json", {
         "f": element_to_json(f),
@@ -559,8 +558,9 @@ def cmd_jolissaint(cfg):
         "argmax_N": res.argmax_n,
         "vanishes_from": res.threshold,
     })
-    return "jolissaint: nu=%.9g (argmax N=%r, levels 1..%d)" % (
+    return "jolissaint: nu=%.9g (argmax N=%r, levels 1..%d)%s" % (
         res.value, res.argmax_n, res.threshold - 1,
+        "" if res.converged else "; NOT converged",
     )
 
 
@@ -641,21 +641,13 @@ def main(argv=None):
         summary = COMMANDS[args.command](cfg)
         print(summary)
         return 0
-    except CommandFailure as e:
+    except (CommandFailure, ConfigError, UnsupportedLengthError,
+            BudgetExceededError) as e:
         print(json.dumps({
-            "status": "failure", "command": args.command,
-            "message": str(e), "details": e.details,
+            "status": "failure", "command": args.command, "message": str(e),
+            "details": e.details if isinstance(e, CommandFailure) else {},
         }, sort_keys=True))
         return 2
-    except ConfigError as e:
-        print(json.dumps({
-            "status": "failure", "command": args.command,
-            "message": str(e), "details": {},
-        }, sort_keys=True))
-        return 2
-    except HeckeError:
-        traceback.print_exc()
-        return 1
     except Exception:
         traceback.print_exc()
         return 1

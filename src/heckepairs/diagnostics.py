@@ -46,6 +46,34 @@ def _nonzero_int(rng, coeff_max, nonneg):
             return c
 
 
+def _random_terms(pair, rng, radius, length, max_terms, coeff_max, nonneg,
+                  complex_part, double):
+    # keys come from the length ball when a usable length exists, otherwise
+    # from the pair's own random element stream
+    length = length or pair.length
+    keys = None
+    if length is not None:
+        try:
+            ball = enumerate_ball(pair, length, radius)
+            keys = list((ball.double if double else ball.right).keys)
+        except UnsupportedLengthError:
+            keys = None
+    if keys is None:
+        key = double_key if double else coset_key
+        seen = dict.fromkeys(
+            key(pair, pair.random_element(rng)) for _ in range(4 * max_terms)
+        )
+        keys = list(seen)
+    m = min(int(rng.integers(1, max_terms + 1)), len(keys))
+    picked = sorted(int(i) for i in rng.choice(len(keys), size=m, replace=False))
+    terms = []
+    for i in picked:
+        re = _nonzero_int(rng, coeff_max, nonneg)
+        im = _nonzero_int(rng, coeff_max, False) if complex_part and not nonneg else 0
+        terms.append((keys[i], QQi(re, im)))
+    return terms
+
+
 def random_hecke_element(pair, rng, radius=3, length=None, max_terms=4,
                          coeff_max=5, nonneg=False, complex_part=False):
     """Random exact element with small integer coefficients.
@@ -53,51 +81,17 @@ def random_hecke_element(pair, rng, radius=3, length=None, max_terms=4,
     Supports are drawn from the double-coset ball when a usable length
     exists, otherwise from the pair's own random element stream.
     """
-    length = length or pair.length
-    keys = None
-    if length is not None:
-        try:
-            keys = list(enumerate_ball(pair, length, radius).double.keys)
-        except UnsupportedLengthError:
-            keys = None
-    if keys is None:
-        seen = dict.fromkeys(
-            double_key(pair, pair.random_element(rng)) for _ in range(4 * max_terms)
-        )
-        keys = list(seen)
-    m = min(int(rng.integers(1, max_terms + 1)), len(keys))
-    picked = sorted(int(i) for i in rng.choice(len(keys), size=m, replace=False))
-    terms = []
-    for i in picked:
-        re = _nonzero_int(rng, coeff_max, nonneg)
-        im = _nonzero_int(rng, coeff_max, False) if complex_part and not nonneg else 0
-        terms.append((keys[i], QQi(re, im)))
-    return HeckeElement(pair, terms, mode="exact")
+    return HeckeElement(pair, _random_terms(
+        pair, rng, radius, length, max_terms, coeff_max, nonneg, complex_part,
+        double=True), mode="exact")
 
 
 def random_l2_vector(pair, rng, radius=3, length=None, max_terms=4,
                      coeff_max=5, nonneg=False, complex_part=False):
     """Random exact right-coset vector, same sampling scheme as elements."""
-    length = length or pair.length
-    keys = None
-    if length is not None:
-        try:
-            keys = list(enumerate_ball(pair, length, radius).right.keys)
-        except UnsupportedLengthError:
-            keys = None
-    if keys is None:
-        seen = dict.fromkeys(
-            coset_key(pair, pair.random_element(rng)) for _ in range(4 * max_terms)
-        )
-        keys = list(seen)
-    m = min(int(rng.integers(1, max_terms + 1)), len(keys))
-    picked = sorted(int(i) for i in rng.choice(len(keys), size=m, replace=False))
-    terms = []
-    for i in picked:
-        re = _nonzero_int(rng, coeff_max, nonneg)
-        im = _nonzero_int(rng, coeff_max, False) if complex_part and not nonneg else 0
-        terms.append((keys[i], QQi(re, im)))
-    return L2Vector(pair, terms, mode="exact")
+    return L2Vector(pair, _random_terms(
+        pair, rng, radius, length, max_terms, coeff_max, nonneg, complex_part,
+        double=False), mode="exact")
 
 
 def _ols(xs, ys):
@@ -338,6 +332,10 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         rball_size = len(enumerate_ball(pair, length, r, budget=budget).right)
         dkeys = list(dball.keys)
         table = ActionTable(pair, dkeys, dom, big)
+        # most entries delta_D puts in one row, for bounding |out| before
+        # matvec_int: a wrapped int64 sum cannot be detected afterwards
+        row_mult = {rep: int(np.bincount(rows).max(initial=0))
+                    for rep, (rows, _) in table.tables.items()}
         degs = {k.rep: len(decompose_double_coset(pair, k.rep)) for k in dkeys}
         dom_len = np.array([float(k.length) for k in dom.keys])
         char_k = {
@@ -355,6 +353,9 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
                 kvec = char_k.get(rho, char_k[max(char_k)])
             else:
                 kvec = rng.integers(0, coeff_max + 1, size=len(dom)) * rand_mask
+            bound = sum(abs(c) * row_mult[rep] for rep, c in coeffs.items())
+            if bound * int(np.abs(kvec).max(initial=0)) >= 2 ** 63:
+                raise ConfigError("scan coefficients too large for exact int64 path")
             out = table.matvec_int(coeffs, kvec)
             amax = int(np.abs(out).max(initial=0))
             if amax and amax * amax * len(out) >= 2 ** 63:

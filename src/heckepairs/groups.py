@@ -357,8 +357,8 @@ def enumerate_word_ball(gens, radius, budget=10 ** 6):
 class LengthFunction:
     """A length on a group: callable, with metadata the diagnostics rely on.
 
-    kind is a short tag ("word", "abs", "zero", "coordinate-sum", "log-norm",
-    "table"). locally_finite means balls {L <= r} are finite, which the
+    kind is a short tag ("word", "abs", "zero", "coordinate-sum",
+    "log-norm"). locally_finite means balls {L <= r} are finite, which the
     ball-based machinery requires. exact means values are ints/Fractions.
     """
 
@@ -419,48 +419,11 @@ def dihedral_abs_length():
     return LengthFunction("abs-translation", "abs", lambda g: abs(g.n))
 
 
-def zero_length():
-    """The trivial length. Not locally finite on infinite groups."""
-    return LengthFunction("zero", "zero", lambda g: 0, locally_finite=False)
-
-
 def coordinate_sum_length():
     """L((v, s)) = sum_i |v_i| on semidirect products."""
     return LengthFunction(
         "coordinate-sum", "coordinate-sum", lambda g: sum(abs(x) for x in g.vec)
     )
-
-
-def _one_norm(rows):
-    n = len(rows)
-    return max(sum(abs(rows[i][j]) for i in range(n)) for j in range(n))
-
-
-def matrix_log_norm_length():
-    """L(g) = log(||g||_1 * ||g^-1||_1), induced matrix 1-norms.
-
-    Subadditive and symmetric by construction. Float valued, and infinitely
-    many elements can share small values, so locally_finite stays False.
-    """
-    import math
-
-    def fn(g):
-        return math.log(float(_one_norm(g.rows) * _one_norm(g.inv().rows)))
-
-    return LengthFunction("log-norm", "log-norm", fn, locally_finite=False, exact=False)
-
-
-def table_length(table, name="table", default=None):
-    """Length from an explicit {element: value} table (tests, tiny groups)."""
-
-    def fn(g):
-        if g in table:
-            return table[g]
-        if default is None:
-            raise KeyError("element not in length table: %r" % (g,))
-        return default
-
-    return LengthFunction(name, "table", fn, exact=True)
 
 
 class LengthReport:

@@ -9,12 +9,12 @@ is decided without building anything.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .algebra import QQi, apply_regular_rep, convolve, l2_norm_sq, norms
+from .algebra import QQi, apply_regular_rep, convolve, norms, require_length
 from .cosets import BallIndex, enumerate_ball
-from .errors import ConfigError, UnsupportedLengthError
+from .errors import ConfigError
 from .operators import ActionTable, block_operator_norm, norm_upper
 
 
@@ -73,36 +73,30 @@ def vanishing_threshold(ell, alpha):
     return n0
 
 
-def _cut(lengths, pred):
-    # lengths is sorted; pred is True on a prefix. Returns the prefix end.
-    lo, hi = 0, len(lengths)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(lengths[mid]):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def _window(ball, lo_excl, n, alpha, shift=0):
     """Keys of the ball with lo_excl < length <= n - n^alpha + shift."""
     lengths = ball._length_list
     start = bisect_right(lengths, lo_excl)
-    end = _cut(lengths, lambda L: length_le_n_minus_pow(Fraction(L) - shift, n, alpha))
+    # lengths are sorted, so the test holds on a prefix; find where it ends
+    end = bisect_left(lengths, True, key=lambda L: not length_le_n_minus_pow(
+        Fraction(L) - shift, n, alpha))
     if end <= start:
         return BallIndex("right", ball.radius, ())
     return BallIndex("right", ball.radius, ball.keys[start:end])
 
 
 class RhoResult:
-    """One corner-seminorm level: N^q (||upper block|| + ||lower block||)."""
+    """One corner-seminorm level: N^q (||upper block|| + ||lower block||).
+
+    converged is False when a block's Krylov solve hit its step cap.
+    """
 
     __slots__ = ("n", "value", "block1_norm", "block2_norm", "block1_shape",
-                 "block2_shape", "vanished")
+                 "block2_shape", "vanished", "converged")
 
     def __init__(self, n, value, block1_norm=0.0, block2_norm=0.0,
-                 block1_shape=(0, 0), block2_shape=(0, 0), vanished=False):
+                 block1_shape=(0, 0), block2_shape=(0, 0), vanished=False,
+                 converged=True):
         self.n = n
         self.value = value
         self.block1_norm = block1_norm
@@ -110,6 +104,7 @@ class RhoResult:
         self.block1_shape = block1_shape
         self.block2_shape = block2_shape
         self.vanished = vanished
+        self.converged = converged
 
     def __repr__(self):
         return "RhoResult(N=%d, value=%.12g, blocks=%sx%s)" % (
@@ -128,9 +123,7 @@ def corner_seminorm(pair, f, length=None, params=None, ball=None, budget=10 ** 6
     """
     if params is None or params.n is None:
         raise ConfigError("corner_seminorm needs params with a level N")
-    length = length or pair.length
-    if length is None:
-        raise UnsupportedLengthError("pair %r has no length" % pair.name)
+    length = require_length(pair, length)
     n, alpha, q = params.n, params.alpha, params.q
     if f.is_zero():
         return RhoResult(n, 0.0, vanished=True)
@@ -147,10 +140,11 @@ def corner_seminorm(pair, f, length=None, params=None, ball=None, budget=10 ** 6
                          block2_shape=(len(cols), len(rows)))
     b1 = ActionTable(pair, f.support, cols, rows, allow_missing=True).matrix_for(f)
     b2 = ActionTable(pair, f.support, rows, cols, allow_missing=True).matrix_for(f)
-    n1 = block_operator_norm(b1)
-    n2 = block_operator_norm(b2)
+    n1, c1 = block_operator_norm(b1)
+    n2, c2 = block_operator_norm(b2)
     return RhoResult(
         n, float(n ** q) * (n1 + n2), n1, n2, b1.shape, b2.shape,
+        converged=c1 and c2,
     )
 
 
@@ -162,7 +156,7 @@ def rho(pair, f, length=None, params=None, **kw):
 class NuResult:
     """Exact sup over levels: max of rho over N below the vanishing threshold."""
 
-    __slots__ = ("value", "argmax_n", "rows", "threshold", "alpha", "q")
+    __slots__ = ("value", "argmax_n", "rows", "threshold", "alpha", "q", "converged")
 
     def __init__(self, value, argmax_n, rows, threshold, alpha, q):
         self.value = value
@@ -171,6 +165,7 @@ class NuResult:
         self.threshold = threshold
         self.alpha = alpha
         self.q = q
+        self.converged = all(row.converged for row in rows)
 
     def __repr__(self):
         return "NuResult(value=%.12g, argmax_N=%r, levels=%d)" % (
@@ -187,9 +182,7 @@ def jolissaint_seminorm(pair, f, length=None, alpha=Fraction(1, 2), q=1,
     """
     proto = JolissaintParams(alpha, q)
     alpha, q = proto.alpha, proto.q
-    length = length or pair.length
-    if length is None:
-        raise UnsupportedLengthError("pair %r has no length" % pair.name)
+    length = require_length(pair, length)
     if f.is_zero():
         return NuResult(0.0, None, [], 1, alpha, q)
     ell = f.max_support_length(length)
@@ -298,9 +291,7 @@ def sobolev_tail_profile(pair, f, length=None, s_list=(0, 1, 2)):
     Tails beyond the max support length are identically zero, so the table
     is complete. Exact in exact mode.
     """
-    length = length or pair.length
-    if length is None:
-        raise UnsupportedLengthError("pair %r has no length" % pair.name)
+    length = require_length(pair, length)
     from .cosets import decompose_double_coset
 
     per_double = []
@@ -323,9 +314,7 @@ def project(xi, radius, length=None):
     Works on right-coset vectors and on algebra elements alike; idempotent,
     never norm-increasing, and P_r P_t = P_min(r,t) exactly.
     """
-    length = length or xi.pair.length
-    if length is None:
-        raise UnsupportedLengthError("pair %r has no length" % xi.pair.name)
+    length = require_length(xi.pair, length)
     kept = [(k, c) for k, c in xi.terms.items() if length(k.rep) <= radius]
     return type(xi)(xi.pair, kept, xi.mode)
 
@@ -344,9 +333,7 @@ def derivation_apply(pair, f, xi, length=None):
     d_L multiplies each coset coefficient by its length; the result is
     i*(d_L(f * xi) - f * d_L(xi)). Exact when the length is exact.
     """
-    length = length or pair.length
-    if length is None:
-        raise UnsupportedLengthError("pair %r has no length" % pair.name)
+    length = require_length(pair, length)
     if xi.mode == "exact" and not length.exact:
         raise ConfigError("exact derivation needs an exact length")
     d1 = _scale_by_length(apply_regular_rep(pair, f, xi), length)

@@ -4,13 +4,19 @@ Truncation is column-exact: the codomain ball is padded by the support
 length of f, so every column of the matrix is the complete image of its
 basis vector. Compressions onto growing domains are then genuine lower
 bounds for the operator norm and monotone in the radius.
+
+lambda(f) is held as sparse (row, col, coefficient) triples, and its top
+singular value comes from restarted Golub-Kahan-Lanczos bidiagonalisation
+with a certified lower bound and its residual. Dense corner blocks go to
+LAPACK up to a few thousand columns, and to the same solver beyond.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from .algebra import _action_outputs, l1_norm
+from .algebra import _action_outputs, l1_norm, require_length
 from .cosets import enumerate_ball, reachable_coset_ball
 from .errors import UnsupportedLengthError
 
@@ -20,7 +26,8 @@ class ActionTable:
 
     For each double coset D, stores the (row, col) pairs where delta_D sends
     domain column col to codomain row. Every (row, col) pair belongs to at
-    most one D, so assembling a matrix for f is a scatter per double coset.
+    most one D, so lambda(f) is the concatenation of the per-D patterns with
+    the coefficient of D on each entry.
     """
 
     def __init__(self, pair, doubles, domain, codomain, allow_missing=False):
@@ -46,19 +53,24 @@ class ActionTable:
                 np.asarray(cols, dtype=np.int64),
             )
 
+    def operator_for(self, f):
+        """Sparse lambda(f) on this index pattern; complex only if f is."""
+        zs = [(self.tables[dk.rep], c.to_complex() if f.mode == "exact" else complex(c))
+              for dk, c in f.terms.items()]
+        none = np.zeros(0, np.int64)  # keeps the zero element's operator empty
+        vals = np.concatenate([none] + [np.full(len(rows), z) for (rows, _), z in zs])
+        return SparseOperator(
+            np.concatenate([none] + [rows for (rows, _), _ in zs]),
+            np.concatenate([none] + [cols for (_, cols), _ in zs]),
+            vals if vals.imag.any() else vals.real.astype(np.float64),
+            (len(self.codomain), len(self.domain)),
+        )
+
     def matrix_for(self, f):
         """Dense float/complex matrix of lambda(f) on this index pattern."""
-        vals = {}
-        any_imag = False
-        for dk, c in f.terms.items():
-            z = c.to_complex() if f.mode == "exact" else complex(c)
-            vals[dk.rep] = z
-            any_imag = any_imag or z.imag != 0
-        dtype = np.complex128 if any_imag else np.float64
-        m = np.zeros((len(self.codomain), len(self.domain)), dtype=dtype)
-        for rep, z in vals.items():
-            rows, cols = self.tables[rep]
-            m[rows, cols] += z if any_imag else z.real
+        op = self.operator_for(f)
+        m = np.zeros(op.shape, dtype=op.dtype)
+        m[op.rows, op.cols] = op.vals
         return m
 
     def matvec_int(self, coeffs, vec):
@@ -70,25 +82,39 @@ class ActionTable:
         return out
 
 
-class TruncatedOperator:
-    """lambda(f) compressed to a domain ball, with column-exact codomain."""
+def _scatter(index, weights, size):
+    # np.bincount accepts real weights only
+    if np.iscomplexobj(weights):
+        return (np.bincount(index, weights.real, size)
+                + 1j * np.bincount(index, weights.imag, size))
+    return np.bincount(index, weights, size)
 
-    def __init__(self, domain, codomain, matrix, support_length):
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-        self.support_length = support_length
 
-    @property
-    def shape(self):
-        return self.matrix.shape
+class SparseOperator:
+    """A matrix held as (row, col, value) triples, applied by bincount."""
+
+    def __init__(self, rows, cols, vals, shape):
+        self.rows = rows
+        self.cols = cols
+        self.vals = vals
+        self.shape = shape
+        self.dtype = vals.dtype
+
+    def matvec(self, x):
+        return _scatter(self.rows, self.vals * x[self.cols], self.shape[0])
+
+    def rmatvec(self, y):  # the adjoint
+        return _scatter(self.cols, self.vals.conj() * y[self.rows], self.shape[1])
+
+
+# lambda(f) compressed to a domain ball, with column-exact codomain
+TruncatedOperator = namedtuple(
+    "TruncatedOperator", "domain codomain matrix support_length")
 
 
 def truncate(pair, f, length=None, radius=0):
     """Matrix of lambda(f) on the right-coset ball of the given radius."""
-    length = length or pair.length
-    if length is None:
-        raise UnsupportedLengthError("pair %r has no length" % pair.name)
+    length = require_length(pair, length)
     ell = f.max_support_length(length)
     ball_dom = enumerate_ball(pair, length, radius).right
     ball_cod = enumerate_ball(pair, length, radius + ell).right
@@ -96,64 +122,93 @@ def truncate(pair, f, length=None, radius=0):
     return TruncatedOperator(ball_dom, ball_cod, table.matrix_for(f), ell)
 
 
-def _power_phase(a, v, tol, max_iter):
-    # Stop on the Gram residual ||A^H A v - s2 v||: for a symmetric matrix the
-    # Rayleigh value s2 is then within `res` of an exact eigenvalue, so the
-    # returned sigma carries an error bound, not just a small last step.
-    v = v / np.linalg.norm(v)
-    sigma = 0.0
-    res = 0.0
-    for it in range(1, max_iter + 1):
-        w = a @ v
-        s2 = float(np.vdot(w, w).real)
-        sigma = math.sqrt(s2)
-        u = a.conj().T @ w
-        res = float(np.linalg.norm(u - s2 * v))
-        if res <= tol * max(s2, 1.0):
-            return sigma, it, res, True
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            # the start vector lies in the kernel of the Gram operator
-            return sigma, it, res, True
-        v = u / nu
-    return sigma, max_iter, res, False
+_BASIS = 64  # Krylov vectors per cycle: memory O(_BASIS * (m + n))
+# a Lanczos coefficient this small against the largest so far marks an
+# invariant subspace, on which the cycle's Ritz values are exact
+_BREAKDOWN = 1e-12
+_LAPACK_MAX = 2048  # dense blocks with min(shape) up to this go to LAPACK
+
+
+def _reorth(x, basis):
+    # classical Gram-Schmidt against the rows of basis, twice, which keeps
+    # the Krylov vectors orthogonal to rounding
+    for _ in range(2):
+        x = x - basis.T @ (basis.conj() @ x)
+    return x
+
+
+def _bidiagonalise(matvec, rmatvec, v, m, k):
+    """Up to k Golub-Kahan steps from the unit vector v, for A with m rows.
+
+    Returns (V, B) with A V^T = U B for orthonormal rows V and columns U, so
+    the singular values of B are the Ritz values of A on the span of V. Each
+    row of V costs one step; a breakdown ends the cycle with an exact B.
+    """
+    vs = np.zeros((k + 1, v.size), dtype=v.dtype)
+    us = np.zeros((k, m), dtype=v.dtype)
+    b = np.zeros((k, k + 1))
+    vs[0] = v
+    for j in range(k):
+        u = _reorth(matvec(vs[j]) - (b[j - 1, j] * us[j - 1] if j else 0), us[:j])
+        b[j, j] = np.linalg.norm(u)
+        if b[j, j] <= _BREAKDOWN * b.max():
+            return vs[:j + 1], b[:j, :j + 1]
+        us[j] = u / b[j, j]
+        w = _reorth(rmatvec(us[j]) - b[j, j] * vs[j], vs[:j + 1])
+        b[j, j + 1] = np.linalg.norm(w)
+        if b[j, j + 1] <= _BREAKDOWN * b.max():
+            return vs[:j + 1], b[:j + 1, :j + 1]
+        vs[j + 1] = w / b[j, j + 1]
+    return vs[:k], b[:, :k]
 
 
 def top_singular_value(a, tol=1e-10, max_iter=10 ** 4, seed=0):
-    """Largest singular value via power iteration on the Gram operator.
+    """Largest singular value by restarted Golub-Kahan-Lanczos bidiagonalisation.
 
-    Runs two deterministic phases: one from the all-ones vector and one from
-    a seeded random vector, and keeps the larger estimate. The second phase
-    exists because the all-ones vector can be an exact non-top eigenvector
-    (circulant symmetry), which a residual test alone cannot detect.
+    `a` is a dense array or a SparseOperator. Cycles of at most _BASIS steps
+    with full reorthogonalisation start from one seeded random vector and
+    restart from the top Ritz vector y. sigma = ||A y|| for unit y, always a
+    valid lower bound; the solve stops once the Gram residual
+    ||A^H A y - sigma^2 y|| is at most tol * max(sigma^2, 1). max_iter
+    counts Lanczos steps.
 
-    Returns (sigma, iterations, residual, converged). sigma is always a
-    valid lower bound for the true norm.
+    Returns (sigma, iterations, residual, converged).
     """
-    a = np.asarray(a)
-    if a.size == 0 or not np.any(a):
+    if isinstance(a, SparseOperator):
+        matvec, rmatvec = a.matvec, a.rmatvec
+    else:
+        a = np.asarray(a)
+        matvec, rmatvec = a.__matmul__, a.conj().T.__matmul__
+    m, n = a.shape
+    if m == 0 or n == 0:
         return 0.0, 0, 0.0, True
-    n = a.shape[1]
-    ones = np.ones(n, dtype=a.dtype)
-    s1, it1, r1, c1 = _power_phase(a, ones, tol, max_iter)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    if np.iscomplexobj(a):
-        v0 = v0 + 1j * rng.standard_normal(n)
-    s2, it2, r2, c2 = _power_phase(a, v0.astype(a.dtype), tol, max_iter)
-    if s2 > s1:
-        return s2, it1 + it2, r2, c2
-    return s1, it1 + it2, r1, c1
+    y = np.random.default_rng(seed).standard_normal(n)
+    y = (y / np.linalg.norm(y)).astype(np.result_type(a.dtype, np.float64))
+    steps = 0
+    while True:
+        vs, b = _bidiagonalise(matvec, rmatvec, y, m, min(_BASIS, max_iter - steps))
+        steps += len(vs)
+        if b.size:
+            y = np.linalg.svd(b)[2][0].conj() @ vs
+            y /= np.linalg.norm(y)
+        w = matvec(y)
+        s2 = float(np.vdot(w, w).real)
+        res = float(np.linalg.norm(rmatvec(w) - s2 * y))
+        converged = res <= tol * max(s2, 1.0)
+        if converged or steps >= max_iter:
+            return math.sqrt(s2), steps, res, converged
 
 
 def block_operator_norm(a, tol=1e-10, max_iter=10 ** 4, seed=0):
-    """Spectral norm of a dense block: exact SVD when small, else power."""
-    a = np.asarray(a, dtype=np.float64) if not np.iscomplexobj(a) else np.asarray(a)
+    """(norm, converged) of a dense block: LAPACK SVD, exact, when min(shape)
+    is at most _LAPACK_MAX, else top_singular_value."""
+    a = np.asarray(a)
     if a.size == 0:
-        return 0.0
-    if max(a.shape) <= 64:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    return top_singular_value(a, tol=tol, max_iter=max_iter, seed=seed)[0]
+        return 0.0, True
+    if min(a.shape) <= _LAPACK_MAX:
+        return float(np.linalg.svd(a, compute_uv=False)[0]), True
+    sigma, _, _, converged = top_singular_value(a, tol, max_iter, seed)
+    return sigma, converged
 
 
 def norm_upper(pair, f):
@@ -205,17 +260,17 @@ def norm_lower(pair, f, length=None, radius=6, tol=1e-10, max_iter=10 ** 4, seed
             ell = f.max_support_length(length)
             dom = enumerate_ball(pair, length, radius).right
             cod = enumerate_ball(pair, length, radius + ell).right
-            method = "power-gram/ball"
+            method = "gkl/ball"
         except UnsupportedLengthError:
             dom = cod = None
     if dom is None:
         dirs = list(f.support) + list(f.involution().support)
         dom = reachable_coset_ball(pair, dirs, radius)
         cod = reachable_coset_ball(pair, dirs, radius + 1)
-        method = "power-gram/reachable"
+        method = "gkl/reachable"
     table = ActionTable(pair, f.support, dom, cod)
     sigma, iters, res, conv = top_singular_value(
-        table.matrix_for(f), tol=tol, max_iter=max_iter, seed=seed
+        table.operator_for(f), tol=tol, max_iter=max_iter, seed=seed
     )
     return NormBracket(
         sigma, norm_upper(pair, f), method, iters, res, conv,

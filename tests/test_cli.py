@@ -126,6 +126,22 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert "seed" in payload["message"]
 
+    def test_pair_without_length_fails_with_json(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "c.ini", "jolissaint", pair="bost_connes",
+                        f="delta:3/2,0")
+        assert run("jolissaint", config=ini, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert "has no length" in payload["message"]
+
+    def test_exhausted_budget_fails_with_json(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "c.ini", "degrees", pair="dihedral", radius="3",
+                        budget="1")
+        assert run("degrees", config=ini, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert "budget 1" in payload["message"]
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -168,6 +184,18 @@ class TestArtifacts:
         uppers = {r[2] for r in rows[1:]}
         assert uppers == {"2"}
 
+    def test_normest_summary_flags_unconverged(self, tmp_path, capsys):
+        # no residual meets tol = 1e-300, so every solve stops at its cap
+        ini = write_ini(
+            tmp_path / "c.ini", "normest",
+            pair="dihedral", f="delta:1,1", radii="1,2", tol="1e-300",
+        )
+        assert run("normest", config=ini, out=str(tmp_path)) == 0
+        assert capsys.readouterr().out.strip().endswith("NOT converged")
+        with open(tmp_path / "normest.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["converged"] for row in rows] == ["False", "False"]
+
     def test_jolissaint_artifacts(self, tmp_path, capsys):
         ini = write_ini(
             tmp_path / "c.ini", "jolissaint",
@@ -180,7 +208,7 @@ class TestArtifacts:
         assert payload["vanishes_from"] == 9
         with open(tmp_path / "jolissaint.csv") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["N", "rho", "block_dims"]
+        assert rows[0] == ["N", "rho", "block_dims", "converged"]
         assert len(rows) == 1 + 8  # levels 1..8 below the threshold
 
     def test_transfer_check_passes_on_tiny_run(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heckepairs import (
+    ActionTable,
     ConfigError,
     DihedralElement,
     HeckeElement,
@@ -113,6 +114,26 @@ class TestScans:
         rep = haagerup_scan_operator(dihedral, radii=(2, 4), samples=5, seed=1)
         for row in rep.to_json_dict()["rows"]:
             assert row["max_ratio_operator_lower"] <= row["schur_upper"] + 1e-8
+
+    def test_int64_overflow_caught_before_the_matvec(self, dihedral, monkeypatch):
+        # a wrapped int64 sum cannot be detected after matvec_int returns, so
+        # every call it does get must match exact Python-int arithmetic
+        original = ActionTable.matvec_int
+
+        def checked(table, coeffs, vec):
+            out = original(table, coeffs, vec)
+            exact = [0] * len(out)
+            for rep, c in coeffs.items():
+                rows, cols = table.tables[rep]
+                for i, j in zip(rows.tolist(), cols.tolist()):
+                    exact[i] += c * int(vec[j])
+            assert out.tolist() == exact, "matvec_int wrapped around"
+            return out
+
+        monkeypatch.setattr(ActionTable, "matvec_int", checked)
+        with pytest.raises(ConfigError, match="too large"):
+            haagerup_scan_exact(dihedral, radii=(2,), samples=2, seed=0,
+                                coeff_max=2 ** 40)
 
     def test_scan_rejects_lengthless_pair(self, gl2q):
         with pytest.raises(ConfigError):

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from heckepairs import (
+    ActionTable,
     ConfigError,
     DihedralElement,
     HeckeElement,
     JolissaintParams,
     L2Vector,
     QQi,
+    SemidirectElement,
     apply_regular_rep,
     convolve,
     corner_seminorm,
@@ -145,6 +147,42 @@ class TestRho:
                     want = rho_oracle(dihedral, f, n, alpha, q=1)
                     got = rho(dihedral, f, params=JolissaintParams(alpha, q=1, n=n))
                     assert got == pytest.approx(want, abs=1e-9), (alpha, n)
+
+    def test_semidirect_levels_match_lapack_blocks(self, semidirect):
+        # power iteration left 22 of these blocks unconverged, up to 3.5e-8
+        # low. Reference: the corners cut from one column-exact operator on
+        # the whole ball by length masks, with LAPACK norms.
+        f = HeckeElement.delta(semidirect, SemidirectElement((5, 3), 0, "swap")) + \
+            HeckeElement.delta(semidirect, SemidirectElement((2, 2), 0, "swap"), coeff=3)
+        res = jolissaint_seminorm(semidirect, f)
+        assert res.converged and len(res.rows) == 63
+        L = semidirect.length
+        radius = res.threshold - 1 + 8
+        dom = enumerate_ball(semidirect, L, radius).right
+        cod = enumerate_ball(semidirect, L, radius + 8).right
+        op = ActionTable(semidirect, f.support, dom, cod).operator_for(f)
+        row_len = np.array([int(k.length) for k in cod.keys])[op.rows]
+        col_len = np.array([int(k.length) for k in dom.keys])[op.cols]
+
+        def block_norm(mask):
+            if not mask.any():
+                return 0.0
+            r = np.unique(op.rows[mask], return_inverse=True)[1]
+            c = np.unique(op.cols[mask], return_inverse=True)[1]
+            m = np.zeros((r.max() + 1, c.max() + 1))
+            m[r, c] = op.vals[mask]
+            return np.linalg.svd(m, compute_uv=False)[0]
+
+        for level in res.rows:
+            n = level.n
+            # alpha = 1/2: L <= n - sqrt(n) iff n - L >= 0 and (n - L)^2 >= n
+            inner_rows = (n - row_len >= 0) & ((n - row_len) ** 2 >= n)
+            inner_cols = (n - col_len >= 0) & ((n - col_len) ** 2 >= n)
+            want1 = block_norm((row_len > n) & inner_cols)
+            want2 = block_norm(inner_rows & (col_len > n))
+            assert level.converged
+            assert abs(level.block1_norm - want1) <= 1e-9 * max(want1, 1.0)
+            assert abs(level.block2_norm - want2) <= 1e-9 * max(want2, 1.0)
 
     def test_q_scales_by_power_of_n(self, dihedral):
         f = sigma(dihedral, 3)

@@ -13,6 +13,7 @@ from heckepairs import (
     IntegerElement,
     L2Vector,
     QQi,
+    SemidirectElement,
     apply_regular_rep,
     block_operator_norm,
     coset_key,
@@ -42,7 +43,7 @@ class TestBrackets:
         # singular value is 2 cos(pi / 8)
         b = norm_lower(dihedral, sigma(dihedral, 1), radius=2)
         assert b.lower == pytest.approx(2 * math.cos(math.pi / 8), abs=1e-8)
-        assert b.method == "power-gram/ball"
+        assert b.method == "gkl/ball"
         assert b.converged
 
     def test_sigma_one_upper(self, dihedral):
@@ -79,19 +80,28 @@ class TestBrackets:
             assert got == pytest.approx(max(abs(a + b), abs(a - b)), abs=1e-8)
 
     def test_circulant_needs_second_phase(self, finite_index):
-        # a = 1, b = -1 annihilates the all-ones vector, so the first
-        # power phase alone would report zero
+        # a = 1, b = -1 annihilates the all-ones vector, so a solver
+        # started there alone would report zero
         f = HeckeElement.delta(finite_index, IntegerElement(0)) + \
             HeckeElement.delta(finite_index, IntegerElement(1), coeff=-1)
         got = norm_lower(finite_index, f, radius=3)
         assert got.lower == pytest.approx(2.0, abs=1e-8)
+
+    def test_semidirect_radius_20_matches_lapack(self, semidirect):
+        # power iteration stopped at its step cap here, unconverged
+        f = HeckeElement.delta(semidirect, SemidirectElement((3, 1), 0, "swap")) + \
+            HeckeElement.delta(semidirect, SemidirectElement((1, 0), 0, "swap"), coeff=2)
+        b = norm_lower(semidirect, f, radius=20)
+        want = np.linalg.svd(truncate(semidirect, f, radius=20).matrix, compute_uv=False)[0]
+        assert b.converged
+        assert abs(b.lower - want) <= 1e-9 * want
 
     def test_reachable_fallback_on_lengthless_pair(self, bost_connes):
         from heckepairs import AxbElement
 
         f = HeckeElement.delta(bost_connes, AxbElement(Fraction(3, 2), 0))
         b = norm_lower(bost_connes, f, radius=2)
-        assert b.method == "power-gram/reachable"
+        assert b.method == "gkl/reachable"
         assert 0 < b.lower <= b.upper + 1e-9
 
     def test_upper_mixes_both_involution_sides(self, bost_connes):
@@ -123,9 +133,28 @@ class TestSingularValues:
             assert converged
             assert value == pytest.approx(want, abs=2e-8)
 
+    def test_ones_vector_as_non_top_eigenvector(self):
+        # symmetric circulant with first row (1, -1, 0, ..., 0, -1): the
+        # all-ones vector is an exact eigenvector for -1, the top is 3
+        n = 100
+        row = np.zeros(n)
+        row[[0, 1, -1]] = (1.0, -1.0, -1.0)
+        a = np.array([np.roll(row, k) for k in range(n)])
+        value, _, _, converged = top_singular_value(a)
+        assert converged
+        assert value == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], abs=1e-9)
+
+    def test_step_cap_reports_unconverged_lower_bound(self):
+        a = spawn_rng(3, 7).standard_normal((300, 300))
+        value, iterations, residual, converged = top_singular_value(a, max_iter=5)
+        assert (iterations, converged) == (5, False)
+        assert residual > 0
+        assert 0 < value <= np.linalg.svd(a, compute_uv=False)[0]
+
     def test_zero_and_empty(self):
         assert top_singular_value(np.zeros((3, 3)))[0] == 0.0
-        assert block_operator_norm(np.zeros((0, 4))) == 0.0
+        value, _ = block_operator_norm(np.zeros((0, 4)))
+        assert value == 0.0
 
     def test_rank_one(self):
         u = np.array([[3.0], [4.0]])
@@ -135,7 +164,17 @@ class TestSingularValues:
         rng = spawn_rng(3, 4)
         a = rng.standard_normal((90, 7))
         want = np.linalg.svd(a, compute_uv=False)[0]
-        assert block_operator_norm(a) == pytest.approx(want, abs=2e-8)
+        value, _ = block_operator_norm(a)
+        assert value == pytest.approx(want, abs=2e-8)
+
+    def test_block_norm_beyond_lapack_size_uses_krylov(self):
+        # min(shape) 2049 takes the Krylov path; the diagonal gives the norm
+        a = np.zeros((2049, 2050))
+        a[np.arange(2049), np.arange(2049)] = np.linspace(0.0, 1.0, 2049)
+        a[0, 0] = 2.0
+        value, converged = block_operator_norm(a)
+        assert converged
+        assert value == pytest.approx(2.0, abs=1e-9)
 
 
 class TestActionTable:
@@ -161,6 +200,18 @@ class TestActionTable:
                 assert got[i] == pytest.approx(
                     complex(want.coefficient(k).to_complex()), abs=1e-12
                 )
+
+    def test_sparse_apply_matches_dense_matrix(self, dihedral):
+        f = sigma(dihedral, 1, coeff=QQi(2, -3)) + sigma(dihedral, 2, coeff=QQi(0, 1))
+        dom = enumerate_ball(dihedral, dihedral.length, 3).right
+        cod = enumerate_ball(dihedral, dihedral.length, 5).right
+        table = ActionTable(dihedral, f.support, dom, cod)
+        op, mat = table.operator_for(f), table.matrix_for(f)
+        rng = spawn_rng(3, 8)
+        x = rng.standard_normal(len(dom)) + 1j * rng.standard_normal(len(dom))
+        y = rng.standard_normal(len(cod)) + 1j * rng.standard_normal(len(cod))
+        assert np.allclose(op.matvec(x), mat @ x, rtol=0, atol=1e-12)
+        assert np.allclose(op.rmatvec(y), mat.conj().T @ y, rtol=0, atol=1e-12)
 
     def test_missing_codomain_raises_without_flag(self, dihedral):
         from heckepairs import UnsupportedLengthError
