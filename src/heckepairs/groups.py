@@ -419,6 +419,11 @@ def dihedral_abs_length():
     return LengthFunction("abs-translation", "abs", lambda g: abs(g.n))
 
 
+def zero_length():
+    """The trivial length. Not locally finite on infinite groups."""
+    return LengthFunction("zero", "zero", lambda g: 0, locally_finite=False)
+
+
 def coordinate_sum_length():
     """L((v, s)) = sum_i |v_i| on semidirect products."""
     return LengthFunction(

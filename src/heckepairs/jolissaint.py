@@ -86,17 +86,13 @@ def _window(ball, lo_excl, n, alpha, shift=0):
 
 
 class RhoResult:
-    """One corner-seminorm level: N^q (||upper block|| + ||lower block||).
-
-    converged is False when a block's Krylov solve hit its step cap.
-    """
+    """One corner-seminorm level: N^q (||upper block|| + ||lower block||)."""
 
     __slots__ = ("n", "value", "block1_norm", "block2_norm", "block1_shape",
-                 "block2_shape", "vanished", "converged")
+                 "block2_shape", "vanished")
 
     def __init__(self, n, value, block1_norm=0.0, block2_norm=0.0,
-                 block1_shape=(0, 0), block2_shape=(0, 0), vanished=False,
-                 converged=True):
+                 block1_shape=(0, 0), block2_shape=(0, 0), vanished=False):
         self.n = n
         self.value = value
         self.block1_norm = block1_norm
@@ -104,7 +100,6 @@ class RhoResult:
         self.block1_shape = block1_shape
         self.block2_shape = block2_shape
         self.vanished = vanished
-        self.converged = converged
 
     def __repr__(self):
         return "RhoResult(N=%d, value=%.12g, blocks=%sx%s)" % (
@@ -140,11 +135,10 @@ def corner_seminorm(pair, f, length=None, params=None, ball=None, budget=10 ** 6
                          block2_shape=(len(cols), len(rows)))
     b1 = ActionTable(pair, f.support, cols, rows, allow_missing=True).matrix_for(f)
     b2 = ActionTable(pair, f.support, rows, cols, allow_missing=True).matrix_for(f)
-    n1, c1 = block_operator_norm(b1)
-    n2, c2 = block_operator_norm(b2)
+    n1 = block_operator_norm(b1)
+    n2 = block_operator_norm(b2)
     return RhoResult(
         n, float(n ** q) * (n1 + n2), n1, n2, b1.shape, b2.shape,
-        converged=c1 and c2,
     )
 
 
@@ -156,7 +150,7 @@ def rho(pair, f, length=None, params=None, **kw):
 class NuResult:
     """Exact sup over levels: max of rho over N below the vanishing threshold."""
 
-    __slots__ = ("value", "argmax_n", "rows", "threshold", "alpha", "q", "converged")
+    __slots__ = ("value", "argmax_n", "rows", "threshold", "alpha", "q")
 
     def __init__(self, value, argmax_n, rows, threshold, alpha, q):
         self.value = value
@@ -165,7 +159,6 @@ class NuResult:
         self.threshold = threshold
         self.alpha = alpha
         self.q = q
-        self.converged = all(row.converged for row in rows)
 
     def __repr__(self):
         return "NuResult(value=%.12g, argmax_N=%r, levels=%d)" % (

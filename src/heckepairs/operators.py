@@ -8,11 +8,10 @@ bounds for the operator norm and monotone in the radius.
 lambda(f) is held as sparse (row, col, coefficient) triples, and its top
 singular value comes from restarted Golub-Kahan-Lanczos bidiagonalisation
 with a certified lower bound and its residual. Dense corner blocks go to
-LAPACK up to a few thousand columns, and to the same solver beyond.
+LAPACK.
 """
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -107,9 +106,18 @@ class SparseOperator:
         return _scatter(self.cols, self.vals.conj() * y[self.rows], self.shape[1])
 
 
-# lambda(f) compressed to a domain ball, with column-exact codomain
-TruncatedOperator = namedtuple(
-    "TruncatedOperator", "domain codomain matrix support_length")
+class TruncatedOperator:
+    """lambda(f) compressed to a domain ball, with column-exact codomain."""
+
+    def __init__(self, domain, codomain, matrix, support_length):
+        self.domain = domain
+        self.codomain = codomain
+        self.matrix = matrix
+        self.support_length = support_length
+
+    @property
+    def shape(self):
+        return self.matrix.shape
 
 
 def truncate(pair, f, length=None, radius=0):
@@ -126,7 +134,6 @@ _BASIS = 64  # Krylov vectors per cycle: memory O(_BASIS * (m + n))
 # a Lanczos coefficient this small against the largest so far marks an
 # invariant subspace, on which the cycle's Ritz values are exact
 _BREAKDOWN = 1e-12
-_LAPACK_MAX = 2048  # dense blocks with min(shape) up to this go to LAPACK
 
 
 def _reorth(x, basis):
@@ -199,16 +206,12 @@ def top_singular_value(a, tol=1e-10, max_iter=10 ** 4, seed=0):
             return math.sqrt(s2), steps, res, converged
 
 
-def block_operator_norm(a, tol=1e-10, max_iter=10 ** 4, seed=0):
-    """(norm, converged) of a dense block: LAPACK SVD, exact, when min(shape)
-    is at most _LAPACK_MAX, else top_singular_value."""
+def block_operator_norm(a):
+    """Spectral norm of a dense block, by LAPACK SVD."""
     a = np.asarray(a)
     if a.size == 0:
-        return 0.0, True
-    if min(a.shape) <= _LAPACK_MAX:
-        return float(np.linalg.svd(a, compute_uv=False)[0]), True
-    sigma, _, _, converged = top_singular_value(a, tol, max_iter, seed)
-    return sigma, converged
+        return 0.0
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def norm_upper(pair, f):

