@@ -1,7 +1,9 @@
 """Convolution algebra elements, the regular-representation action, norms.
 
 Elements carry a coefficient mode: "exact" uses Gaussian rationals (QQi),
-"float" uses complex. Mixing modes in one operation is an error, never a
+"float" uses complex. Each mode's arithmetic lives in one ring (`RINGS`),
+which every element carries as `.ring`; code elsewhere reads the ring and
+never the mode name. Mixing modes in one operation is an error, never a
 silent coercion. All identity checks in the test suite run in exact mode.
 """
 
@@ -51,11 +53,17 @@ class QQi:
     def conj(self):
         return QQi(self.re, -self.im)
 
+    conjugate = conj
+    real = property(lambda self: self.re)
+    imag = property(lambda self: self.im)
+
     def abs_sq(self):
         return self.re * self.re + self.im * self.im
 
     def to_complex(self):
         return complex(self.re) + 1j * complex(self.im)
+
+    __complex__ = to_complex
 
     def is_real_nonneg(self):
         return self.im == 0 and self.re >= 0
@@ -89,17 +97,55 @@ def _as_qqi(c):
     raise TypeError("cannot treat %r as an exact coefficient" % (c,))
 
 
-def _coerce(c, mode):
-    if mode == "exact":
+class _ExactRing:
+    """QQi coefficients, Fraction squared moduli, exact-string JSON parts."""
+
+    exact = True
+    zero = QQi()
+    real_zero = Fraction(0)
+    i = QQi(0, 1)
+
+    def coerce(self, c):
         try:
             return _as_qqi(c)
         except TypeError:
             raise ModeMismatchError(
                 "exact mode needs rational coefficients, got %r" % (c,)
             )
-    if isinstance(c, QQi):
-        raise ModeMismatchError("QQi coefficient in float mode; convert explicitly")
-    return complex(c)
+
+    abs_sq = staticmethod(QQi.abs_sq)
+
+    def dump_json(self, c):
+        return str(c.re), str(c.im)
+
+    def parse_json(self, re, im):
+        return QQi(Fraction(str(re)), Fraction(str(im)))
+
+
+class _FloatRing:
+    """Complex coefficients, float JSON parts; QQi input needs to_float() first."""
+
+    exact = False
+    zero = 0j
+    real_zero = 0.0
+    i = 1j
+
+    def coerce(self, c):
+        if isinstance(c, QQi):
+            raise ModeMismatchError("QQi coefficient in float mode; convert explicitly")
+        return complex(c)
+
+    def abs_sq(self, c):
+        return abs(c) ** 2
+
+    def dump_json(self, c):
+        return c.real, c.imag
+
+    def parse_json(self, re, im):
+        return complex(float(re), float(im))
+
+
+RINGS = {"exact": _ExactRing(), "float": _FloatRing()}
 
 
 def require_length(pair, length=None):
@@ -127,16 +173,18 @@ class _Supported:
             raise ModeMismatchError("mode must be 'exact' or 'float'")
         self.pair = pair
         self.mode = mode
+        self.ring = RINGS[mode]
         data = {}
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
+            coerce = self.ring.coerce
             for key, c in items:
                 if type(key) is not self.key_type:
                     raise TypeError(
                         "%s wants %s keys, got %r"
                         % (type(self).__name__, self.key_type.__name__, key)
                     )
-                c = _coerce(c, mode)
+                c = coerce(c)
                 if key in data:
                     c = data[key] + c
                 if c:
@@ -144,6 +192,10 @@ class _Supported:
                 elif key in data:
                     del data[key]
         self.terms = data
+
+    @classmethod
+    def zero(cls, pair, mode="exact"):
+        return cls(pair, None, mode)
 
     @property
     def support(self):
@@ -154,22 +206,19 @@ class _Supported:
         return sorted(self.terms.items(), key=lambda kv: kv[0].key)
 
     def coefficient(self, key):
-        zero = QQi() if self.mode == "exact" else 0j
-        return self.terms.get(key, zero)
+        return self.terms.get(key, self.ring.zero)
 
     def is_zero(self):
         return not self.terms
 
     def is_nonneg(self):
-        if self.mode == "exact":
-            return all(c.is_real_nonneg() for c in self.terms.values())
         return all(c.imag == 0 and c.real >= 0 for c in self.terms.values())
 
     def _binop(self, other, op):
         _check_same(self, other)
         data = dict(self.terms)
         for k, c in other.terms.items():
-            v = op(data.get(k, _coerce(0, self.mode)), c)
+            v = op(data.get(k, self.ring.zero), c)
             if v:
                 data[k] = v
             elif k in data:
@@ -186,7 +235,7 @@ class _Supported:
         return self.scale(-1)
 
     def scale(self, c):
-        c = _coerce(c, self.mode)
+        c = self.ring.coerce(c)
         return type(self)(
             self.pair, [(k, c * v) for k, v in self.terms.items()], self.mode
         )
@@ -214,11 +263,11 @@ class _Supported:
 
     def to_float(self):
         """Explicit exact -> float conversion (float input passes through)."""
-        if self.mode == "float":
+        if not self.ring.exact:
             return self
         return type(self)(
             self.pair,
-            [(k, c.to_complex()) for k, c in self.terms.items()],
+            [(k, complex(c)) for k, c in self.terms.items()],
             "float",
         )
 
@@ -237,10 +286,6 @@ class HeckeElement(_Supported):
     key_type = DoubleCosetKey
 
     @classmethod
-    def zero(cls, pair, mode="exact"):
-        return cls(pair, None, mode)
-
-    @classmethod
     def delta(cls, pair, g, coeff=1, mode="exact"):
         """coeff times the characteristic function of HgH."""
         return cls(pair, [(double_key(pair, g), coeff)], mode)
@@ -249,9 +294,7 @@ class HeckeElement(_Supported):
         """f*(g) = conj(f(g^-1)); support maps through inversion."""
         out = []
         for k, c in self.terms.items():
-            kk = double_key(self.pair, k.rep.inv())
-            cc = c.conj() if self.mode == "exact" else c.conjugate()
-            out.append((kk, cc))
+            out.append((double_key(self.pair, k.rep.inv()), c.conjugate()))
         return HeckeElement(self.pair, out, self.mode)
 
 
@@ -259,10 +302,6 @@ class L2Vector(_Supported):
     """Finitely supported function on right cosets."""
 
     key_type = CosetKey
-
-    @classmethod
-    def zero(cls, pair, mode="exact"):
-        return cls(pair, None, mode)
 
     @classmethod
     def delta(cls, pair, g, coeff=1, mode="exact"):
@@ -276,14 +315,7 @@ class L2Vector(_Supported):
     def inner(self, other):
         """<self, other> in ell^2 of the right cosets (conjugate-linear right)."""
         _check_same(self, other)
-        if self.mode == "exact":
-            acc = QQi()
-            for k, c in self.terms.items():
-                d = other.terms.get(k)
-                if d is not None:
-                    acc = acc + c * d.conj()
-            return acc
-        acc = 0j
+        acc = self.ring.zero
         for k, c in self.terms.items():
             d = other.terms.get(k)
             if d is not None:
@@ -291,12 +323,8 @@ class L2Vector(_Supported):
         return acc
 
     def norm_sq(self):
-        if self.mode == "exact":
-            acc = Fraction(0)
-            for c in self.terms.values():
-                acc += c.abs_sq()
-            return acc
-        return sum(abs(c) ** 2 for c in self.terms.values())
+        abs_sq = self.ring.abs_sq
+        return sum((abs_sq(c) for c in self.terms.values()), self.ring.real_zero)
 
 
 def spread(f):
@@ -334,7 +362,7 @@ def apply_regular_rep(pair, f, xi):
     """The module action (f * xi)(Hg) = sum over right cosets Hk of
     f(g k^-1) xi(k), computed exactly on finite supports."""
     _check_same(f, xi)
-    zero = QQi() if f.mode == "exact" else 0j
+    zero = f.ring.zero
     acc = {}
     for dkey, c in f.terms.items():
         for ckey, v in xi.terms.items():
@@ -355,7 +383,7 @@ def convolve(pair, f1, f2):
     """
     _check_same(f1, f2)
     vec = apply_regular_rep(pair, f1, spread(f2))
-    zero = QQi() if f1.mode == "exact" else 0j
+    zero = f1.ring.zero
     by_double = {}
     for ckey, v in vec.terms.items():
         dk = double_key(pair, ckey.rep)
@@ -365,7 +393,7 @@ def convolve(pair, f1, f2):
         rights = decompose_double_coset(pair, dk.rep)
         values = [got.get(a, zero) for a in rights]
         first = values[0]
-        if f1.mode == "exact":
+        if f1.ring.exact:
             for v in values[1:]:
                 if v != first:
                     raise ConvolutionAuditError(
@@ -378,23 +406,17 @@ def convolve(pair, f1, f2):
 
 def l2_norm_sq(f):
     """||f||_2^2 over right cosets: sum of |coeff|^2 * degree per double."""
-    if f.mode == "exact":
-        acc = Fraction(0)
-        for d, c in f.terms.items():
-            acc += c.abs_sq() * len(decompose_double_coset(f.pair, d.rep))
-        return acc
-    return sum(
-        abs(c) ** 2 * len(decompose_double_coset(f.pair, d.rep))
-        for d, c in f.terms.items()
-    )
+    acc = f.ring.real_zero
+    for d, c in f.terms.items():
+        acc += f.ring.abs_sq(c) * len(decompose_double_coset(f.pair, d.rep))
+    return acc
 
 
 def l1_norm(f):
     """||f||_1 over right cosets (float; exact only when coefficients are real)."""
     acc = 0.0
     for d, c in f.terms.items():
-        a = c.abs_sq() if f.mode == "exact" else abs(c) ** 2
-        acc += math.sqrt(float(a)) * len(decompose_double_coset(f.pair, d.rep))
+        acc += math.sqrt(f.ring.abs_sq(c)) * len(decompose_double_coset(f.pair, d.rep))
     return acc
 
 
@@ -437,12 +459,10 @@ def norms(f, length=None, s=1):
     """
     pair = f.pair
     length = require_length(pair, length)
-    exact = f.mode == "exact" and length.exact and isinstance(s, int) and s >= 0
-    l2_sq = Fraction(0) if exact else 0.0
-    sob_sq = Fraction(0) if exact else 0.0
-    prime_sq = Fraction(0) if exact else 0.0
+    exact = f.ring.exact and length.exact and isinstance(s, int) and s >= 0
+    l2_sq = sob_sq = prime_sq = Fraction(0) if exact else 0.0
     for d, c in f.terms.items():
-        a = c.abs_sq() if f.mode == "exact" else abs(c) ** 2
+        a = f.ring.abs_sq(c)
         if not exact:
             a = float(a)
         deg = len(decompose_double_coset(pair, d.rep))
@@ -458,20 +478,17 @@ def sobolev_inner(f1, f2, length=None, s=1):
     _check_same(f1, f2)
     pair = f1.pair
     length = require_length(pair, length)
-    exact = f1.mode == "exact" and length.exact and isinstance(s, int) and s >= 0
-    acc = QQi() if f1.mode == "exact" else 0j
+    exact = f1.ring.exact
+    if exact and not (length.exact and isinstance(s, int) and s >= 0):
+        raise ModeMismatchError(
+            "inexact weights with exact coefficients; use to_float()"
+        )
+    acc = f1.ring.zero
     for d, c in f1.terms.items():
         other = f2.terms.get(d)
         if other is None:
             continue
         deg = len(decompose_double_coset(pair, d.rep))
         w = _weight(length(d.rep), s, exact)
-        if f1.mode == "exact":
-            if not exact:
-                raise ModeMismatchError(
-                    "inexact weights with exact coefficients; use to_float()"
-                )
-            acc = acc + c * other.conj() * QQi(w * deg)
-        else:
-            acc += c * other.conjugate() * (w * deg)
+        acc += c * other.conjugate() * (w * deg)
     return acc

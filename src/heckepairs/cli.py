@@ -16,7 +16,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .algebra import HeckeElement, L2Vector, QQi, convolve
+from .algebra import HeckeElement, L2Vector, convolve
 from .cosets import decompose_double_coset, enumerate_ball
 from .diagnostics import (
     _fmt,
@@ -249,24 +249,12 @@ def _rep_from_flat(pair, parts):
     return _rep_from_components(pair, parts)
 
 
-def _coeff_json(c, mode):
-    if mode == "exact":
-        return str(c.re), str(c.im)
-    return c.real, c.imag
-
-
-def _coeff_parse(re, im, mode):
-    if mode == "exact":
-        return QQi(Fraction(str(re)), Fraction(str(im)))
-    return complex(float(re), float(im))
-
-
 def element_to_json(el):
     """Interchange form of an algebra element or coset vector."""
     pair = el.pair
     terms = []
     for key, c in el.sorted_terms():
-        re, im = _coeff_json(c, el.mode)
+        re, im = el.ring.dump_json(c)
         terms.append({"key": _rep_components(key.rep), "re": re, "im": im})
     return {
         "pair": pair.name,
@@ -292,7 +280,7 @@ def element_from_json(pair, data, mode=None):
     out = cls.zero(pair, mode)
     for term in data["terms"]:
         rep = _rep_from_components(pair, term["key"])
-        c = _coeff_parse(term.get("re", 0), term.get("im", 0), mode)
+        c = out.ring.parse_json(term.get("re", 0), term.get("im", 0))
         out = out + cls.delta(pair, rep, coeff=c, mode=mode)
     return out
 
@@ -309,8 +297,7 @@ def load_element(pair, spec, mode="exact", kind="double"):
         parts = [tok.strip() for tok in spec[len("delta:"):].split(",")]
         rep = _rep_from_flat(pair, parts)
         cls = HeckeElement if kind == "double" else L2Vector
-        coeff = QQi(1) if mode == "exact" else 1.0 + 0j
-        return cls.delta(pair, rep, coeff=coeff, mode=mode)
+        return cls.delta(pair, rep, mode=mode)
     if spec.startswith("{"):
         try:
             data = json.loads(spec)

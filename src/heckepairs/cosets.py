@@ -160,13 +160,14 @@ class PairBall:
         self.right = right
 
 
-def enumerate_ball(pair, length, radius, budget=10 ** 6, gens=None):
+def enumerate_ball(pair, length, radius, budget=10 ** 6):
     """All double cosets of length <= radius plus the parallel right ball.
 
     length=None uses the pair's attached length. Pairs with closed-form ball
-    providers use them; otherwise a word-length ball of the whole group is
-    projected (the induced double-coset length is the minimum word length
-    over the double coset, which is H-bi-invariant by construction).
+    providers use them; otherwise a word length's ball of the whole group,
+    walked in the length's own generators, is projected (the induced
+    double-coset length is the minimum word length over the double coset,
+    which is H-bi-invariant by construction).
     """
     if length is None:
         length = pair.length
@@ -174,7 +175,8 @@ def enumerate_ball(pair, length, radius, budget=10 ** 6, gens=None):
         raise UnsupportedLengthError(
             "pair %r has no length; pass one explicitly" % pair.name
         )
-    cache_key = (length.name, radius)
+    # every word length is named "word"; its generators tell them apart
+    cache_key = (length.name, length.gens, radius)
     hit = pair.ball_cache.get(cache_key)
     if hit is not None:
         return hit
@@ -186,18 +188,12 @@ def enumerate_ball(pair, length, radius, budget=10 ** 6, gens=None):
     ):
         doubles = [DoubleCosetKey(rep, length(rep)) for rep in pair._ball_doubles(radius)]
         rights = [CosetKey(rep, length(rep)) for rep in pair._ball_rights(radius)]
-    elif length.kind == "word":
-        if gens is None:
-            gens = pair.g_generators
-        if gens is None:
-            raise UnsupportedLengthError(
-                "word-length ball needs generators for pair %r" % pair.name
-            )
+    elif length.gens is not None:
         if radius < 0:
             doubles, rights = [], []
         else:
             dlen = {}
-            for g in enumerate_word_ball(gens, int(radius), budget=budget):
+            for g in enumerate_word_ball(length.gens, int(radius), budget=budget):
                 drep = pair.double_rep(g)
                 if drep not in dlen:
                     dlen[drep] = length(g)

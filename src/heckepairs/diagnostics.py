@@ -270,8 +270,6 @@ def exact_ratio_sq(pair, f, k):
     den = l2_norm_sq(f) * k.norm_sq()
     if den == 0:
         raise ConfigError("ratio undefined for zero f or k")
-    if f.mode == "exact":
-        return Fraction(num) / Fraction(den)
     return num / den
 
 
@@ -618,7 +616,7 @@ def transfer_check(pair, f, k, rng=None):
         raise InfiniteSubgroupError(
             "transfer needs finite H; pair %r has infinite H" % pair.name
         )
-    if f.mode != "exact" or k.mode != "exact":
+    if not (f.ring.exact and k.ring.exact):
         raise ConfigError("transfer checks run in exact mode only")
     if not f.is_nonneg() or not k.is_nonneg():
         raise ConfigError("transfer checks need nonnegative f and k")

@@ -360,7 +360,10 @@ class LengthFunction:
     kind is a short tag ("word", "abs", "zero", "coordinate-sum",
     "log-norm"). locally_finite means balls {L <= r} are finite, which the
     ball-based machinery requires. exact means values are ints/Fractions.
+    gens is the symmetric generator tuple of a word length, else None.
     """
+
+    gens = None
 
     def __init__(self, name, kind, fn, locally_finite=True, exact=True):
         self.name = name
@@ -411,7 +414,9 @@ def word_length(gens, budget=10 ** 6):
                 return known[g]
         raise BudgetExceededError("element unreachable from generators")
 
-    return LengthFunction("word", "word", fn)
+    length = LengthFunction("word", "word", fn)
+    length.gens = tuple(gen_list)
+    return length
 
 
 def dihedral_abs_length():

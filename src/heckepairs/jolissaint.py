@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .algebra import QQi, apply_regular_rep, convolve, norms, require_length
+from .algebra import apply_regular_rep, convolve, norms, require_length
 from .cosets import BallIndex, enumerate_ball
 from .errors import ConfigError
 from .operators import ActionTable, block_operator_norm, norm_upper
@@ -290,10 +290,10 @@ def sobolev_tail_profile(pair, f, length=None, s_list=(0, 1, 2)):
     per_double = []
     for dk, c in f.terms.items():
         L = length(dk.rep)
-        w = c.abs_sq() if f.mode == "exact" else abs(c) ** 2
+        w = f.ring.abs_sq(c)
         per_double.append((L, w * len(decompose_double_coset(pair, dk.rep))))
     ell = max((L for L, _ in per_double), default=0)
-    zero = Fraction(0) if f.mode == "exact" else 0.0
+    zero = f.ring.real_zero
     rows = []
     for k in range(0, math.ceil(ell) + 1):
         rows.append((k, sum((w for L, w in per_double if L > k), zero)))
@@ -313,10 +313,7 @@ def project(xi, radius, length=None):
 
 
 def _scale_by_length(vec, length):
-    terms = []
-    for k, c in vec.terms.items():
-        L = length(k.rep)
-        terms.append((k, c * Fraction(L) if vec.mode == "exact" else c * float(L)))
+    terms = [(k, c * length(k.rep)) for k, c in vec.terms.items()]
     return type(vec)(vec.pair, terms, vec.mode)
 
 
@@ -327,10 +324,9 @@ def derivation_apply(pair, f, xi, length=None):
     i*(d_L(f * xi) - f * d_L(xi)). Exact when the length is exact.
     """
     length = require_length(pair, length)
-    if xi.mode == "exact" and not length.exact:
+    if xi.ring.exact and not length.exact:
         raise ConfigError("exact derivation needs an exact length")
     d1 = _scale_by_length(apply_regular_rep(pair, f, xi), length)
     d2 = apply_regular_rep(pair, f, _scale_by_length(xi, length))
     diff = d1 - d2
-    unit = QQi(0, 1) if xi.mode == "exact" else 1j
-    return diff.scale(unit)
+    return diff.scale(xi.ring.i)

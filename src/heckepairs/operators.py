@@ -54,8 +54,7 @@ class ActionTable:
 
     def operator_for(self, f):
         """Sparse lambda(f) on this index pattern; complex only if f is."""
-        zs = [(self.tables[dk.rep], c.to_complex() if f.mode == "exact" else complex(c))
-              for dk, c in f.terms.items()]
+        zs = [(self.tables[dk.rep], complex(c)) for dk, c in f.terms.items()]
         none = np.zeros(0, np.int64)  # keeps the zero element's operator empty
         vals = np.concatenate([none] + [np.full(len(rows), z) for (rows, _), z in zs])
         return SparseOperator(

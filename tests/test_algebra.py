@@ -1,24 +1,31 @@
 """Convolution algebra: ring axioms, involution, norms, exact scalars."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import heckepairs
 from heckepairs import (
     DihedralElement,
     HeckeElement,
     L2Vector,
+    MatrixElement,
     ModeMismatchError,
     QQi,
     apply_regular_rep,
     convolve,
+    derivation_apply,
     l1_norm,
     l2_norm_sq,
     double_key,
     norms,
     random_hecke_element,
+    random_l2_vector,
     sobolev_inner,
+    sobolev_tail_profile,
     spawn_rng,
     spread,
 )
@@ -205,6 +212,92 @@ class TestModes:
         for k, v in exact.sorted_terms():
             assert prod.coefficient(k) == pytest.approx(complex(v.to_complex()))
 
+    @pytest.mark.parametrize("name", ["dihedral", "semidirect"])
+    def test_float_operations_match_exact(self, pairs, name):
+        # every float-mode operation is the exact one seen through
+        # complex()/float(); small integer data keeps the gap at rounding
+        pair = pairs[name]
+        rng = spawn_rng(4, 1)
+
+        def close(got, want):
+            assert type(got) in (float, complex)
+            assert got == pytest.approx(complex(want), rel=1e-12, abs=1e-12)
+
+        def close_el(got, want):
+            assert got.mode == "float" and type(got) is type(want)
+            for k in set(got.terms) | set(want.terms):
+                close(got.coefficient(k), want.coefficient(k))
+
+        for _ in range(4):
+            f1 = random_hecke_element(pair, rng, complex_part=True)
+            f2 = random_hecke_element(pair, rng, complex_part=True)
+            xi = random_l2_vector(pair, rng, complex_part=True)
+            eta = random_l2_vector(pair, rng, complex_part=True)
+            g1, g2, xf, ef = f1.to_float(), f2.to_float(), xi.to_float(), eta.to_float()
+            close_el(g1, f1)
+            close_el(convolve(pair, g1, g2), convolve(pair, f1, f2))
+            close_el(g1.involution(), f1.involution())
+            close_el(apply_regular_rep(pair, g1, xf), apply_regular_rep(pair, f1, xi))
+            close_el(derivation_apply(pair, g1, xf), derivation_apply(pair, f1, xi))
+            close(xf.inner(ef), xi.inner(eta))
+            close(xf.norm_sq(), xi.norm_sq())
+            close(l2_norm_sq(g1), l2_norm_sq(f1))
+            close(l1_norm(g1), l1_norm(f1))
+            close(sobolev_inner(g1, g2 + g1), sobolev_inner(f1, f2 + f1))
+            for s in (0, 1, 2):
+                got, want = norms(g1, s=s), norms(f1, s=s)
+                assert want.exact and not got.exact
+                for attr in ("l1", "l2_sq", "sobolev_sq", "prime_sq"):
+                    close(getattr(got, attr), getattr(want, attr))
+            got, want = sobolev_tail_profile(pair, g1), sobolev_tail_profile(pair, f1)
+            assert [k for k, _ in got.rows] == [k for k, _ in want.rows]
+            for (_, a), (_, b) in zip(got.rows, want.rows):
+                close(a, b)
+            for s, rep in want.norm_reports.items():
+                close(got.norm_reports[s].sobolev_sq, rep.sobolev_sq)
+
+
+class TestRing:
+    def test_qqi_speaks_the_complex_protocol(self):
+        z = QQi(Fraction(1, 3), -2)
+        assert (z.real, z.imag) == (Fraction(1, 3), -2)
+        assert z.conjugate() == z.conj() == QQi(Fraction(1, 3), 2)
+        assert complex(z) == z.to_complex()
+
+    def test_no_mode_name_comparisons_outside_the_rings(self):
+        # the exact/float decision belongs to algebra's rings; only the two
+        # places that validate a mode name may compare against one
+        allowed = {
+            ("algebra.py", "_Supported.__init__"),
+            ("cli.py", "ExperimentConfig.mode"),
+        }
+        rings = ("_ExactRing", "_FloatRing")
+        names = {"exact", "float"}
+
+        def is_mode_name(node):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                return any(is_mode_name(e) for e in node.elts)
+            return isinstance(node, ast.Constant) and node.value in names
+
+        def walk(node, scope, path, found):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    inner = scope + (child.name,)
+                if isinstance(child, ast.Compare) and any(
+                    is_mode_name(n) for n in [child.left] + child.comparators
+                ):
+                    where = ".".join(scope)
+                    in_ring = bool(scope) and scope[0] in rings
+                    if not in_ring and (path.name, where) not in allowed:
+                        found.append("%s:%d in %s" % (path.name, child.lineno, where))
+                walk(child, inner, path, found)
+
+        found = []
+        for path in sorted(Path(heckepairs.__file__).parent.glob("*.py")):
+            walk(ast.parse(path.read_text(encoding="utf-8")), (), path, found)
+        assert found == []
+
 
 class TestNorms:
     def test_frozen_sobolev_values(self, dihedral):
@@ -249,6 +342,18 @@ class TestNorms:
     def test_sobolev_inner_diagonal(self, dihedral):
         f = sigma(dihedral, 1, coeff=QQi(Fraction(1, 2), 1)) + sigma(dihedral, 2)
         assert sobolev_inner(f, f, s=1) == QQi(28)
+
+    def test_sobolev_inner_refuses_inexact_weights_on_disjoint_supports(self, gl2q):
+        # exact coefficients with a float-valued length must fail whatever
+        # the supports are, not only when they share a double coset
+        length = gl2q.candidate_lengths["log-det-prim"]
+        a, b = (
+            HeckeElement.delta(gl2q, MatrixElement(((1, 0), (0, d)))) for d in (2, 3)
+        )
+        for f1, f2 in ((a, b), (a, a)):
+            with pytest.raises(ModeMismatchError):
+                sobolev_inner(f1, f2, length=length)
+        assert sobolev_inner(a.to_float(), b.to_float(), length=length) == 0
 
 
 class TestRegularRepresentation:

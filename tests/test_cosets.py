@@ -15,11 +15,15 @@ from heckepairs import (
     decompose_double_coset,
     degree,
     double_key,
+    build_pair,
     enumerate_ball,
     reachable_coset_ball,
     spawn_rng,
     word_length,
 )
+
+
+FLIP = DihedralElement(0, -1)
 
 
 def brute_double_coset_keys(pair, g):
@@ -133,7 +137,7 @@ class TestEnumerateBall:
         # min word length over a double coset is |n|, so the projected word
         # ball must reproduce the closed-form ball key for key
         wl = word_length(dihedral.g_generators)
-        via_word = enumerate_ball(dihedral, wl, 3, gens=dihedral.g_generators)
+        via_word = enumerate_ball(dihedral, wl, 3)
         direct = enumerate_ball(dihedral, dihedral.length, 3)
         assert [k.key for k in via_word.right.keys] == [k.key for k in direct.right.keys]
         assert [k.length for k in via_word.double.keys] == [0, 1, 2, 3]
@@ -141,7 +145,27 @@ class TestEnumerateBall:
     def test_budget_enforced_on_word_path(self, dihedral):
         wl = word_length(dihedral.g_generators)
         with pytest.raises(BudgetExceededError):
-            enumerate_ball(dihedral, wl, 100, budget=30, gens=dihedral.g_generators)
+            enumerate_ball(dihedral, wl, 100, budget=30)
+
+    def test_word_ball_walks_the_lengths_own_generators(self, dihedral):
+        # with a translation by 2 among the generators, four letters reach
+        # |n| = 8, so the radius-4 ball holds sigma_0..sigma_8
+        wl = word_length([DihedralElement(2, 1), DihedralElement(1, 1), FLIP])
+        ball = enumerate_ball(dihedral, wl, 4)
+        assert [k.rep.n for k in ball.double.keys] == list(range(9))
+        assert [k.length for k in ball.double.keys] == [0, 1, 1, 2, 2, 3, 3, 4, 4]
+
+    @pytest.mark.parametrize("first_long", [False, True])
+    def test_word_lengths_get_their_own_balls(self, first_long):
+        # both lengths are named "word"; a cache keyed on the name alone
+        # hands the second one the first one's ball. A fresh pair per order
+        # keeps the session-wide pair's caches out of it.
+        pair = build_pair("dihedral")
+        short = word_length(pair.g_generators)
+        long_ = word_length([DihedralElement(2, 1), DihedralElement(1, 1), FLIP])
+        order = [long_, short] if first_long else [short, long_]
+        sizes = {wl: len(enumerate_ball(pair, wl, 4).double) for wl in order}
+        assert (sizes[short], sizes[long_]) == (5, 9)
 
 
 class TestBallIndex:
