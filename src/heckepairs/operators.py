@@ -15,18 +15,46 @@ import math
 
 import numpy as np
 
-from .algebra import _action_outputs, l1_norm, require_length
-from .cosets import enumerate_ball, reachable_coset_ball
-from .errors import UnsupportedLengthError
+from .algebra import l1_norm, require_length
+from .cosets import decompose_double_coset, enumerate_ball, reachable_coset_ball
+from .errors import ConfigError, UnsupportedLengthError
+
+
+def _coord_codes(coords, lo, span):
+    """Codes sum (x_i - lo) * span**i of int64 coordinate rows; never wraps."""
+    if span ** coords.shape[1] >= 2 ** 63:
+        raise ConfigError("coset coordinates spanning %d overflow int64 codes" % span)
+    return (coords - lo) @ span ** np.arange(coords.shape[1], dtype=np.int64)
+
+
+def _coord_slots(pair, codomain):
+    """Map from coordinate rows to codomain slots, -1 where absent."""
+    cod = pair.coset_coords([k.rep for k in codomain.keys])
+    if len(cod) == 0:
+        return lambda ys: np.full(len(ys), -1, dtype=np.int64)
+    lo, hi = int(cod.min()), int(cod.max())
+    codes = _coord_codes(cod, lo, hi - lo + 1)
+    order = np.argsort(codes)
+    codes = codes[order]
+
+    def slots(ys):
+        q = _coord_codes(ys.clip(lo, hi), lo, hi - lo + 1)
+        pos = np.searchsorted(codes, q).clip(max=len(codes) - 1)
+        hit = (codes[pos] == q) & ((ys >= lo) & (ys <= hi)).all(axis=1)
+        return np.where(hit, order[pos], -1)
+    return slots
 
 
 class ActionTable:
     """Index pattern of the module action between two coset balls.
 
     For each double coset D, stores the (row, col) pairs where delta_D sends
-    domain column col to codomain row. Every (row, col) pair belongs to at
-    most one D, so lambda(f) is the concatenation of the per-D patterns with
-    the coefficient of D on each entry.
+    domain column col to codomain row, column-major with D's right cosets in
+    decomposition order. Every (row, col) pair belongs to at most one D, so
+    lambda(f) is the concatenation of the per-D patterns with the coefficient
+    of D on each entry. Rows come from the pair's coordinate hooks and a
+    binary search in the codomain's sorted codes when it has them, else from
+    `coset_rep` of each product; neither path touches `pair.action_cache`.
     """
 
     def __init__(self, pair, doubles, domain, codomain, allow_missing=False):
@@ -34,23 +62,23 @@ class ActionTable:
         self.domain = domain
         self.codomain = codomain
         self.tables = {}
+        if pair.translate_coords is not None:
+            xs = pair.coset_coords([k.rep for k in domain.keys])
+            slots = _coord_slots(pair, codomain)
         for dk in doubles:
-            rows, cols = [], []
-            for j, ck in enumerate(domain.keys):
-                for rep in _action_outputs(pair, dk, ck):
-                    i = codomain._slots.get(rep)
-                    if i is None:
-                        if not allow_missing:
-                            raise UnsupportedLengthError(
-                                "codomain ball misses an image coset of %r" % (dk,)
-                            )
-                        continue
-                    rows.append(i)
-                    cols.append(j)
-            self.tables[dk.rep] = (
-                np.asarray(rows, dtype=np.int64),
-                np.asarray(cols, dtype=np.int64),
-            )
+            rights = decompose_double_coset(pair, dk.rep)
+            if pair.translate_coords is not None:
+                ys = np.stack([pair.translate_coords(a.rep, xs) for a in rights], 1)
+                rows = slots(ys.reshape(-1, xs.shape[1]))
+            else:
+                rows = np.array([codomain._slots.get(pair.coset_rep(a.rep * ck.rep), -1)
+                                 for ck in domain.keys for a in rights], dtype=np.int64)
+            hit = rows >= 0
+            if not (allow_missing or hit.all()):
+                raise UnsupportedLengthError("codomain ball misses an image coset of %r"
+                                             % (dk,))
+            cols = np.repeat(np.arange(len(domain), dtype=np.int64), len(rights))
+            self.tables[dk.rep] = (rows[hit], cols[hit])
 
     def operator_for(self, f):
         """Sparse lambda(f) on this index pattern; complex only if f is."""

@@ -32,15 +32,18 @@ class HeckePair:
     element keys serve as dictionary keys for cosets. `h_elements` is None
     when H is infinite; orbit closure then relies on `h_generators` alone.
 
-    Instances are immutable after build apart from three append-only caches
-    (decompositions, action rows, balls); concurrent readers are safe.
+    Pairs with integer coset coordinates may pass `coset_coords(reps)`, int64
+    (n, width) coordinates of canonical reps, and `translate_coords(a, X)`,
+    those of H(a x) for x at X, so action tables build in numpy. Instances
+    are immutable after build apart from three append-only caches (balls,
+    decompositions, `apply_regular_rep`'s action rows); concurrent readers are safe.
     """
 
     def __init__(self, name, params, identity, contains, h_generators,
                  coset_rep, double_rep, length=None, candidate_lengths=None,
                  h_elements=None, g_generators=None, random_element=None,
-                 ball_rights=None, ball_doubles=None, rd_status="unknown",
-                 notes=""):
+                 ball_rights=None, ball_doubles=None, coset_coords=None,
+                 translate_coords=None, rd_status="unknown", notes=""):
         self.name = name
         self.params = dict(params)
         self.identity = identity
@@ -55,6 +58,8 @@ class HeckePair:
         self._random_element = random_element
         self._ball_rights = ball_rights
         self._ball_doubles = ball_doubles
+        self.coset_coords = coset_coords
+        self.translate_coords = translate_coords
         self.rd_status = rd_status
         self.notes = notes
         # append-only caches, keyed on canonical element keys
@@ -156,6 +161,14 @@ def _sanity_check(pair, n_samples=25, seed=7):
                     "double rep not H-bi-invariant on %r" % pair.name,
                     witness=(h, g),
                 )
+    if pair.translate_coords is not None:
+        xs = [pair.coset_rep(g) for g in sample[:6]]  # six, like hs, keep it cheap
+        coords = pair.coset_coords(xs)
+        for a in sample:
+            want = pair.coset_coords([pair.coset_rep(a * x) for x in xs])
+            if not np.array_equal(pair.translate_coords(a, coords), want):
+                raise PairSanityError("coordinate translation disagrees with "
+                                      "coset_rep on %r" % pair.name, witness=a)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +532,14 @@ def _build_semidirect(params):
         v = tuple(int(x) for x in rng.integers(-6, 7, size=rank))
         return SemidirectElement(v, int(rng.integers(2)), action)
 
+    def coset_coords(reps):
+        # every canonical rep has flip 0, so its vector is its coordinate
+        return np.array([g.vec for g in reps], dtype=np.int64).reshape(-1, rank)
+
+    def translate_coords(a, xs):
+        # (v, s)(w, 0) = (v + alpha^s w, s) has canonical rep alpha^s(v) + w
+        return xs + np.array(a.vec if a.flip == 0 else alpha(a.vec), dtype=np.int64)
+
     def ball_rights(r):
         rr = math.floor(r)
         if rr < 0:
@@ -560,6 +581,7 @@ def _build_semidirect(params):
         random_element=random_element,
         ball_rights=ball_rights,
         ball_doubles=ball_doubles,
+        coset_coords=coset_coords, translate_coords=translate_coords,
         rd_status="expected",
         notes="Free abelian group with an order-two coordinate action "
               "(%r) by the finite subgroup." % action,

@@ -1,5 +1,6 @@
 """Operator norm brackets, truncated matrices, and singular value engine."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -8,14 +9,17 @@ import pytest
 
 from heckepairs import (
     ActionTable,
+    ConfigError,
     DihedralElement,
     HeckeElement,
     IntegerElement,
     L2Vector,
     QQi,
     SemidirectElement,
+    UnsupportedLengthError,
     apply_regular_rep,
     block_operator_norm,
+    build_pair,
     coset_key,
     enumerate_ball,
     norm_lower,
@@ -24,6 +28,8 @@ from heckepairs import (
     top_singular_value,
     truncate,
 )
+from heckepairs.jolissaint import _window
+from heckepairs.operators import _coord_codes
 
 
 def sigma(pair, n, coeff=1):
@@ -256,3 +262,100 @@ class TestTruncate:
         assert len(op.domain.keys) == 7
         assert len(op.codomain.keys) == 11
         assert op.support_length == 2
+
+
+def _scalar_twin(pair):
+    # the same pair without its coordinate hooks, so ActionTable takes the
+    # coset_rep path
+    twin = copy.copy(pair)
+    twin.translate_coords = twin.coset_coords = None
+    return twin
+
+
+def _shift_oracle(pair, dkeys, dom, cod):
+    """Closed form: delta_D with D = H(v,0)H sends coset w to w + v and
+    w + alpha(v), in the order of the sorted right-coset vectors of D."""
+    if pair.params["action"] == "negate":
+        alpha = lambda u: tuple(-x for x in u)  # noqa: E731
+    else:
+        alpha = lambda u: u[::-1]  # noqa: E731
+    slot = {k.rep.vec: i for i, k in enumerate(cod.keys)}
+    out = {}
+    for dk in dkeys:
+        v = dk.rep.vec
+        rows, cols = [], []
+        for j, k in enumerate(dom.keys):
+            for u in sorted({v, alpha(v)}):
+                i = slot.get(tuple(a + b for a, b in zip(k.rep.vec, u)))
+                if i is not None:
+                    rows.append(i)
+                    cols.append(j)
+        out[dk.rep] = (rows, cols)
+    return out
+
+
+def _assert_same_tables(got, want):
+    assert list(got) == list(want)
+    for rep, (rows, cols) in want.items():
+        assert got[rep][0].dtype == got[rep][1].dtype == np.int64
+        assert np.array_equal(got[rep][0], rows), rep
+        assert np.array_equal(got[rep][1], cols), rep
+
+
+class TestCoordinateTables:
+    @pytest.mark.parametrize("action", ["swap", "negate"])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_tables_match_scalar_path_and_shift_oracle(self, rank, action):
+        pair = build_pair("semidirect", {"rank": rank, "action": action})
+        L = pair.length
+        dkeys = enumerate_ball(pair, L, 3).double.keys
+        dom = enumerate_ball(pair, L, 4).right
+        cod = enumerate_ball(pair, L, 7).right
+        table = ActionTable(pair, dkeys, dom, cod)
+        scalar = ActionTable(_scalar_twin(pair), dkeys, dom, cod)
+        _assert_same_tables(table.tables, scalar.tables)
+        _assert_same_tables(table.tables, _shift_oracle(pair, dkeys, dom, cod))
+
+    @pytest.mark.parametrize("action", ["swap", "negate"])
+    def test_corner_windows_drop_missing_rows_like_scalar_path(self, action):
+        pair = build_pair("semidirect", {"rank": 2, "action": action})
+        L = pair.length
+        n, alpha, ell = 16, Fraction(1, 2), 6
+        dkeys = [k for k in enumerate_ball(pair, L, ell).double.keys if k.length == ell]
+        ball = enumerate_ball(pair, L, n + ell).right
+        cols = _window(ball, Fraction(n - ell), n, alpha)
+        rows = _window(ball, Fraction(n), n, alpha, shift=Fraction(ell))
+        assert len(cols) and len(rows)
+        for dom, cod in ((cols, rows), (rows, cols)):
+            table = ActionTable(pair, dkeys, dom, cod, allow_missing=True)
+            # some images leave the window, so fewer than two per (D, column)
+            entries = sum(len(r) for r, _ in table.tables.values())
+            assert 0 < entries < 2 * len(dkeys) * len(dom)
+            scalar = ActionTable(_scalar_twin(pair), dkeys, dom, cod, allow_missing=True)
+            _assert_same_tables(table.tables, scalar.tables)
+            _assert_same_tables(table.tables, _shift_oracle(pair, dkeys, dom, cod))
+            with pytest.raises(UnsupportedLengthError):
+                ActionTable(pair, dkeys, dom, cod)
+
+    @pytest.mark.parametrize("name", ["semidirect", "dihedral"])
+    def test_building_a_table_leaves_the_action_cache_empty(self, name):
+        pair = build_pair(name)
+        L = pair.length
+        table = ActionTable(pair, enumerate_ball(pair, L, 2).double.keys,
+                            enumerate_ball(pair, L, 3).right,
+                            enumerate_ball(pair, L, 5).right)
+        assert sum(len(r) for r, _ in table.tables.values()) > 0
+        assert pair.action_cache == {}
+
+    def test_codes_refuse_to_wrap(self):
+        # span**width < 2**63 keeps every code exact
+        span = 2 ** 21 - 1
+        top = np.full((1, 3), 5 + span - 1, dtype=np.int64)
+        assert int(_coord_codes(top, 5, span)[0]) == span ** 3 - 1
+        assert int(_coord_codes(np.array([[2 ** 62]]), 0, 2 ** 62 + 1)[0]) == 2 ** 62
+        with pytest.raises(ConfigError):
+            _coord_codes(top, 5, 2 ** 21)
+        with pytest.raises(ConfigError):
+            _coord_codes(np.array([[-2 ** 40, 2 ** 40]]), -2 ** 40, 2 ** 41 + 1)
+        with pytest.raises(ConfigError):
+            _coord_codes(np.zeros((0, 1), dtype=np.int64), 0, 2 ** 63)

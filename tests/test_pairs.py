@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heckepairs import (
@@ -10,11 +11,13 @@ from heckepairs import (
     DihedralElement,
     IntegerElement,
     MatrixElement,
+    PairSanityError,
     SemidirectElement,
     build_pair,
     catalog_list,
     degree,
 )
+from heckepairs import pairs as pairs_module
 
 
 def hnf_coset_count(n):
@@ -166,3 +169,29 @@ class TestLengths:
     def test_rd_status_labels(self, pairs):
         assert pairs["dihedral"].rd_status == "expected"
         assert pairs["sl3"].rd_status == "non-example"
+
+
+class TestCoordinateHooks:
+    def test_semidirect_hooks_match_coset_rep(self):
+        # flip-1 elements take the alpha branch, which action tables never reach
+        pair = build_pair("semidirect", {"rank": 3, "action": "swap"})
+        xs = [SemidirectElement(v, 0, "swap") for v in ((0, 0, 0), (1, -2, 5), (-3, 0, 4))]
+        for flip in (0, 1):
+            a = SemidirectElement((2, 7, -1), flip, "swap")
+            got = pair.translate_coords(a, pair.coset_coords(xs))
+            want = [pair.coset_rep(a * x).vec for x in xs]
+            assert got.dtype == np.int64 and got.tolist() == [list(w) for w in want]
+
+    def test_wrong_translation_hook_fails_the_build(self, monkeypatch):
+        build = pairs_module._BUILDERS["semidirect"]
+
+        def broken(params):
+            pair = build(params)
+            # forgets that H(v,1)(w,0) is canonicalised by alpha
+            pair.translate_coords = lambda a, xs: xs + np.array(a.vec, dtype=np.int64)
+            return pair
+
+        monkeypatch.setitem(pairs_module._BUILDERS, "semidirect", broken)
+        with pytest.raises(PairSanityError, match="coordinate translation") as err:
+            build_pair("semidirect")
+        assert err.value.witness.flip == 1
