@@ -228,6 +228,8 @@ def _rep_from_components(pair, comps):
         if b == "matrix":
             return t(tuple(tuple(Fraction(str(x)) for x in row) for row in comps))
         if b == "semidirect":
+            if len(comps[0]) != len(pair.identity.vec):
+                raise ValueError("need %d coordinates" % len(pair.identity.vec))
             return t([int(x) for x in comps[0]], int(comps[1]),
                      pair.identity.action)
     except (ValueError, TypeError, IndexError, ZeroDivisionError) as e:
@@ -279,6 +281,8 @@ def element_from_json(pair, data, mode=None):
     cls = HeckeElement if kind == "double" else L2Vector
     out = cls.zero(pair, mode)
     for term in data["terms"]:
+        if not isinstance(term, dict) or "key" not in term:
+            raise ConfigError("element term %r has no 'key'" % (term,))
         rep = _rep_from_components(pair, term["key"])
         c = out.ring.parse_json(term.get("re", 0), term.get("im", 0))
         out = out + cls.delta(pair, rep, coeff=c, mode=mode)
@@ -434,7 +438,11 @@ def cmd_normest(cfg):
     f = load_element(pair, spec, mode=mode, kind="double")
     radii = cfg.get_radii(default=(2, 4, 6))
     seed = cfg.seed or 0
-    tol = float(cfg.get("tol", "1e-10"))
+    raw_tol = cfg.get("tol", "1e-10")
+    try:
+        tol = float(raw_tol)
+    except ValueError:
+        raise ConfigError("key 'tol': expected a number, got %r" % raw_tol)
     brackets = [norm_lower(pair, f, length=length, radius=r, tol=tol, seed=seed)
                 for r in radii]
     rows = [["radius", "lower", "upper", "method", "iterations", "residual",

@@ -1,9 +1,11 @@
 """Coset keys, double-coset decomposition, degrees, and length balls."""
 
+import math
 from bisect import bisect_right
+from itertools import chain, islice
 
-from .errors import BudgetExceededError, UnsupportedLengthError
-from .groups import enumerate_word_ball
+from .errors import UnsupportedLengthError
+from .groups import walk_layers, word_layers
 
 
 class CosetKey:
@@ -51,7 +53,7 @@ def double_key(pair, g, length=None):
     return DoubleCosetKey(rep, length(rep) if length is not None else None)
 
 
-def decompose_double_coset(pair, g, budget=10 ** 6, h_generators=None):
+def decompose_double_coset(pair, g, budget=10 ** 6):
     """The right cosets inside HgH, as a sorted tuple of CosetKeys.
 
     Orbit closure of the coset of g under right multiplication by generators
@@ -59,34 +61,16 @@ def decompose_double_coset(pair, g, budget=10 ** 6, h_generators=None):
     divergent orbit into a diagnosable error instead of a hang.
     """
     drep = pair.double_rep(g)
-    use_cache = h_generators is None
-    if use_cache:
-        hit = pair.decompose_cache.get(drep)
-        if hit is not None:
-            return hit
-    gens = pair.h_generators if h_generators is None else tuple(h_generators)
-    start = pair.coset_rep(drep)
-    visited = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = pair.coset_rep(x * s)
-                if y not in visited:
-                    visited.add(y)
-                    if len(visited) > budget:
-                        raise BudgetExceededError(
-                            "double coset of %r not almost normal within "
-                            "budget %d" % (g, budget),
-                            partial_size=len(visited),
-                        )
-                    nxt.append(y)
-        frontier = nxt
-    out = tuple(CosetKey(rep) for rep in sorted(visited, key=lambda r: r.key))
-    if use_cache:
-        pair.decompose_cache[drep] = out
-    return out
+    hit = pair.decompose_cache.get(drep)
+    if hit is None:
+        layers = walk_layers(
+            pair.coset_rep(drep),
+            lambda x: [pair.coset_rep(x * s) for s in pair.h_generators],
+            budget, "double coset of %r" % (g,),
+        )
+        reps = sorted(chain.from_iterable(layers), key=lambda r: r.key)
+        hit = pair.decompose_cache[drep] = tuple(CosetKey(rep) for rep in reps)
+    return hit
 
 
 def degree(pair, g, budget=10 ** 6):
@@ -189,19 +173,17 @@ def enumerate_ball(pair, length, radius, budget=10 ** 6):
         doubles = [DoubleCosetKey(rep, length(rep)) for rep in pair._ball_doubles(radius)]
         rights = [CosetKey(rep, length(rep)) for rep in pair._ball_rights(radius)]
     elif length.gens is not None:
-        if radius < 0:
-            doubles, rights = [], []
-        else:
-            dlen = {}
-            for g in enumerate_word_ball(length.gens, int(radius), budget=budget):
-                drep = pair.double_rep(g)
-                if drep not in dlen:
-                    dlen[drep] = length(g)
-            doubles = [DoubleCosetKey(rep, l) for rep, l in dlen.items()]
-            rights = []
-            for d in doubles:
-                for ck in decompose_double_coset(pair, d.rep, budget=budget):
-                    rights.append(CosetKey(ck.rep, d.length))
+        # layer r of the word walk is word length r, so length() is not called
+        dlen = {}
+        count = max(0, math.floor(radius) + 1)  # layers 0..floor(radius)
+        for r, layer in enumerate(islice(word_layers(length.gens, budget), count)):
+            for g in layer:
+                dlen.setdefault(pair.double_rep(g), r)
+        doubles = [DoubleCosetKey(rep, l) for rep, l in dlen.items()]
+        rights = []
+        for d in doubles:
+            for ck in decompose_double_coset(pair, d.rep, budget=budget):
+                rights.append(CosetKey(ck.rep, d.length))
     else:
         raise UnsupportedLengthError(
             "no ball enumeration for length %r on pair %r" % (length.name, pair.name)
@@ -227,25 +209,14 @@ def reachable_coset_ball(pair, directions, depth, budget=10 ** 6):
     for d in directions:
         g = d.rep if isinstance(d, CosetKey) else d
         decs.append(decompose_double_coset(pair, g, budget=budget))
-    start = pair.coset_rep(pair.identity)
-    found = {start: 0}
-    frontier = [start]
-    for level in range(1, depth + 1):
-        nxt = []
-        for x in frontier:
-            for dec in decs:
-                for a in dec:
-                    y = pair.coset_rep(a.rep * x)
-                    if y not in found:
-                        found[y] = level
-                        if len(found) > budget:
-                            raise BudgetExceededError(
-                                "reachable set exceeded budget %d" % budget,
-                                partial_size=len(found),
-                            )
-                        nxt.append(y)
-        if not nxt:
-            break
-        frontier = nxt
-    keys = [CosetKey(rep, lv) for rep, lv in found.items()]
+    layers = walk_layers(
+        pair.coset_rep(pair.identity),
+        lambda x: [pair.coset_rep(a.rep * x) for dec in decs for a in dec],
+        budget, "reachable set",
+    )
+    keys = [
+        CosetKey(rep, level)
+        for level, layer in enumerate(islice(layers, depth + 1))
+        for rep in layer
+    ]
     return BallIndex("right", depth, keys)

@@ -28,6 +28,11 @@ from .cosets import (
 from .errors import ConfigError, InfiniteSubgroupError, UnsupportedLengthError
 from .operators import norm_lower, norm_upper
 
+# scan windows as multiples of the support radius r (see the scan docstrings)
+K_FACTOR = 2
+K_FACTOR_CHAR = 5
+TRUNC_FACTOR = 2
+
 
 def spawn_rng(seed, *key):
     """Independent deterministic stream for one (radius, sample) slot.
@@ -301,14 +306,13 @@ def _sample_stream(pair, dkeys, ladder, samples, seed, ri, coeff_max):
 
 
 def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
-                        samples=200, k_factor=2, k_factor_char=5,
-                        coeff_max=100, budget=10 ** 6):
+                        samples=200, coeff_max=100, budget=10 ** 6):
     """Exact scan of max ||f * k||_2 / (||f||_2 ||k||_2) per support radius.
 
     f runs over nonnegative integer elements supported in the double-coset
     ball of radius r (characteristic functions, single deltas, seeded random
     supports); k over nonnegative integer right-coset vectors in a window
-    `k_factor * r` (characteristic k uses `k_factor_char * r`). All ratios
+    `K_FACTOR * r` (characteristic k uses `K_FACTOR_CHAR * r`). All ratios
     are exact rationals. The per-radius max is a running max, so the sample
     family at radius r contains every family at smaller radii and the max
     column is monotone by construction.
@@ -323,7 +327,7 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
     best = None  # (ratio_sq, label, f_coeffs, f_norm_sq) carried across radii
     maxes = []
     for ri, r in enumerate(radii):
-        kmax = max(k_factor, k_factor_char) * r
+        kmax = max(K_FACTOR, K_FACTOR_CHAR) * r
         big = enumerate_ball(pair, length, kmax + r, budget=budget).right
         dom = big.prefix(kmax)
         dball = enumerate_ball(pair, length, r, budget=budget).double
@@ -337,10 +341,10 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         degs = {k.rep: len(decompose_double_coset(pair, k.rep)) for k in dkeys}
         dom_len = np.array([float(k.length) for k in dom.keys])
         char_k = {
-            rho: (dom_len <= k_factor_char * rho).astype(np.int64)
+            rho: (dom_len <= K_FACTOR_CHAR * rho).astype(np.int64)
             for rho in _char_ladder(radii, r)
         }
-        rand_mask = (dom_len <= k_factor * r).astype(np.int64)
+        rand_mask = (dom_len <= K_FACTOR * r).astype(np.int64)
         for label, coeffs, rng in _sample_stream(
             pair, dkeys, sorted(char_k), samples, seed, ri, coeff_max
         ):
@@ -387,19 +391,20 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         pair.name, length.name, "exact", seed, samples, rows, fitted_c, fitted_s,
         degree_d=deg_d, degree_t=deg_t,
         config={
-            "radii": radii, "k_factor": k_factor, "k_factor_char": k_factor_char,
+            "radii": radii, "k_factor": K_FACTOR, "k_factor_char": K_FACTOR_CHAR,
             "coeff_max": coeff_max,
         },
     )
 
 
 def haagerup_scan_operator(pair, length=None, radii=(2, 4, 8), seed=0,
-                           samples=25, coeff_max=100, trunc_factor=2,
-                           tol=1e-10, max_iter=10 ** 4, budget=10 ** 6):
+                           samples=25, coeff_max=100, tol=1e-10,
+                           max_iter=10 ** 4, budget=10 ** 6):
     """Operator-norm scan: max norm_lower(f)/||f||_2 per support radius.
 
     Same f family as the exact scan (characteristic functions, deltas,
-    random supports); ratios are certified lower bounds, with the Schur
+    random supports), each bracketed by norm_lower over the ball of radius
+    `TRUNC_FACTOR * r`; ratios are certified lower bounds, with the Schur
     upper bound of the per-radius argmax recorded alongside.
     """
     length = length or pair.length
@@ -423,7 +428,7 @@ def haagerup_scan_operator(pair, length=None, radii=(2, 4, 8), seed=0,
             )
             fn = math.sqrt(float(l2_norm_sq(f)))
             nb = norm_lower(
-                pair, f, length=length, radius=trunc_factor * r,
+                pair, f, length=length, radius=TRUNC_FACTOR * r,
                 tol=tol, max_iter=max_iter,
             )
             ratio = nb.lower / fn
@@ -439,7 +444,7 @@ def haagerup_scan_operator(pair, length=None, radii=(2, 4, 8), seed=0,
     return RDReport(
         pair.name, length.name, "operator", seed, samples, rows, fitted_c, fitted_s,
         config={
-            "radii": radii, "coeff_max": coeff_max, "trunc_factor": trunc_factor,
+            "radii": radii, "coeff_max": coeff_max, "trunc_factor": TRUNC_FACTOR,
             "tol": tol, "max_iter": max_iter,
         },
     )

@@ -6,6 +6,7 @@ exact (ints and Fractions), floats only ever appear in length *values*.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 from .errors import BackendMismatchError, BudgetExceededError
 
@@ -271,6 +272,8 @@ class SemidirectElement(GroupElement):
         w, t, act2 = other._key
         if act != act2:
             raise BackendMismatchError("semidirect actions differ")
+        if len(v) != len(w):
+            raise BackendMismatchError("semidirect ranks differ")
         ww = self._alpha(w) if s else w
         return SemidirectElement(tuple(a + b for a, b in zip(v, ww)), (s + t) % 2, act)
 
@@ -285,9 +288,9 @@ class SemidirectElement(GroupElement):
 
 
 class GeneratingSet:
-    """Finite set of generators, kept in a deterministic order."""
+    """Finite symmetric set of generators, kept in a deterministic order."""
 
-    def __init__(self, elements, symmetric=True):
+    def __init__(self, elements):
         elements = tuple(elements)
         if not elements:
             raise ValueError("need at least one generator")
@@ -295,21 +298,55 @@ class GeneratingSet:
         for g in elements:
             if g.backend != b:
                 raise BackendMismatchError("mixed backends in generating set")
-        if symmetric:
-            seen = dict.fromkeys(elements)
-            for g in elements:
-                seen.setdefault(g.inv())
-            elements = tuple(seen)
-        self.elements = elements
+        seen = dict.fromkeys(elements)
+        for g in elements:
+            seen.setdefault(g.inv())
+        self.elements = tuple(seen)
 
     def symmetrized(self):
-        return GeneratingSet(self.elements, symmetric=True)
+        return GeneratingSet(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
         return len(self.elements)
+
+
+def walk_layers(start, step, budget, what):
+    """Breadth-first layers of the orbit of `start` under `step(x)`.
+
+    Yields [start], then the nodes first reached from each layer, and stops
+    after the first empty layer. Layers are computed only on demand, so a
+    caller that stops early never pays for, or overflows on, the rest.
+    Raises BudgetExceededError, naming `what`, past `budget` nodes.
+    """
+    seen = {start}
+    layer = [start]
+    while layer:
+        yield layer
+        nxt = []
+        for x in layer:
+            for y in step(x):
+                if y not in seen:
+                    seen.add(y)
+                    if len(seen) > budget:
+                        raise BudgetExceededError(
+                            "%s exceeded budget %d" % (what, budget),
+                            partial_size=len(seen),
+                        )
+                    nxt.append(y)
+        layer = nxt
+
+
+def word_layers(gens, budget):
+    """`walk_layers` from the identity under right multiplication by the
+    symmetrized `gens`: layer r holds the elements of word length r."""
+    gen_list = GeneratingSet(gens).elements
+    return walk_layers(
+        gen_list[0].identity(), lambda x: [x * s for s in gen_list], budget,
+        "word ball",
+    )
 
 
 def enumerate_word_ball(gens, radius, budget=10 ** 6):
@@ -319,39 +356,10 @@ def enumerate_word_ball(gens, radius, budget=10 ** 6):
     first. Negative radius gives []. Raises BudgetExceededError when the ball
     outgrows `budget` nodes.
     """
-    if radius < 0:
-        return []
-    if isinstance(gens, GeneratingSet):
-        gen_list = list(gens)
-    else:
-        gen_list = list(GeneratingSet(gens))
-    e = gen_list[0].identity()
-    seen = {e: 0}
-    layer = [e]
-    out = [[e]]
-    for r in range(1, radius + 1):
-        nxt = []
-        for g in layer:
-            for s in gen_list:
-                h = g * s
-                if h not in seen:
-                    seen[h] = r
-                    nxt.append(h)
-                    if len(seen) > budget:
-                        raise BudgetExceededError(
-                            "word ball exceeded %d elements at radius %d"
-                            % (budget, r),
-                            partial_size=len(seen),
-                        )
-        nxt.sort(key=lambda g: g.key)
-        out.append(nxt)
-        layer = nxt
-        if not nxt:
-            break
-    result = []
-    for shell in out:
-        result.extend(shell)
-    return result
+    out = []
+    for layer in islice(word_layers(gens, budget), max(0, radius + 1)):
+        out.extend(sorted(layer, key=lambda g: g.key))
+    return out
 
 
 class LengthFunction:
@@ -382,40 +390,26 @@ class LengthFunction:
 def word_length(gens, budget=10 ** 6):
     """Word length w.r.t. a symmetric generating set, memoized lazily.
 
-    Each query expands the BFS only as far as needed. Queries for elements
-    outside the budgeted ball raise BudgetExceededError.
+    Each query pulls word-ball layers only until the element appears.
+    Queries for elements outside the budgeted ball raise BudgetExceededError.
     """
-    gens = GeneratingSet(gens).symmetrized()
-    gen_list = list(gens)
-    e = gen_list[0].identity()
-    known = {e: 0}
-    state = {"frontier": [e], "radius": 0}
+    gen_list = GeneratingSet(gens).elements
+    known = {}
+    layers = enumerate(word_layers(gen_list, budget))
 
     def fn(g):
-        if g in known:
-            return known[g]
-        while state["frontier"]:
-            r = state["radius"] + 1
-            nxt = []
-            for x in state["frontier"]:
-                for s in gen_list:
-                    y = x * s
-                    if y not in known:
-                        known[y] = r
-                        nxt.append(y)
-                        if len(known) > budget:
-                            raise BudgetExceededError(
-                                "word-length ball exceeded %d elements" % budget,
-                                partial_size=len(known),
-                            )
-            state["frontier"] = nxt
-            state["radius"] = r
-            if g in known:
-                return known[g]
-        raise BudgetExceededError("element unreachable from generators")
+        while g not in known:
+            r, layer = next(layers, (None, None))
+            if layer is None:
+                raise BudgetExceededError(
+                    "%r not reached by the word-length walk (budget %d)"
+                    % (g, budget)
+                )
+            known.update(dict.fromkeys(layer, r))
+        return known[g]
 
     length = LengthFunction("word", "word", fn)
-    length.gens = tuple(gen_list)
+    length.gens = gen_list
     return length
 
 

@@ -295,8 +295,8 @@ def norm_lower(pair, f, length=None, radius=6, tol=1e-10, max_iter=10 ** 4, seed
             dom = cod = None
     if dom is None:
         dirs = list(f.support) + list(f.involution().support)
-        dom = reachable_coset_ball(pair, dirs, radius)
         cod = reachable_coset_ball(pair, dirs, radius + 1)
+        dom = cod.prefix(radius)
         method = "gkl/reachable"
     table = ActionTable(pair, f.support, dom, cod)
     sigma, iters, res, conv = top_singular_value(

@@ -8,6 +8,7 @@ ball enumerators. Everything is exact rational arithmetic.
 
 import math
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .groups import (
     SemidirectElement,
     coordinate_sum_length,
     dihedral_abs_length,
+    walk_layers,
 )
 
 
@@ -86,17 +88,11 @@ class HeckePair:
         """
         if self.h_elements is not None:
             return self.h_elements
-        out = {self.identity}
-        frontier = [self.identity]
-        for _ in range(depth):
-            nxt = []
-            for g in frontier:
-                for s in self.h_generators:
-                    x = g * s
-                    if x not in out:
-                        out.add(x)
-                        nxt.append(x)
-            frontier = nxt
+        layers = walk_layers(
+            self.identity, lambda g: [g * s for s in self.h_generators],
+            10 ** 6, "H sample",
+        )
+        out = chain.from_iterable(islice(layers, depth + 1))
         return tuple(sorted(out, key=lambda g: g.key))
 
     def validate_length(self, length=None, sample=None, tol=None, rng=None):

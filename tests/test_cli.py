@@ -76,6 +76,12 @@ class TestElementCodec:
         back = load_element(dihedral, spec, mode="exact", kind="double")
         assert back.sorted_terms() == f.sorted_terms()
 
+    def test_semidirect_key_of_wrong_rank_rejected(self, semidirect):
+        from heckepairs import ConfigError
+
+        with pytest.raises(ConfigError, match="coordinates"):
+            load_element(semidirect, "delta:1,0", mode="exact", kind="double")
+
     def test_wrong_pair_rejected(self, dihedral, finite_index):
         from heckepairs import ConfigError, IntegerElement
 
@@ -141,6 +147,31 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["status"] == "failure"
         assert "budget 1" in payload["message"]
+
+    def test_semidirect_key_of_wrong_rank_exits_two(self, tmp_path, capsys):
+        # a rank-1 key on the rank-2 pair used to convolve as a truncated vector
+        ini = write_ini(tmp_path / "c.ini", "convolve", pair="semidirect",
+                        left="delta:1,0", right="delta:1,2,0")
+        assert run("convolve", config=ini, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert "bad element key" in payload["message"]
+
+    def test_non_numeric_tol_exits_two(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "c.ini", "normest", pair="dihedral",
+                        f="delta:1,1", radii="2", tol="abc")
+        assert run("normest", config=ini, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert "tol" in payload["message"]
+
+    def test_inline_term_without_key_exits_two(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "c.ini", "normest", pair="dihedral",
+                        f='{"terms": [{"re": "1"}]}', radii="2")
+        assert run("normest", config=ini, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert "key" in payload["message"]
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

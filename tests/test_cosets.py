@@ -44,6 +44,14 @@ class TestDecompose:
             got = set(decompose_double_coset(dihedral, g))
             assert got == brute_double_coset_keys(dihedral, g)
 
+    def test_budget_one_overflows_at_the_second_coset(self):
+        # a fresh pair, so no cached decomposition answers before the walk
+        pair = build_pair("dihedral")
+        with pytest.raises(BudgetExceededError) as exc:
+            decompose_double_coset(pair, DihedralElement(3, 1), budget=1)
+        assert exc.value.partial_size == 2
+        assert "budget 1" in str(exc.value)
+
     def test_dihedral_translation_splits_in_two(self, dihedral):
         dec = decompose_double_coset(dihedral, DihedralElement(3, 1))
         assert {k.key for k in dec} == {(3, 1), (-3, 1)}
@@ -211,3 +219,22 @@ class TestReachable:
     def test_depth_zero_is_base_coset(self, dihedral):
         idx = reachable_coset_ball(dihedral, [DihedralElement(1, 1)], 0)
         assert [k.key for k in idx.keys] == [(0, 1)]
+
+    def test_budget_below_depth_three_set_raises(self, dihedral):
+        # the depth-3 set holds 7 cosets
+        with pytest.raises(BudgetExceededError) as exc:
+            reachable_coset_ball(dihedral, [DihedralElement(1, 1)], 3, budget=6)
+        assert "budget 6" in str(exc.value)
+
+    @pytest.mark.parametrize("name, direction", [
+        ("dihedral", DihedralElement(1, 1)),
+        ("bost_connes", AxbElement(Fraction(3, 2), 0)),
+    ])
+    def test_prefix_of_deeper_walk_is_the_shallower_walk(self, pairs, name, direction):
+        # norm_lower takes its domain as this prefix of its codomain
+        pair = pairs[name]
+        for r in range(4):
+            deeper = reachable_coset_ball(pair, [direction], r + 1).prefix(r)
+            direct = reachable_coset_ball(pair, [direction], r)
+            assert [(k.key, k.length) for k in deeper.keys] == \
+                [(k.key, k.length) for k in direct.keys]

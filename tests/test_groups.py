@@ -1,10 +1,13 @@
 """Group backends against independent matrix oracles, and length axioms."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import heckepairs
 from heckepairs import (
     AxbElement,
     BackendMismatchError,
@@ -144,6 +147,15 @@ class TestSemidirect:
         with pytest.raises(BackendMismatchError):
             a * b
 
+    def test_mixed_ranks_rejected(self):
+        # zipping a rank-1 vector into a rank-2 one would drop a coordinate
+        a = SemidirectElement((1,), 0, "swap")
+        b = SemidirectElement((1, 2), 0, "swap")
+        with pytest.raises(BackendMismatchError):
+            a * b
+        with pytest.raises(BackendMismatchError):
+            b * a
+
 
 class TestWordBall:
     def test_dihedral_ball_matches_brute_force(self):
@@ -192,6 +204,39 @@ class TestWordLength:
             g = DihedralElement(int(rng.integers(-6, 7)), 1 if rng.integers(2) else -1)
             h = DihedralElement(int(rng.integers(-6, 7)), 1 if rng.integers(2) else -1)
             assert wl(g * h) <= wl(g) + wl(h)
+
+    def test_unreachable_element_raises(self):
+        # the flip alone generates {e, flip}; the walk ends without (1, 1)
+        wl = word_length([DihedralElement(0, -1)])
+        assert wl(DihedralElement(0, -1)) == 1
+        with pytest.raises(BudgetExceededError):
+            wl(DihedralElement(1, 1))
+
+
+def test_budget_errors_only_come_from_the_walker():
+    # every breadth-first search goes through groups.walk_layers; a budget
+    # error raised anywhere else means a hand-rolled walk has come back
+    allowed = {("groups.py", "walk_layers"), ("groups.py", "word_length.fn")}
+
+    def builds_budget_error(node):
+        f = getattr(node, "func", None)
+        return (isinstance(f, ast.Name) and f.id == "BudgetExceededError") or (
+            isinstance(f, ast.Attribute) and f.attr == "BudgetExceededError")
+
+    def walk(node, scope, path, found):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.Call) and builds_budget_error(child):
+                found.append((path.name, ".".join(scope)))
+            walk(child, inner, path, found)
+
+    found = []
+    for path in sorted(Path(heckepairs.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), (), path, found)
+    # both allowed sites must still exist, or the guard checks nothing
+    assert sorted(found) == sorted(allowed)
 
 
 class TestValidateLength:
