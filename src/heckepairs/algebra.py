@@ -8,7 +8,9 @@ silent coercion. All identity checks in the test suite run in exact mode.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 from .cosets import CosetKey, DoubleCosetKey, coset_key, decompose_double_coset, double_key
 from .errors import ConvolutionAuditError, ModeMismatchError, UnsupportedLengthError
@@ -373,35 +375,56 @@ def apply_regular_rep(pair, f, xi):
     return L2Vector(pair, acc, f.mode)
 
 
+def _generic_product(pair, g1, g2):
+    """delta_D1 * delta_D2 as {DoubleCosetKey: int}, by counting the
+    cosets H(a b) over right cosets Ha of D1 = H g1 H and Hb of D2 = H g2 H.
+    A count not constant across a double coset's right cosets raises."""
+    lefts = decompose_double_coset(pair, g1)
+    counts = Counter(pair.coset_rep(a.rep * b.rep)
+                     for b in decompose_double_coset(pair, g2) for a in lefts)
+    by_double = {}
+    for rep, n in counts.items():
+        by_double.setdefault(pair.double_rep(rep), {})[rep] = n
+    out = {}
+    for drep, got in by_double.items():
+        values = [got.get(a.rep, 0) for a in decompose_double_coset(pair, drep)]
+        if values.count(values[0]) != len(values):
+            raise ConvolutionAuditError(
+                "convolution value not constant on double coset %r: %r"
+                % (drep, values)
+            )
+        out[DoubleCosetKey(drep)] = values[0]
+    return out
+
+
+def _double_product(pair, d1, d2):
+    """delta_D1 * delta_D2 as {DoubleCosetKey: int}: the pair's closed form
+    `double_product` if it has one, else `_generic_product`, cached per pair
+    in `product_cache`, which both coefficient modes share."""
+    hit = pair.product_cache.get((d1, d2))
+    if hit is None:
+        count = pair.double_product or partial(_generic_product, pair)
+        hit = pair.product_cache[d1, d2] = count(d1.rep, d2.rep)
+    return hit
+
+
 def convolve(pair, f1, f2):
     """Convolution product in the Hecke algebra.
 
-    Computed through the module action on the spread of f2, then re-bucketed
-    by double coset. In exact mode the result is audited: the value must be
-    literally constant across each double coset's right cosets, anything else
-    indicates a canonicalizer bug and raises.
+    Bilinear over the supports: f1 * f2 = sum of f1(D1) f2(D2) times the
+    integer basis product delta_D1 * delta_D2 of `_double_product`, which is
+    the pair's `double_product` closed form or else a count audited once,
+    cached per pair of doubles in `pair.product_cache`.
     """
     _check_same(f1, f2)
-    vec = apply_regular_rep(pair, f1, spread(f2))
     zero = f1.ring.zero
-    by_double = {}
-    for ckey, v in vec.terms.items():
-        dk = double_key(pair, ckey.rep)
-        by_double.setdefault(dk, {})[ckey] = v
-    out = []
-    for dk, got in by_double.items():
-        rights = decompose_double_coset(pair, dk.rep)
-        values = [got.get(a, zero) for a in rights]
-        first = values[0]
-        if f1.ring.exact:
-            for v in values[1:]:
-                if v != first:
-                    raise ConvolutionAuditError(
-                        "convolution value not constant on double coset %r: %r"
-                        % (dk, values)
-                    )
-        out.append((dk, first))
-    return HeckeElement(pair, out, f1.mode)
+    acc = {}
+    for d1, c1 in f1.terms.items():
+        for d2, c2 in f2.terms.items():
+            w = c1 * c2
+            for d3, n in _double_product(pair, d1, d2).items():
+                acc[d3] = acc.get(d3, zero) + w * n
+    return HeckeElement(pair, acc, f1.mode)
 
 
 def l2_norm_sq(f):

@@ -218,7 +218,10 @@ def _rep_components(rep):
 def _rep_from_components(pair, comps):
     t = type(pair.identity)
     b = t.backend
+    want = len(_rep_components(pair.identity))
     try:
+        if len(comps) != want:
+            raise ValueError("need %d components" % want)
         if b == "dihedral":
             return t(int(comps[0]), int(comps[1]))
         if b == "integer":

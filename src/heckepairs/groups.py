@@ -303,9 +303,6 @@ class GeneratingSet:
             seen.setdefault(g.inv())
         self.elements = tuple(seen)
 
-    def symmetrized(self):
-        return GeneratingSet(self.elements)
-
     def __iter__(self):
         return iter(self.elements)
 

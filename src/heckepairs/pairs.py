@@ -7,12 +7,15 @@ ball enumerators. Everything is exact rational arithmetic.
 """
 
 import math
+from contextlib import suppress
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, product
 
 import numpy as np
 
-from .errors import ConfigError, PairSanityError
+from .algebra import _generic_product
+from .cosets import DoubleCosetKey, decompose_double_coset
+from .errors import BudgetExceededError, ConfigError, PairSanityError
 from .groups import (
     AxbElement,
     DihedralElement,
@@ -36,16 +39,20 @@ class HeckePair:
 
     Pairs with integer coset coordinates may pass `coset_coords(reps)`, int64
     (n, width) coordinates of canonical reps, and `translate_coords(a, X)`,
-    those of H(a x) for x at X, so action tables build in numpy. Instances
-    are immutable after build apart from three append-only caches (balls,
-    decompositions, `apply_regular_rep`'s action rows); concurrent readers are safe.
+    those of H(a x) for x at X, so action tables build in numpy. Pairs with
+    closed-form structure constants pass `double_product(g1, g2)`, the product
+    of canonical double reps as {DoubleCosetKey: int}. Instances are immutable
+    after build apart from four append-only caches: `ball_cache`,
+    `decompose_cache`, `action_cache` (`apply_regular_rep`'s action rows) and
+    `product_cache` (`convolve`'s constants); concurrent readers are safe.
     """
 
     def __init__(self, name, params, identity, contains, h_generators,
                  coset_rep, double_rep, length=None, candidate_lengths=None,
                  h_elements=None, g_generators=None, random_element=None,
                  ball_rights=None, ball_doubles=None, coset_coords=None,
-                 translate_coords=None, rd_status="unknown", notes=""):
+                 translate_coords=None, double_product=None,
+                 rd_status="unknown", notes=""):
         self.name = name
         self.params = dict(params)
         self.identity = identity
@@ -62,11 +69,13 @@ class HeckePair:
         self._ball_doubles = ball_doubles
         self.coset_coords = coset_coords
         self.translate_coords = translate_coords
+        self.double_product = double_product
         self.rd_status = rd_status
         self.notes = notes
         # append-only caches, keyed on canonical element keys
         self.decompose_cache = {}
         self.action_cache = {}
+        self.product_cache = {}
         self.ball_cache = {}
 
     @property
@@ -165,6 +174,19 @@ def _sanity_check(pair, n_samples=25, seed=7):
             if not np.array_equal(pair.translate_coords(a, coords), want):
                 raise PairSanityError("coordinate translation disagrees with "
                                       "coset_rep on %r" % pair.name, witness=a)
+    if pair.double_product is not None:
+        # the sample's doubles of degree 2-3 (T(1,2) on gl2q) keep it cheap
+        doubles = []
+        for g in sample[:6]:
+            with suppress(BudgetExceededError):
+                if len(decompose_double_coset(pair, g, budget=3)) > 1:
+                    doubles.append(pair.double_rep(g))
+        for g1, g2 in product(dict.fromkeys(doubles), repeat=2):
+            if pair.double_product(g1, g2) != _generic_product(pair, g1, g2):
+                raise PairSanityError("closed-form double product disagrees with "
+                                      "the generic count on %r" % pair.name,
+                                      witness=(g1, g2))
+        pair.decompose_cache.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +325,35 @@ def _hnf_2x2(m):
     return MatrixElement(((a, b), (0, d)))
 
 
+def _hecke_local(p, k, l):
+    """T(1,p^k) T(1,p^l) = sum over (i, e) of e R(p)^i T(1,p^(k+l-2i)),
+    with R(p) = diag(p, p) (Shimura 1971, Thm 3.24)."""
+    k, l = min(k, l), max(k, l)
+    out = [(0, 1)] + [(i, (p - 1) * p ** (i - 1)) for i in range(1, k)]
+    if k:
+        out.append((k, p ** (k - 1) * (p + 1) if k == l else p ** k))
+    return out
+
+
+def _gl2q_double_product(g1, g2):
+    """delta_D1 * delta_D2 for D = H diag(c, c m) H. Scalars are central and
+    the product is multiplicative over primes, so each prime p of m1 m2 moves
+    a term (c, m) to (c p^i, m / p^2i) with the local coefficients."""
+    c1, c2 = g1.rows[0][0], g2.rows[0][0]
+    m1, m2 = int(g1.rows[1][1] / c1), int(g2.rows[1][1] / c2)
+    terms, p = {(c1 * c2, m1 * m2): 1}, 1
+    while m1 * m2 > 1:  # trial division: each p that divides is prime
+        p, k, l = p + 1, 0, 0
+        while m1 % p == 0:
+            m1, k = m1 // p, k + 1
+        while m2 % p == 0:
+            m2, l = m2 // p, l + 1
+        terms = {(c * p ** i, m // p ** (2 * i)): n * e
+                 for (c, m), n in terms.items() for i, e in _hecke_local(p, k, l)}
+    return {DoubleCosetKey(MatrixElement(((c, 0), (0, c * m)))): n
+            for (c, m), n in terms.items()}
+
+
 def _build_gl2q(params):
     if params:
         raise ConfigError("gl2q takes no params, got %r" % (params,))
@@ -362,6 +413,7 @@ def _build_gl2q(params):
         h_elements=None,
         g_generators=None,
         random_element=random_element,
+        double_product=_gl2q_double_product,
         rd_status="unknown",
         notes="Classical Hecke-operator pair; double cosets indexed by "
               "(scale, primitive determinant).",

@@ -106,6 +106,21 @@ class TestConvolution:
         rhs = convolve(bost_connes, b, a)
         assert lhs.sorted_terms() != rhs.sorted_terms()
 
+    def test_broken_double_rep_fails_the_audit(self):
+        from heckepairs import ConvolutionAuditError
+        from heckepairs.pairs import HeckePair
+
+        e, flip = DihedralElement(0, 1), DihedralElement(0, -1)
+        pair = HeckePair(
+            "dihedral", {}, e, contains=lambda g: g.n == 0, h_generators=(flip,),
+            coset_rep=lambda g: DihedralElement(g.eps * g.n, 1),
+            # splits H n H from H (-n) H, which hold the same right cosets
+            double_rep=lambda g: DihedralElement(g.n, 1),
+        )
+        s1 = HeckeElement.delta(pair, DihedralElement(1, 1))
+        with pytest.raises(ConvolutionAuditError, match="not constant"):
+            convolve(pair, s1, s1)
+
     def test_distributes_over_sum(self, dihedral):
         rng = spawn_rng(2, 3)
         for _ in range(10):

@@ -82,6 +82,19 @@ class TestElementCodec:
         with pytest.raises(ConfigError, match="coordinates"):
             load_element(semidirect, "delta:1,0", mode="exact", kind="double")
 
+    @pytest.mark.parametrize("name, spec", [
+        ("dihedral", "delta:3,1,7"),
+        ("finite_index", "delta:1,2"),
+        ("bost_connes", "delta:3/2,0,9"),
+        ("semidirect", '{"terms": [{"key": [[1, 2], 0, 5]}]}'),
+        ("gl2q", "delta:1,0,0,0,1,0,0,0,1"),  # was read as a 2x2 double coset
+    ])
+    def test_surplus_key_components_rejected(self, pairs, name, spec):
+        from heckepairs import ConfigError
+
+        with pytest.raises(ConfigError, match="components"):
+            load_element(pairs[name], spec, mode="exact", kind="double")
+
     def test_wrong_pair_rejected(self, dihedral, finite_index):
         from heckepairs import ConfigError, IntegerElement
 
@@ -152,6 +165,15 @@ class TestExitCodes:
         # a rank-1 key on the rank-2 pair used to convolve as a truncated vector
         ini = write_ini(tmp_path / "c.ini", "convolve", pair="semidirect",
                         left="delta:1,0", right="delta:1,2,0")
+        assert run("convolve", config=ini, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert "bad element key" in payload["message"]
+
+    def test_surplus_key_components_exit_two(self, tmp_path, capsys):
+        # used to load delta(3, 1) and drop the 7
+        ini = write_ini(tmp_path / "c.ini", "convolve", pair="dihedral",
+                        left="delta:3,1,7", right="delta:1,1")
         assert run("convolve", config=ini, out=str(tmp_path)) == 2
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["status"] == "failure"

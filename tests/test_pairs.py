@@ -195,3 +195,32 @@ class TestCoordinateHooks:
         with pytest.raises(PairSanityError, match="coordinate translation") as err:
             build_pair("semidirect")
         assert err.value.witness.flip == 1
+
+
+class TestClosedFormProducts:
+    def test_gl2q_hook_matches_generic_count(self, gl2q):
+        # p = 2 up to k, l = 3, p = 3, 5, 7 and coprime pairs, at two scales
+        from heckepairs.algebra import _generic_product
+
+        for s1, s2 in ((1, 1), (Fraction(1, 2), 3)):
+            for m1 in range(1, 9):
+                for m2 in range(1, 9):
+                    g1 = MatrixElement(((s1, 0), (0, s1 * m1)))
+                    g2 = MatrixElement(((s2, 0), (0, s2 * m2)))
+                    assert gl2q.double_product(g1, g2) == \
+                        _generic_product(gl2q, g1, g2), (s1, m1, s2, m2)
+
+    def test_wrong_closed_form_fails_the_build(self, monkeypatch):
+        local = pairs_module._hecke_local
+
+        def wrong(p, k, l):
+            out = local(p, k, l)
+            if k == l > 0:
+                out[-1] = (k, p ** k)  # p where p + 1 belongs
+            return out
+
+        monkeypatch.setattr(pairs_module, "_hecke_local", wrong)
+        with pytest.raises(PairSanityError, match="closed-form") as err:
+            build_pair("gl2q")
+        t2 = MatrixElement(((1, 0), (0, 2)))
+        assert err.value.witness == (t2, t2)
