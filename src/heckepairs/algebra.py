@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 
-from .cosets import CosetKey, DoubleCosetKey, coset_key, decompose_double_coset, double_key
+from .cosets import CosetKey, DoubleCosetKey, coset_key, decompose_double_coset, degree, double_key
 from .errors import ConvolutionAuditError, ModeMismatchError, UnsupportedLengthError
 
 
@@ -124,6 +124,13 @@ class _ExactRing:
         return QQi(Fraction(str(re)), Fraction(str(im)))
 
 
+def _parse_float(x):
+    try:
+        return float(x)  # JSON numbers and float strings
+    except ValueError:
+        return float(Fraction(x))  # the exact ring's strings, such as "1/3"
+
+
 class _FloatRing:
     """Complex coefficients, float JSON parts; QQi input needs to_float() first."""
 
@@ -144,7 +151,7 @@ class _FloatRing:
         return c.real, c.imag
 
     def parse_json(self, re, im):
-        return complex(float(re), float(im))
+        return complex(_parse_float(re), _parse_float(im))
 
 
 RINGS = {"exact": _ExactRing(), "float": _FloatRing()}
@@ -431,7 +438,7 @@ def l2_norm_sq(f):
     """||f||_2^2 over right cosets: sum of |coeff|^2 * degree per double."""
     acc = f.ring.real_zero
     for d, c in f.terms.items():
-        acc += f.ring.abs_sq(c) * len(decompose_double_coset(f.pair, d.rep))
+        acc += f.ring.abs_sq(c) * degree(f.pair, d.rep)
     return acc
 
 
@@ -439,7 +446,7 @@ def l1_norm(f):
     """||f||_1 over right cosets (float; exact only when coefficients are real)."""
     acc = 0.0
     for d, c in f.terms.items():
-        acc += math.sqrt(f.ring.abs_sq(c)) * len(decompose_double_coset(f.pair, d.rep))
+        acc += math.sqrt(f.ring.abs_sq(c)) * degree(f.pair, d.rep)
     return acc
 
 
@@ -488,7 +495,7 @@ def norms(f, length=None, s=1):
         a = f.ring.abs_sq(c)
         if not exact:
             a = float(a)
-        deg = len(decompose_double_coset(pair, d.rep))
+        deg = degree(pair, d.rep)
         w = _weight(length(d.rep), s, exact)
         l2_sq += a * deg
         sob_sq += a * deg * w
@@ -511,7 +518,7 @@ def sobolev_inner(f1, f2, length=None, s=1):
         other = f2.terms.get(d)
         if other is None:
             continue
-        deg = len(decompose_double_coset(pair, d.rep))
+        deg = degree(pair, d.rep)
         w = _weight(length(d.rep), s, exact)
         acc += c * other.conjugate() * (w * deg)
     return acc

@@ -17,7 +17,7 @@ import traceback
 from fractions import Fraction
 
 from .algebra import HeckeElement, L2Vector, convolve
-from .cosets import decompose_double_coset, enumerate_ball
+from .cosets import degree, enumerate_ball
 from .diagnostics import (
     _fmt,
     degree_growth_fit,
@@ -287,7 +287,10 @@ def element_from_json(pair, data, mode=None):
         if not isinstance(term, dict) or "key" not in term:
             raise ConfigError("element term %r has no 'key'" % (term,))
         rep = _rep_from_components(pair, term["key"])
-        c = out.ring.parse_json(term.get("re", 0), term.get("im", 0))
+        try:
+            c = out.ring.parse_json(term.get("re", 0), term.get("im", 0))
+        except (ValueError, TypeError, ArithmeticError) as e:
+            raise ConfigError("bad coefficient in element term %r: %s" % (term, e))
         out = out + cls.delta(pair, rep, coeff=c, mode=mode)
     return out
 
@@ -369,7 +372,7 @@ def cmd_enumerate(cfg):
     rows = [["key", "length", "degree"]]
     doubles = []
     for dk in ball.double:
-        deg = len(decompose_double_coset(pair, dk.rep))
+        deg = degree(pair, dk.rep)
         comps = _rep_components(dk.rep)
         rows.append([json.dumps(comps), dk.length, deg])
         doubles.append({"key": comps, "length": str(dk.length), "degree": deg})

@@ -26,7 +26,7 @@ from .cosets import (
     enumerate_ball,
 )
 from .errors import ConfigError, InfiniteSubgroupError, UnsupportedLengthError
-from .operators import norm_lower, norm_upper
+from .operators import ActionTable, norm_lower, norm_upper
 
 # scan windows as multiples of the support radius r (see the scan docstrings)
 K_FACTOR = 2
@@ -317,8 +317,6 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
     family at radius r contains every family at smaller radii and the max
     column is monotone by construction.
     """
-    from .operators import ActionTable
-
     length = length or pair.length
     if length is None:
         raise ConfigError("scan needs a length function")
@@ -338,7 +336,7 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         # matvec_int: a wrapped int64 sum cannot be detected afterwards
         row_mult = {rep: int(np.bincount(rows).max(initial=0))
                     for rep, (rows, _) in table.tables.items()}
-        degs = {k.rep: len(decompose_double_coset(pair, k.rep)) for k in dkeys}
+        degs = {k.rep: degree(pair, k.rep) for k in dkeys}
         dom_len = np.array([float(k.length) for k in dom.keys])
         char_k = {
             rho: (dom_len <= K_FACTOR_CHAR * rho).astype(np.int64)

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .algebra import apply_regular_rep, convolve, norms, require_length
-from .cosets import BallIndex, enumerate_ball
+from .cosets import BallIndex, degree, enumerate_ball
 from .errors import ConfigError
 from .operators import ActionTable, block_operator_norm, norm_upper
 
@@ -285,13 +285,11 @@ def sobolev_tail_profile(pair, f, length=None, s_list=(0, 1, 2)):
     is complete. Exact in exact mode.
     """
     length = require_length(pair, length)
-    from .cosets import decompose_double_coset
-
     per_double = []
     for dk, c in f.terms.items():
         L = length(dk.rep)
         w = f.ring.abs_sq(c)
-        per_double.append((L, w * len(decompose_double_coset(pair, dk.rep))))
+        per_double.append((L, w * degree(pair, dk.rep)))
     ell = max((L for L, _ in per_double), default=0)
     zero = f.ring.real_zero
     rows = []

@@ -17,32 +17,23 @@ import numpy as np
 
 from .algebra import l1_norm, require_length
 from .cosets import decompose_double_coset, enumerate_ball, reachable_coset_ball
-from .errors import ConfigError, UnsupportedLengthError
+from .errors import UnsupportedLengthError
 
 
-def _coord_codes(coords, lo, span):
-    """Codes sum (x_i - lo) * span**i of int64 coordinate rows; never wraps."""
-    if span ** coords.shape[1] >= 2 ** 63:
-        raise ConfigError("coset coordinates spanning %d overflow int64 codes" % span)
-    return (coords - lo) @ span ** np.arange(coords.shape[1], dtype=np.int64)
+def _grid_slots(cod):
+    """Lookup from int64 coordinate rows to their index in cod, -1 if absent.
 
-
-def _coord_slots(pair, codomain):
-    """Map from coordinate rows to codomain slots, -1 where absent."""
-    cod = pair.coset_coords([k.rep for k in codomain.keys])
-    if len(cod) == 0:
-        return lambda ys: np.full(len(ys), -1, dtype=np.int64)
-    lo, hi = int(cod.min()), int(cod.max())
-    codes = _coord_codes(cod, lo, hi - lo + 1)
-    order = np.argsort(codes)
-    codes = codes[order]
-
-    def slots(ys):
-        q = _coord_codes(ys.clip(lo, hi), lo, hi - lo + 1)
-        pos = np.searchsorted(codes, q).clip(max=len(codes) - 1)
-        hit = (codes[pos] == q) & ((ys >= lo) & (ys <= hi)).all(axis=1)
-        return np.where(hit, order[pos], -1)
-    return slots
+    The index is a dense int64 grid over cod's bounding box, 8 bytes a cell;
+    for the l1 balls and windows built here the box has at most about rank!
+    cells per key of the enumerated ball. Rows outside the box map to -1.
+    """
+    if not len(cod):
+        return lambda ys: np.full(ys.shape[:-1], -1, dtype=np.int64)
+    lo, hi = cod.min(0), cod.max(0)
+    grid = np.full(hi - lo + 1, -1, dtype=np.int64)
+    grid[tuple((cod - lo).T)] = np.arange(len(cod))
+    return lambda ys: np.where(((ys >= lo) & (ys <= hi)).all(-1),
+                               grid[tuple(np.moveaxis(ys.clip(lo, hi) - lo, -1, 0))], -1)
 
 
 class ActionTable:
@@ -52,9 +43,10 @@ class ActionTable:
     domain column col to codomain row, column-major with D's right cosets in
     decomposition order. Every (row, col) pair belongs to at most one D, so
     lambda(f) is the concatenation of the per-D patterns with the coefficient
-    of D on each entry. Rows come from the pair's coordinate hooks and a
-    binary search in the codomain's sorted codes when it has them, else from
-    `coset_rep` of each product; neither path touches `pair.action_cache`.
+    of D on each entry. With a `coset_coords` hook the rows of delta_D are
+    all found at once: coords(H a x) = coords(Ha) + coords(Hx), looked up in
+    a dense grid over the codomain. Otherwise they come from `coset_rep` of
+    each product. Neither path touches `pair.action_cache`.
     """
 
     def __init__(self, pair, doubles, domain, codomain, allow_missing=False):
@@ -62,14 +54,14 @@ class ActionTable:
         self.domain = domain
         self.codomain = codomain
         self.tables = {}
-        if pair.translate_coords is not None:
+        if pair.coset_coords is not None:
             xs = pair.coset_coords([k.rep for k in domain.keys])
-            slots = _coord_slots(pair, codomain)
+            slots = _grid_slots(pair.coset_coords([k.rep for k in codomain.keys]))
         for dk in doubles:
             rights = decompose_double_coset(pair, dk.rep)
-            if pair.translate_coords is not None:
-                ys = np.stack([pair.translate_coords(a.rep, xs) for a in rights], 1)
-                rows = slots(ys.reshape(-1, xs.shape[1]))
+            if pair.coset_coords is not None:
+                shifts = pair.coset_coords([a.rep for a in rights])
+                rows = slots(xs[:, None] + shifts).reshape(-1)
             else:
                 rows = np.array([codomain._slots.get(pair.coset_rep(a.rep * ck.rep), -1)
                                  for ck in domain.keys for a in rights], dtype=np.int64)

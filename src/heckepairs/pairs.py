@@ -14,7 +14,7 @@ from itertools import chain, islice, product
 import numpy as np
 
 from .algebra import _generic_product
-from .cosets import DoubleCosetKey, decompose_double_coset
+from .cosets import DoubleCosetKey, degree
 from .errors import BudgetExceededError, ConfigError, PairSanityError
 from .groups import (
     AxbElement,
@@ -38,10 +38,11 @@ class HeckePair:
     when H is infinite; orbit closure then relies on `h_generators` alone.
 
     Pairs with integer coset coordinates may pass `coset_coords(reps)`, int64
-    (n, width) coordinates of canonical reps, and `translate_coords(a, X)`,
-    those of H(a x) for x at X, so action tables build in numpy. Pairs with
-    closed-form structure constants pass `double_product(g1, g2)`, the product
-    of canonical double reps as {DoubleCosetKey: int}. Instances are immutable
+    (n, width) coordinates of canonical reps that add up under the action,
+    coords(H a x) = coords(Ha) + coords(Hx) for every a and canonical rep x,
+    so action tables build in numpy. Pairs with closed-form structure
+    constants pass `double_product(g1, g2)`, the product of canonical double
+    reps as {DoubleCosetKey: int}. Instances are immutable
     after build apart from four append-only caches: `ball_cache`,
     `decompose_cache`, `action_cache` (`apply_regular_rep`'s action rows) and
     `product_cache` (`convolve`'s constants); concurrent readers are safe.
@@ -51,8 +52,7 @@ class HeckePair:
                  coset_rep, double_rep, length=None, candidate_lengths=None,
                  h_elements=None, g_generators=None, random_element=None,
                  ball_rights=None, ball_doubles=None, coset_coords=None,
-                 translate_coords=None, double_product=None,
-                 rd_status="unknown", notes=""):
+                 double_product=None, rd_status="unknown", notes=""):
         self.name = name
         self.params = dict(params)
         self.identity = identity
@@ -68,7 +68,6 @@ class HeckePair:
         self._ball_rights = ball_rights
         self._ball_doubles = ball_doubles
         self.coset_coords = coset_coords
-        self.translate_coords = translate_coords
         self.double_product = double_product
         self.rd_status = rd_status
         self.notes = notes
@@ -166,12 +165,12 @@ def _sanity_check(pair, n_samples=25, seed=7):
                     "double rep not H-bi-invariant on %r" % pair.name,
                     witness=(h, g),
                 )
-    if pair.translate_coords is not None:
+    if pair.coset_coords is not None:
         xs = [pair.coset_rep(g) for g in sample[:6]]  # six, like hs, keep it cheap
         coords = pair.coset_coords(xs)
         for a in sample:
             want = pair.coset_coords([pair.coset_rep(a * x) for x in xs])
-            if not np.array_equal(pair.translate_coords(a, coords), want):
+            if not np.array_equal(pair.coset_coords([pair.coset_rep(a)]) + coords, want):
                 raise PairSanityError("coordinate translation disagrees with "
                                       "coset_rep on %r" % pair.name, witness=a)
     if pair.double_product is not None:
@@ -179,7 +178,7 @@ def _sanity_check(pair, n_samples=25, seed=7):
         doubles = []
         for g in sample[:6]:
             with suppress(BudgetExceededError):
-                if len(decompose_double_coset(pair, g, budget=3)) > 1:
+                if degree(pair, g, budget=3) > 1:
                     doubles.append(pair.double_rep(g))
         for g1, g2 in product(dict.fromkeys(doubles), repeat=2):
             if pair.double_product(g1, g2) != _generic_product(pair, g1, g2):
@@ -581,12 +580,9 @@ def _build_semidirect(params):
         return SemidirectElement(v, int(rng.integers(2)), action)
 
     def coset_coords(reps):
-        # every canonical rep has flip 0, so its vector is its coordinate
-        return np.array([g.vec for g in reps], dtype=np.int64).reshape(-1, rank)
-
-    def translate_coords(a, xs):
+        # every canonical rep has flip 0, so its vector is its coordinate;
         # (v, s)(w, 0) = (v + alpha^s w, s) has canonical rep alpha^s(v) + w
-        return xs + np.array(a.vec if a.flip == 0 else alpha(a.vec), dtype=np.int64)
+        return np.array([g.vec for g in reps], dtype=np.int64).reshape(-1, rank)
 
     def ball_rights(r):
         rr = math.floor(r)
@@ -629,7 +625,7 @@ def _build_semidirect(params):
         random_element=random_element,
         ball_rights=ball_rights,
         ball_doubles=ball_doubles,
-        coset_coords=coset_coords, translate_coords=translate_coords,
+        coset_coords=coset_coords,
         rd_status="expected",
         notes="Free abelian group with an order-two coordinate action "
               "(%r) by the finite subgroup." % action,

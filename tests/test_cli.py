@@ -195,6 +195,18 @@ class TestExitCodes:
         assert payload["status"] == "failure"
         assert "key" in payload["message"]
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("re", ["1/3+2i", "x", "1/0"])
+    def test_malformed_coefficient_exits_two(self, tmp_path, capsys, mode, re):
+        # used to raise a bare ValueError (or ZeroDivisionError) with exit 1
+        ini = write_ini(tmp_path / "c.ini", "convolve", pair="dihedral", mode=mode,
+                        left='{"terms": [{"key": [1, 1], "re": "%s"}]}' % re,
+                        right="delta:1,1")
+        assert run("convolve", config=ini, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert "bad coefficient" in payload["message"]
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -222,6 +234,21 @@ class TestArtifacts:
         payload = json.loads((tmp_path / "convolve.json").read_text())
         terms = payload["product"]["terms"]
         assert [(t["key"], t["re"]) for t in terms] == [([0, 1], "2"), ([2, 1], "1")]
+
+    @pytest.mark.parametrize("name, key", [("gl2q", [[1, 0], [0, 2]]),
+                                           ("semidirect", [[1, 2], 0])])
+    def test_float_convolve_reads_exact_strings(self, tmp_path, name, key):
+        # float mode used to call float("1/3") and die with exit 1
+        left = json.dumps({"terms": [{"key": key, "re": "1/3", "im": "-2/7"}]})
+        products = {}
+        for mode in ("exact", "float"):
+            out = tmp_path / mode
+            ini = write_ini(tmp_path / ("%s.ini" % mode), "convolve", pair=name,
+                            mode=mode, left=left, right=left)
+            assert run("convolve", config=ini, out=str(out)) == 0
+            data = json.loads((out / "convolve.json").read_text())["product"]
+            products[mode] = element_from_json(build_pair(name), data, mode=mode)
+        assert products["float"].sorted_terms() == products["exact"].to_float().sorted_terms()
 
     def test_normest_csv_header_and_monotone(self, tmp_path, capsys):
         ini = write_ini(

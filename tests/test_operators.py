@@ -9,7 +9,7 @@ import pytest
 
 from heckepairs import (
     ActionTable,
-    ConfigError,
+    BallIndex,
     DihedralElement,
     HeckeElement,
     IntegerElement,
@@ -29,7 +29,6 @@ from heckepairs import (
     truncate,
 )
 from heckepairs.jolissaint import _window
-from heckepairs.operators import _coord_codes
 
 
 def sigma(pair, n, coeff=1):
@@ -265,10 +264,10 @@ class TestTruncate:
 
 
 def _scalar_twin(pair):
-    # the same pair without its coordinate hooks, so ActionTable takes the
+    # the same pair without its coordinate hook, so ActionTable takes the
     # coset_rep path
     twin = copy.copy(pair)
-    twin.translate_coords = twin.coset_coords = None
+    twin.coset_coords = None
     return twin
 
 
@@ -302,6 +301,19 @@ def _assert_same_tables(got, want):
         assert np.array_equal(got[rep][1], cols), rep
 
 
+def _check_coordinate_table(pair, dkeys, dom, cod, allow_missing=False):
+    """The grid-indexed table, checked against the scalar path and the oracle."""
+    table = ActionTable(pair, dkeys, dom, cod, allow_missing=allow_missing)
+    scalar = ActionTable(_scalar_twin(pair), dkeys, dom, cod, allow_missing=allow_missing)
+    _assert_same_tables(table.tables, scalar.tables)
+    _assert_same_tables(table.tables, _shift_oracle(pair, dkeys, dom, cod))
+    return table
+
+
+def _entries(table):
+    return sum(len(rows) for rows, _ in table.tables.values())
+
+
 class TestCoordinateTables:
     @pytest.mark.parametrize("action", ["swap", "negate"])
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -310,11 +322,13 @@ class TestCoordinateTables:
         L = pair.length
         dkeys = enumerate_ball(pair, L, 3).double.keys
         dom = enumerate_ball(pair, L, 4).right
-        cod = enumerate_ball(pair, L, 7).right
-        table = ActionTable(pair, dkeys, dom, cod)
-        scalar = ActionTable(_scalar_twin(pair), dkeys, dom, cod)
-        _assert_same_tables(table.tables, scalar.tables)
-        _assert_same_tables(table.tables, _shift_oracle(pair, dkeys, dom, cod))
+        full = _check_coordinate_table(pair, dkeys, dom, enumerate_ball(pair, L, 7).right)
+        # an empty codomain, and a radius-2 one whose box the translates of
+        # the radius-4 domain leave in part
+        empty, small = (
+            _check_coordinate_table(pair, dkeys, dom, cod, allow_missing=True)
+            for cod in (BallIndex("right", 0, ()), enumerate_ball(pair, L, 2).right))
+        assert _entries(full) > _entries(small) > _entries(empty) == 0
 
     @pytest.mark.parametrize("action", ["swap", "negate"])
     def test_corner_windows_drop_missing_rows_like_scalar_path(self, action):
@@ -327,13 +341,9 @@ class TestCoordinateTables:
         rows = _window(ball, Fraction(n), n, alpha, shift=Fraction(ell))
         assert len(cols) and len(rows)
         for dom, cod in ((cols, rows), (rows, cols)):
-            table = ActionTable(pair, dkeys, dom, cod, allow_missing=True)
+            table = _check_coordinate_table(pair, dkeys, dom, cod, allow_missing=True)
             # some images leave the window, so fewer than two per (D, column)
-            entries = sum(len(r) for r, _ in table.tables.values())
-            assert 0 < entries < 2 * len(dkeys) * len(dom)
-            scalar = ActionTable(_scalar_twin(pair), dkeys, dom, cod, allow_missing=True)
-            _assert_same_tables(table.tables, scalar.tables)
-            _assert_same_tables(table.tables, _shift_oracle(pair, dkeys, dom, cod))
+            assert 0 < _entries(table) < 2 * len(dkeys) * len(dom)
             with pytest.raises(UnsupportedLengthError):
                 ActionTable(pair, dkeys, dom, cod)
 
@@ -344,18 +354,5 @@ class TestCoordinateTables:
         table = ActionTable(pair, enumerate_ball(pair, L, 2).double.keys,
                             enumerate_ball(pair, L, 3).right,
                             enumerate_ball(pair, L, 5).right)
-        assert sum(len(r) for r, _ in table.tables.values()) > 0
+        assert _entries(table) > 0
         assert pair.action_cache == {}
-
-    def test_codes_refuse_to_wrap(self):
-        # span**width < 2**63 keeps every code exact
-        span = 2 ** 21 - 1
-        top = np.full((1, 3), 5 + span - 1, dtype=np.int64)
-        assert int(_coord_codes(top, 5, span)[0]) == span ** 3 - 1
-        assert int(_coord_codes(np.array([[2 ** 62]]), 0, 2 ** 62 + 1)[0]) == 2 ** 62
-        with pytest.raises(ConfigError):
-            _coord_codes(top, 5, 2 ** 21)
-        with pytest.raises(ConfigError):
-            _coord_codes(np.array([[-2 ** 40, 2 ** 40]]), -2 ** 40, 2 ** 41 + 1)
-        with pytest.raises(ConfigError):
-            _coord_codes(np.zeros((0, 1), dtype=np.int64), 0, 2 ** 63)

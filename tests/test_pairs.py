@@ -1,6 +1,7 @@
 """Catalog pairs: construction, degrees against hand enumerations, lengths."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -173,12 +174,14 @@ class TestLengths:
 
 class TestCoordinateHooks:
     def test_semidirect_hooks_match_coset_rep(self):
-        # flip-1 elements take the alpha branch, which action tables never reach
-        pair = build_pair("semidirect", {"rank": 3, "action": "swap"})
-        xs = [SemidirectElement(v, 0, "swap") for v in ((0, 0, 0), (1, -2, 5), (-3, 0, 4))]
-        for flip in (0, 1):
-            a = SemidirectElement((2, 7, -1), flip, "swap")
-            got = pair.translate_coords(a, pair.coset_coords(xs))
+        # coords(H a x) = coords(Ha) + coords(Hx); flip-1 elements take the
+        # alpha branch of the canonical rep
+        for action, flip in product(("swap", "negate"), (0, 1)):
+            pair = build_pair("semidirect", {"rank": 3, "action": action})
+            xs = [SemidirectElement(v, 0, action)
+                  for v in ((0, 0, 0), (1, -2, 5), (-3, 0, 4))]
+            a = SemidirectElement((2, 7, -1), flip, action)
+            got = pair.coset_coords([pair.coset_rep(a)]) + pair.coset_coords(xs)
             want = [pair.coset_rep(a * x).vec for x in xs]
             assert got.dtype == np.int64 and got.tolist() == [list(w) for w in want]
 
@@ -187,14 +190,14 @@ class TestCoordinateHooks:
 
         def broken(params):
             pair = build(params)
-            # forgets that H(v,1)(w,0) is canonicalised by alpha
-            pair.translate_coords = lambda a, xs: xs + np.array(a.vec, dtype=np.int64)
+            coords = pair.coset_coords
+            # every coordinate offset by one: coords(Ha) + coords(Hx) is off by one
+            pair.coset_coords = lambda reps: coords(reps) + 1
             return pair
 
         monkeypatch.setitem(pairs_module._BUILDERS, "semidirect", broken)
-        with pytest.raises(PairSanityError, match="coordinate translation") as err:
+        with pytest.raises(PairSanityError, match="coordinate translation"):
             build_pair("semidirect")
-        assert err.value.witness.flip == 1
 
 
 class TestClosedFormProducts:
