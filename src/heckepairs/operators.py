@@ -17,21 +17,25 @@ import numpy as np
 
 from .algebra import l1_norm, require_length
 from .cosets import decompose_double_coset, enumerate_ball, reachable_coset_ball
-from .errors import UnsupportedLengthError
+from .errors import PairSanityError, UnsupportedLengthError
 
 
 def _grid_slots(cod):
     """Lookup from int64 coordinate rows to their index in cod, -1 if absent.
 
-    The index is a dense int64 grid over cod's bounding box, 8 bytes a cell;
-    for the l1 balls and windows built here the box has at most about rank!
-    cells per key of the enumerated ball. Rows outside the box map to -1.
+    A dense int64 grid over cod's bounding box, 8 bytes a cell, or None if
+    the box has over max(32 cells a key, 2**20) cells (an l1 ball's box has
+    about rank! a key). Rows outside the box map to -1; keys need distinct rows.
     """
     if not len(cod):
         return lambda ys: np.full(ys.shape[:-1], -1, dtype=np.int64)
     lo, hi = cod.min(0), cod.max(0)
+    if math.prod((hi - lo + 1).tolist()) > max(32 * len(cod), 1 << 20):
+        return None
     grid = np.full(hi - lo + 1, -1, dtype=np.int64)
     grid[tuple((cod - lo).T)] = np.arange(len(cod))
+    if np.count_nonzero(grid >= 0) < len(cod):
+        raise PairSanityError("coset_coords gives two cosets one coordinate row")
     return lambda ys: np.where(((ys >= lo) & (ys <= hi)).all(-1),
                                grid[tuple(np.moveaxis(ys.clip(lo, hi) - lo, -1, 0))], -1)
 
@@ -45,8 +49,8 @@ class ActionTable:
     lambda(f) is the concatenation of the per-D patterns with the coefficient
     of D on each entry. With a `coset_coords` hook the rows of delta_D are
     all found at once: coords(H a x) = coords(Ha) + coords(Hx), looked up in
-    a dense grid over the codomain. Otherwise they come from `coset_rep` of
-    each product. Neither path touches `pair.action_cache`.
+    the codomain's grid when `_grid_slots` builds one, else from `coset_rep`
+    of each product. Neither path touches `pair.action_cache`.
     """
 
     def __init__(self, pair, doubles, domain, codomain, allow_missing=False):
@@ -54,12 +58,13 @@ class ActionTable:
         self.domain = domain
         self.codomain = codomain
         self.tables = {}
-        if pair.coset_coords is not None:
+        slots = pair.coset_coords and _grid_slots(
+            pair.coset_coords([k.rep for k in codomain.keys]))
+        if slots is not None:
             xs = pair.coset_coords([k.rep for k in domain.keys])
-            slots = _grid_slots(pair.coset_coords([k.rep for k in codomain.keys]))
         for dk in doubles:
             rights = decompose_double_coset(pair, dk.rep)
-            if pair.coset_coords is not None:
+            if slots is not None:
                 shifts = pair.coset_coords([a.rep for a in rights])
                 rows = slots(xs[:, None] + shifts).reshape(-1)
             else:

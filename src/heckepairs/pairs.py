@@ -38,9 +38,9 @@ class HeckePair:
     when H is infinite; orbit closure then relies on `h_generators` alone.
 
     Pairs with integer coset coordinates may pass `coset_coords(reps)`, int64
-    (n, width) coordinates of canonical reps that add up under the action,
-    coords(H a x) = coords(Ha) + coords(Hx) for every a and canonical rep x,
-    so action tables build in numpy. Pairs with closed-form structure
+    (n, width) coordinates of canonical reps, distinct for distinct cosets,
+    that add up: coords(H a x) = coords(Ha) + coords(Hx) for every a and
+    canonical rep x, so action tables build in numpy. Pairs with closed-form structure
     constants pass `double_product(g1, g2)`, the product of canonical double
     reps as {DoubleCosetKey: int}. Instances are immutable
     after build apart from four append-only caches: `ball_cache`,

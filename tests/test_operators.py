@@ -14,6 +14,7 @@ from heckepairs import (
     HeckeElement,
     IntegerElement,
     L2Vector,
+    PairSanityError,
     QQi,
     SemidirectElement,
     UnsupportedLengthError,
@@ -29,6 +30,7 @@ from heckepairs import (
     truncate,
 )
 from heckepairs.jolissaint import _window
+from heckepairs.operators import _grid_slots
 
 
 def sigma(pair, n, coeff=1):
@@ -329,6 +331,31 @@ class TestCoordinateTables:
             _check_coordinate_table(pair, dkeys, dom, cod, allow_missing=True)
             for cod in (BallIndex("right", 0, ()), enumerate_ball(pair, L, 2).right))
         assert _entries(full) > _entries(small) > _entries(empty) == 0
+
+    @pytest.mark.parametrize("action", ["swap", "negate"])
+    @pytest.mark.parametrize("rank", [8, 10])
+    def test_high_rank_boxes_match_scalar_path(self, rank, action):
+        # the radius-2 ball has 145 keys at rank 8, in a box of 5^8 cells
+        # (3 MB of grid); at rank 10 it has 221 keys and the 5^10-cell box is
+        # over the cap, so no grid is built and the rows come from coset_rep
+        pair = build_pair("semidirect", {"rank": rank, "action": action})
+        L = pair.length
+        cod = enumerate_ball(pair, L, 2).right
+        slots = _grid_slots(pair.coset_coords([k.rep for k in cod.keys]))
+        assert (slots is None) == (rank == 10)
+        table = _check_coordinate_table(pair, enumerate_ball(pair, L, 1).double.keys,
+                                        enumerate_ball(pair, L, 1).right, cod)
+        assert _entries(table) > 0
+
+    def test_grid_refuses_a_collapsed_hook(self):
+        pair = copy.copy(build_pair("semidirect"))
+        coords = pair.coset_coords
+        # all zeros add up, so only the grid sees two cosets share a row
+        pair.coset_coords = lambda reps: 0 * coords(reps)
+        L = pair.length
+        with pytest.raises(PairSanityError, match="one coordinate row"):
+            ActionTable(pair, enumerate_ball(pair, L, 1).double.keys,
+                        enumerate_ball(pair, L, 1).right, enumerate_ball(pair, L, 2).right)
 
     @pytest.mark.parametrize("action", ["swap", "negate"])
     def test_corner_windows_drop_missing_rows_like_scalar_path(self, action):
