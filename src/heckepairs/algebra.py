@@ -126,9 +126,15 @@ class _ExactRing:
 
 def _parse_float(x):
     try:
-        return float(x)  # JSON numbers and float strings
-    except ValueError:
-        return float(Fraction(x))  # the exact ring's strings, such as "1/3"
+        try:
+            v = float(x)  # JSON numbers and float strings
+        except ValueError:
+            v = float(Fraction(x))  # the exact ring's strings, such as "1/3"
+    except OverflowError:  # an int or fraction past the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValueError("coefficient part %r is not a finite float" % (x,))
+    return v
 
 
 class _FloatRing:

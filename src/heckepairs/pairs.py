@@ -7,6 +7,7 @@ ball enumerators. Everything is exact rational arithmetic.
 """
 
 import math
+from collections import Counter
 from contextlib import suppress
 from fractions import Fraction
 from itertools import chain, islice, product
@@ -15,7 +16,7 @@ import numpy as np
 
 from .algebra import _generic_product
 from .cosets import DoubleCosetKey, degree
-from .errors import BudgetExceededError, ConfigError, PairSanityError
+from .errors import BudgetExceededError, ConfigError, ConvolutionAuditError, PairSanityError
 from .groups import (
     AxbElement,
     DihedralElement,
@@ -174,7 +175,8 @@ def _sanity_check(pair, n_samples=25, seed=7):
                 raise PairSanityError("coordinate translation disagrees with "
                                       "coset_rep on %r" % pair.name, witness=a)
     if pair.double_product is not None:
-        # the sample's doubles of degree 2-3 (T(1,2) on gl2q) keep it cheap
+        # the sample's doubles of degree 2-3 keep it cheap: T(1,2) on gl2q,
+        # (3, 1/3) on bost_connes
         doubles = []
         for g in sample[:6]:
             with suppress(BudgetExceededError):
@@ -423,6 +425,33 @@ def _build_gl2q(params):
 # bost_connes: G = {x -> a x + b : a in Q>0, b in Q}, H = integer translations.
 
 
+def _bost_connes_double_product(g1, g2):
+    """delta_D1 * delta_D2 for D_i = H(a_i, b_i)H, a_i = p_i/q_i, counted in
+    ints. The right cosets of D_i are (a_i, b_i + j/q_i) for j < p_i; their
+    products (a1 a2, beta), beta = b2 + k/q2 + (b1 + j/q1) a2, lie in
+    H(a1 a2, gamma)H for beta = gamma mod (1/q3)Z, a1 a2 = p3/q3, and each of
+    its p3 right cosets gets an equal share. Over the common denominator L
+    every beta and the modulus 1/q3 are integers."""
+    (p1, q1), (p2, q2) = g1.a.as_integer_ratio(), g2.a.as_integer_ratio()
+    a3 = g1.a * g2.a
+    b1, b2 = g1.b, g2.b
+    L = math.lcm(b2.denominator, b1.denominator * q2, q1 * q2)
+    mod = L // a3.denominator
+    base = (b2.numerator * (L // b2.denominator)
+            + b1.numerator * p2 * (L // (b1.denominator * q2)))
+    sj, sk = p2 * L // (q1 * q2), L // q2
+    counts = Counter((base + j * sj + k * sk) % mod
+                     for j in range(p1) for k in range(p2))
+    out = {}
+    for r, n in counts.items():
+        if n % a3.numerator:
+            raise ConvolutionAuditError(
+                "bost_connes count %d at %r is not a multiple of deg %d"
+                % (n, (a3, Fraction(r, L)), a3.numerator))
+        out[DoubleCosetKey(AxbElement(a3, Fraction(r, L)))] = n // a3.numerator
+    return out
+
+
 def _build_bost_connes(params):
     if params:
         raise ConfigError("bost_connes takes no params, got %r" % (params,))
@@ -471,6 +500,7 @@ def _build_bost_connes(params):
         h_elements=None,
         g_generators=None,
         random_element=random_element,
+        double_product=_bost_connes_double_product,
         rd_status="unknown",
         notes="Degrees are asymmetric: deg(a, b) is the numerator of a, "
               "deg of the inverse its denominator.",

@@ -2,6 +2,8 @@
 
 import ast
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import heckepairs
 from heckepairs import (
+    AxbElement,
     DihedralElement,
     HeckeElement,
     L2Vector,
@@ -131,6 +134,48 @@ class TestConvolution:
             lhs = convolve(dihedral, f, g + h)
             rhs = convolve(dihedral, f, g) + convolve(dihedral, f, h)
             assert lhs.sorted_terms() == rhs.sorted_terms()
+
+
+def axb_delta(pair, a, b=0):
+    return HeckeElement.delta(pair, AxbElement(Fraction(a), Fraction(b)))
+
+
+def chain(pair, *fs):
+    return reduce(partial(convolve, pair), fs)
+
+
+class TestBostConnesRelations:
+    """The Bost-Connes relations, an oracle independent of the count. With
+    d(a) = delta_{H(a,0)H} and e(g) = delta_{H(1,g)H}, mu_n = n^(-1/2) d(n)
+    and e(g) satisfy the normalised relations (Bost-Connes 1995;
+    Laca-Raeburn 1999); the tests state them in the unnormalised basis."""
+
+    GAMMAS = tuple(map(Fraction, ("0", "1/2", "1/3", "2/3", "1/4", "5/6", "7/12")))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_isometries_and_their_adjoints(self, bost_connes, n):
+        d, e = partial(axb_delta, bost_connes), partial(axb_delta, bost_connes, 1)
+        for m in (2, 3, 5):
+            assert chain(bost_connes, d(n), d(m)) == d(n * m)
+            assert chain(bost_connes, d(Fraction(1, n)), d(Fraction(1, m))) == \
+                d(Fraction(1, n * m))
+        assert chain(bost_connes, d(Fraction(1, n)), d(n)) == d(1).scale(n)
+        assert chain(bost_connes, d(n), d(Fraction(1, n))) == \
+            sum((e(Fraction(j, n)) for j in range(n)), HeckeElement.zero(bost_connes))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_isometries_move_the_characters(self, bost_connes, n):
+        d, e = partial(axb_delta, bost_connes), partial(axb_delta, bost_connes, 1)
+        for g in self.GAMMAS:
+            # n x = g mod 1 has the n solutions x = (g + j)/n, j < n
+            roots = sum((e((g + j) / n) for j in range(n)), HeckeElement.zero(bost_connes))
+            assert chain(bost_connes, d(n), e(g), d(Fraction(1, n))) == roots
+            assert chain(bost_connes, d(Fraction(1, n)), e(g), d(n)) == e(n * g).scale(n)
+
+    def test_characters_multiply(self, bost_connes):
+        e = partial(axb_delta, bost_connes, 1)
+        for g, h in product(self.GAMMAS, repeat=2):
+            assert convolve(bost_connes, e(g), e(h)) == e(g + h)
 
 
 class TestInvolution:

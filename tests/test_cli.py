@@ -95,6 +95,26 @@ class TestElementCodec:
         with pytest.raises(ConfigError, match="components"):
             load_element(pairs[name], spec, mode="exact", kind="double")
 
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", [
+        "inf", "nan", "1e400", json.loads("Infinity"), "1" + "0" * 400 + "/1",
+    ], ids=["inf", "nan", "1e400", "json-Infinity", "401-digit-fraction"])
+    def test_float_mode_refuses_non_finite_parts(self, dihedral, part, value):
+        # "inf", "nan", "1e400" and a JSON Infinity used to load as non-finite
+        # coefficients, while the 401-digit fraction overflowed
+        from heckepairs import ConfigError
+
+        data = {"terms": [{"key": [1, 1], part: value}]}
+        with pytest.raises(ConfigError, match="not a finite float"):
+            element_from_json(dihedral, data, mode="float")
+
+    def test_exact_mode_reads_fractions_past_the_float_range(self, dihedral):
+        big = "1" + "0" * 400 + "/1"
+        f = element_from_json(dihedral, {"terms": [{"key": [1, 1], "re": big}]},
+                              mode="exact")
+        assert f.sorted_terms() == HeckeElement.delta(
+            dihedral, DihedralElement(1, 1), coeff=10 ** 400).sorted_terms()
+
     def test_wrong_pair_rejected(self, dihedral, finite_index):
         from heckepairs import ConfigError, IntegerElement
 
@@ -196,9 +216,10 @@ class TestExitCodes:
         assert "key" in payload["message"]
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    @pytest.mark.parametrize("re", ["1/3+2i", "x", "1/0"])
+    @pytest.mark.parametrize("re", ["1/3+2i", "x", "1/0", "inf"])
     def test_malformed_coefficient_exits_two(self, tmp_path, capsys, mode, re):
-        # used to raise a bare ValueError (or ZeroDivisionError) with exit 1
+        # used to raise a bare ValueError (or ZeroDivisionError) with exit 1;
+        # "inf" used to load as a coefficient in float mode
         ini = write_ini(tmp_path / "c.ini", "convolve", pair="dihedral", mode=mode,
                         left='{"terms": [{"key": [1, 1], "re": "%s"}]}' % re,
                         right="delta:1,1")

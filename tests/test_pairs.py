@@ -227,3 +227,32 @@ class TestClosedFormProducts:
             build_pair("gl2q")
         t2 = MatrixElement(((1, 0), (0, 2)))
         assert err.value.witness == (t2, t2)
+
+    def test_bost_connes_hook_matches_generic_count(self, bost_connes):
+        # a of numerator and denominator up to 6 and 9, one canonical b in
+        # [0, 1/q) for each denominator dividing 12 that fits
+        from heckepairs.algebra import _generic_product
+
+        doubles = [AxbElement(a, b)
+                   for a in map(Fraction, ("1", "2", "3", "1/2", "1/3", "3/2",
+                                           "2/3", "5/2", "4/3", "4/9", "6"))
+                   for b in map(Fraction, ("0", "1/12", "1/6", "1/4", "1/3", "1/2"))
+                   if b < Fraction(1, a.denominator)]
+        assert all(bost_connes.double_rep(g) == g for g in doubles)
+        for g1, g2 in product(doubles, repeat=2):
+            assert bost_connes.double_product(g1, g2) == \
+                _generic_product(bost_connes, g1, g2), (g1, g2)
+
+    def test_wrong_bost_connes_hook_fails_the_build(self, monkeypatch):
+        hook = pairs_module._bost_connes_double_product
+
+        def doubled(g1, g2):
+            return {k: 2 * n for k, n in hook(g1, g2).items()}
+
+        monkeypatch.setattr(pairs_module, "_bost_connes_double_product", doubled)
+        with pytest.raises(PairSanityError, match="closed-form") as err:
+            build_pair("bost_connes")
+        # the seeded sample holds one double of degree 2-3, so the build
+        # checks one product; the sweep above carries the real coverage
+        g = AxbElement(3, Fraction(1, 3))
+        assert err.value.witness == (g, g)
