@@ -68,7 +68,6 @@ from .groups import (
     enumerate_word_ball,
     validate_length,
     word_length,
-    zero_length,
 )
 from .jolissaint import (
     JolissaintParams,

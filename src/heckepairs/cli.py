@@ -3,14 +3,15 @@
 Every JSON artifact embeds the resolved configuration that produced it, and
 exact-mode runs are byte-identical for identical (command, config, seed).
 Exit codes: 0 success; 2 for a failed check, a bad configuration, a length
-the pair lacks or an exhausted enumeration budget (a machine-readable
-failure object is printed); 1 internal error.
+the pair lacks, an exhausted enumeration budget or a command that needs a
+finite H (a machine-readable failure object is printed); 1 internal error.
 """
 
 import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 import traceback
@@ -29,7 +30,12 @@ from .diagnostics import (
     spawn_rng,
     transfer_check,
 )
-from .errors import BudgetExceededError, ConfigError, UnsupportedLengthError
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    InfiniteSubgroupError,
+    UnsupportedLengthError,
+)
 from .jolissaint import jolissaint_seminorm
 from .operators import norm_lower
 from .pairs import build_pair, catalog_list
@@ -135,6 +141,8 @@ class ExperimentConfig:
             raise ConfigError("key %r: need at least one radius" % key)
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("radii must be strictly increasing: %r" % (radii,))
+        if radii[0] < 0:  # the least, as the radii increase
+            raise ConfigError("key %r: radii must be >= 0, got %r" % (key, radii))
         self._record(key, ",".join(str(r) for r in radii))
         return radii
 
@@ -449,6 +457,8 @@ def cmd_normest(cfg):
         tol = float(raw_tol)
     except ValueError:
         raise ConfigError("key 'tol': expected a number, got %r" % raw_tol)
+    if not 0 < tol < math.inf:
+        raise ConfigError("key 'tol': need a finite tol > 0, got %r" % raw_tol)
     brackets = [norm_lower(pair, f, length=length, radius=r, tol=tol, seed=seed)
                 for r in radii]
     rows = [["radius", "lower", "upper", "method", "iterations", "residual",
@@ -642,7 +652,7 @@ def main(argv=None):
         print(summary)
         return 0
     except (CommandFailure, ConfigError, UnsupportedLengthError,
-            BudgetExceededError) as e:
+            BudgetExceededError, InfiniteSubgroupError) as e:
         print(json.dumps({
             "status": "failure", "command": args.command, "message": str(e),
             "details": e.details if isinstance(e, CommandFailure) else {},

@@ -85,7 +85,7 @@ class BallIndex:
     length is always a prefix of a larger one, which `prefix` exploits.
     """
 
-    def __init__(self, kind, radius, keys):
+    def __init__(self, radius, keys):
         keys = sorted(keys, key=lambda k: (k.length, k.key))
         for k in keys:
             if k.length is None:
@@ -94,7 +94,6 @@ class BallIndex:
                 raise ValueError(
                     "key %r has length %r beyond radius %r" % (k, k.length, radius)
                 )
-        self.kind = kind
         self.radius = radius
         self.keys = tuple(keys)
         self._slots = {k.rep: i for i, k in enumerate(self.keys)}
@@ -131,7 +130,7 @@ class BallIndex:
     def prefix(self, radius):
         """The sub-ball of keys with length <= radius (prefix of this order)."""
         cut = bisect_right(self._length_list, radius)
-        return BallIndex(self.kind, radius, self.keys[:cut])
+        return BallIndex(radius, self.keys[:cut])
 
 
 class PairBall:
@@ -147,11 +146,12 @@ class PairBall:
 def enumerate_ball(pair, length, radius, budget=10 ** 6):
     """All double cosets of length <= radius plus the parallel right ball.
 
-    length=None uses the pair's attached length. Pairs with closed-form ball
-    providers use them; otherwise a word length's ball of the whole group,
-    walked in the length's own generators, is projected (the induced
-    double-coset length is the minimum word length over the double coset,
-    which is H-bi-invariant by construction).
+    length=None uses the pair's attached length. A closed-form right ball
+    (`ball_rights`) gives the doubles as its keys that are their own double
+    rep; otherwise a word length's ball of the whole group, walked in the
+    length's own generators, is projected (the induced double-coset length
+    is the minimum word length over the double coset, which is
+    H-bi-invariant by construction).
     """
     if length is None:
         length = pair.length
@@ -166,12 +166,15 @@ def enumerate_ball(pair, length, radius, budget=10 ** 6):
         return hit
 
     if (
-        pair._ball_doubles is not None
+        pair._ball_rights is not None
         and pair.length is not None
         and length.name == pair.length.name
     ):
-        doubles = [DoubleCosetKey(rep, length(rep)) for rep in pair._ball_doubles(radius)]
+        # the length is H-bi-invariant, so the ball holds HgH iff it holds
+        # double_rep(g), a coset rep by _sanity_check
         rights = [CosetKey(rep, length(rep)) for rep in pair._ball_rights(radius)]
+        doubles = [DoubleCosetKey(k.rep, k.length) for k in rights
+                   if pair.double_rep(k.rep) == k.rep]
     elif length.gens is not None:
         # layer r of the word walk is word length r, so length() is not called
         dlen = {}
@@ -189,10 +192,7 @@ def enumerate_ball(pair, length, radius, budget=10 ** 6):
             "no ball enumeration for length %r on pair %r" % (length.name, pair.name)
         )
 
-    ball = PairBall(
-        BallIndex("double", radius, doubles),
-        BallIndex("right", radius, rights),
-    )
+    ball = PairBall(BallIndex(radius, doubles), BallIndex(radius, rights))
     pair.ball_cache[cache_key] = ball
     return ball
 
@@ -219,4 +219,4 @@ def reachable_coset_ball(pair, directions, depth, budget=10 ** 6):
         for level, layer in enumerate(islice(layers, depth + 1))
         for rep in layer
     ]
-    return BallIndex("right", depth, keys)
+    return BallIndex(depth, keys)

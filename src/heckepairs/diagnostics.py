@@ -32,6 +32,10 @@ from .operators import ActionTable, norm_lower, norm_upper
 K_FACTOR = 2
 K_FACTOR_CHAR = 5
 TRUNC_FACTOR = 2
+# random_hecke_element / random_l2_vector: at most this many terms, with
+# integer coefficient parts in [-RANDOM_COEFF_MAX, RANDOM_COEFF_MAX]
+RANDOM_MAX_TERMS = 4
+RANDOM_COEFF_MAX = 5
 
 
 def spawn_rng(seed, *key):
@@ -43,16 +47,15 @@ def spawn_rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _nonzero_int(rng, coeff_max, nonneg):
-    lo = 1 if nonneg else -coeff_max
+def _nonzero_int(rng, nonneg):
+    lo = 1 if nonneg else -RANDOM_COEFF_MAX
     while True:
-        c = int(rng.integers(lo, coeff_max + 1))
+        c = int(rng.integers(lo, RANDOM_COEFF_MAX + 1))
         if c != 0:
             return c
 
 
-def _random_terms(pair, rng, radius, length, max_terms, coeff_max, nonneg,
-                  complex_part, double):
+def _random_terms(pair, rng, radius, length, nonneg, complex_part, double):
     # keys come from the length ball when a usable length exists, otherwise
     # from the pair's own random element stream
     length = length or pair.length
@@ -66,37 +69,35 @@ def _random_terms(pair, rng, radius, length, max_terms, coeff_max, nonneg,
     if keys is None:
         key = double_key if double else coset_key
         seen = dict.fromkeys(
-            key(pair, pair.random_element(rng)) for _ in range(4 * max_terms)
+            key(pair, pair.random_element(rng)) for _ in range(4 * RANDOM_MAX_TERMS)
         )
         keys = list(seen)
-    m = min(int(rng.integers(1, max_terms + 1)), len(keys))
+    m = min(int(rng.integers(1, RANDOM_MAX_TERMS + 1)), len(keys))
     picked = sorted(int(i) for i in rng.choice(len(keys), size=m, replace=False))
     terms = []
     for i in picked:
-        re = _nonzero_int(rng, coeff_max, nonneg)
-        im = _nonzero_int(rng, coeff_max, False) if complex_part and not nonneg else 0
+        re = _nonzero_int(rng, nonneg)
+        im = _nonzero_int(rng, False) if complex_part and not nonneg else 0
         terms.append((keys[i], QQi(re, im)))
     return terms
 
 
-def random_hecke_element(pair, rng, radius=3, length=None, max_terms=4,
-                         coeff_max=5, nonneg=False, complex_part=False):
+def random_hecke_element(pair, rng, radius=3, length=None, nonneg=False,
+                         complex_part=False):
     """Random exact element with small integer coefficients.
 
     Supports are drawn from the double-coset ball when a usable length
     exists, otherwise from the pair's own random element stream.
     """
     return HeckeElement(pair, _random_terms(
-        pair, rng, radius, length, max_terms, coeff_max, nonneg, complex_part,
-        double=True), mode="exact")
+        pair, rng, radius, length, nonneg, complex_part, double=True), mode="exact")
 
 
-def random_l2_vector(pair, rng, radius=3, length=None, max_terms=4,
-                     coeff_max=5, nonneg=False, complex_part=False):
+def random_l2_vector(pair, rng, radius=3, length=None, nonneg=False,
+                     complex_part=False):
     """Random exact right-coset vector, same sampling scheme as elements."""
     return L2Vector(pair, _random_terms(
-        pair, rng, radius, length, max_terms, coeff_max, nonneg, complex_part,
-        double=False), mode="exact")
+        pair, rng, radius, length, nonneg, complex_part, double=False), mode="exact")
 
 
 def _ols(xs, ys):

@@ -362,17 +362,15 @@ def enumerate_word_ball(gens, radius, budget=10 ** 6):
 class LengthFunction:
     """A length on a group: callable, with metadata the diagnostics rely on.
 
-    kind is a short tag ("word", "abs", "zero", "coordinate-sum",
-    "log-norm"). locally_finite means balls {L <= r} are finite, which the
-    ball-based machinery requires. exact means values are ints/Fractions.
-    gens is the symmetric generator tuple of a word length, else None.
+    locally_finite means balls {L <= r} are finite, which the ball-based
+    machinery requires. exact means values are ints/Fractions. gens is the
+    symmetric generator tuple of a word length, else None.
     """
 
     gens = None
 
-    def __init__(self, name, kind, fn, locally_finite=True, exact=True):
+    def __init__(self, name, fn, locally_finite=True, exact=True):
         self.name = name
-        self.kind = kind
         self._fn = fn
         self.locally_finite = locally_finite
         self.exact = exact
@@ -405,26 +403,19 @@ def word_length(gens, budget=10 ** 6):
             known.update(dict.fromkeys(layer, r))
         return known[g]
 
-    length = LengthFunction("word", "word", fn)
+    length = LengthFunction("word", fn)
     length.gens = gen_list
     return length
 
 
 def dihedral_abs_length():
     """L((n, eps)) = |n|; vanishes exactly on the flip subgroup."""
-    return LengthFunction("abs-translation", "abs", lambda g: abs(g.n))
-
-
-def zero_length():
-    """The trivial length. Not locally finite on infinite groups."""
-    return LengthFunction("zero", "zero", lambda g: 0, locally_finite=False)
+    return LengthFunction("abs-translation", lambda g: abs(g.n))
 
 
 def coordinate_sum_length():
     """L((v, s)) = sum_i |v_i| on semidirect products."""
-    return LengthFunction(
-        "coordinate-sum", "coordinate-sum", lambda g: sum(abs(x) for x in g.vec)
-    )
+    return LengthFunction("coordinate-sum", lambda g: sum(abs(x) for x in g.vec))
 
 
 class LengthReport:

@@ -17,6 +17,9 @@ from .cosets import BallIndex, degree, enumerate_ball
 from .errors import ConfigError
 from .operators import ActionTable, block_operator_norm, norm_upper
 
+# relative slack of submultiplicativity_check's `ok` against float round-off
+SUBMULT_SLACK = 1e-9
+
 
 class JolissaintParams:
     """Corner-seminorm parameters: exponent alpha in (0,1), weight q, level N."""
@@ -80,9 +83,7 @@ def _window(ball, lo_excl, n, alpha, shift=0):
     # lengths are sorted, so the test holds on a prefix; find where it ends
     end = bisect_left(lengths, True, key=lambda L: not length_le_n_minus_pow(
         Fraction(L) - shift, n, alpha))
-    if end <= start:
-        return BallIndex("right", ball.radius, ())
-    return BallIndex("right", ball.radius, ball.keys[start:end])
+    return BallIndex(ball.radius, ball.keys[start:end])
 
 
 class RhoResult:
@@ -239,8 +240,7 @@ class SubmultReport:
         )
 
 
-def submultiplicativity_check(pair, f1, f2, length=None, alpha=Fraction(1, 2),
-                              q=1, slack=1e-9):
+def submultiplicativity_check(pair, f1, f2, length=None, alpha=Fraction(1, 2), q=1):
     """Check nu_{a,q}(f1*f2) <= nu_{a/2,q}(f1)||f2|| + nu_{a/2,q}(f2)||f1||.
 
     Operator norms on the right are replaced by their Schur upper bounds.
@@ -262,7 +262,7 @@ def submultiplicativity_check(pair, f1, f2, length=None, alpha=Fraction(1, 2),
     u1 = norm_upper(pair, f1)
     u2 = norm_upper(pair, f2)
     rhs = nu1 * u2 + nu2 * u1
-    ok = lhs <= rhs + slack * max(1.0, rhs)
+    ok = lhs <= rhs + SUBMULT_SLACK * max(1.0, rhs)
     degenerate = nu1 == 0.0 and nu2 == 0.0 and lhs > 0.0
     return SubmultReport(ok, lhs, rhs, alpha, q, nu1, nu2, u1, u2, degenerate)
 

@@ -2,8 +2,8 @@
 
 Each pair bundles a group backend with a membership test for H, generators
 of H for orbit closure, exact right- and double-coset canonicalizers, an
-optional validated length, and (where a closed form exists) direct coset
-ball enumerators. Everything is exact rational arithmetic.
+optional validated length, and (where a closed form exists) a direct
+right-coset ball enumerator. Everything is exact rational arithmetic.
 """
 
 import math
@@ -38,12 +38,15 @@ class HeckePair:
     element keys serve as dictionary keys for cosets. `h_elements` is None
     when H is infinite; orbit closure then relies on `h_generators` alone.
 
-    Pairs with integer coset coordinates may pass `coset_coords(reps)`, int64
+    Pairs with a closed-form length ball may pass `ball_rights(r)`, the
+    canonical right-coset reps of length <= r under the pair's own length;
+    `enumerate_ball` derives the double-coset ball from it. Pairs with
+    integer coset coordinates may pass `coset_coords(reps)`, int64
     (n, width) coordinates of canonical reps, distinct for distinct cosets,
     that add up: coords(H a x) = coords(Ha) + coords(Hx) for every a and
-    canonical rep x, so action tables build in numpy. Pairs with closed-form structure
-    constants pass `double_product(g1, g2)`, the product of canonical double
-    reps as {DoubleCosetKey: int}. Instances are immutable
+    canonical rep x, so action tables build in numpy. Pairs with closed-form
+    structure constants pass `double_product(g1, g2)`, the product of
+    canonical double reps as {DoubleCosetKey: int}. Instances are immutable
     after build apart from four append-only caches: `ball_cache`,
     `decompose_cache`, `action_cache` (`apply_regular_rep`'s action rows) and
     `product_cache` (`convolve`'s constants); concurrent readers are safe.
@@ -52,8 +55,8 @@ class HeckePair:
     def __init__(self, name, params, identity, contains, h_generators,
                  coset_rep, double_rep, length=None, candidate_lengths=None,
                  h_elements=None, g_generators=None, random_element=None,
-                 ball_rights=None, ball_doubles=None, coset_coords=None,
-                 double_product=None, rd_status="unknown", notes=""):
+                 ball_rights=None, coset_coords=None, double_product=None,
+                 rd_status="unknown"):
         self.name = name
         self.params = dict(params)
         self.identity = identity
@@ -67,11 +70,9 @@ class HeckePair:
         self.g_generators = tuple(g_generators) if g_generators else None
         self._random_element = random_element
         self._ball_rights = ball_rights
-        self._ball_doubles = ball_doubles
         self.coset_coords = coset_coords
         self.double_product = double_product
         self.rd_status = rd_status
-        self.notes = notes
         # append-only caches, keyed on canonical element keys
         self.decompose_cache = {}
         self.action_cache = {}
@@ -124,14 +125,19 @@ class HeckePair:
         return "HeckePair(%r, %r)" % (self.name, self.params)
 
 
-def _sanity_check(pair, n_samples=25, seed=7):
+# _sanity_check draws this many random elements (plus the identity) per build
+SANITY_SAMPLES = 25
+SANITY_SEED = 7
+
+
+def _sanity_check(pair):
     """Seeded spot check of the canonicalizer contracts; raises on failure."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SANITY_SEED)
     hs = pair.h_sample(depth=2)[:6]
     e = pair.identity
     if not pair.contains(e):
         raise PairSanityError("identity not in H for %r" % pair.name, witness=e)
-    sample = [e] + [pair.random_element(rng) for _ in range(n_samples)]
+    sample = [e] + [pair.random_element(rng) for _ in range(SANITY_SAMPLES)]
     for g in sample:
         r = pair.coset_rep(g)
         if pair.coset_rep(r) != r:
@@ -155,6 +161,9 @@ def _sanity_check(pair, n_samples=25, seed=7):
                 "right and double canonicalizers disagree on %r" % pair.name,
                 witness=g,
             )
+        if pair.coset_rep(d) != d:  # enumerate_ball finds ball_rights doubles by it
+            raise PairSanityError("double rep is not its own coset rep on %r"
+                                  % pair.name, witness=g)
         for h in hs:
             if pair.coset_rep(h * g) != r:
                 raise PairSanityError(
@@ -192,6 +201,7 @@ def _sanity_check(pair, n_samples=25, seed=7):
 
 # ---------------------------------------------------------------------------
 # dihedral: G = Z x| Z/2 (infinite dihedral), H = the flip subgroup of order 2.
+# A Gelfand pair: the convolution algebra is commutative.
 
 
 def _build_dihedral(params):
@@ -211,20 +221,7 @@ def _build_dihedral(params):
         return DihedralElement(int(rng.integers(-30, 31)), 1 if rng.integers(2) == 0 else -1)
 
     def ball_rights(r):
-        rr = math.floor(r)
-        if rr < 0:
-            return []
-        out = [e]
-        for m in range(1, rr + 1):
-            out.append(DihedralElement(-m, 1))
-            out.append(DihedralElement(m, 1))
-        return out
-
-    def ball_doubles(r):
-        rr = math.floor(r)
-        if rr < 0:
-            return []
-        return [DihedralElement(m, 1) for m in range(rr + 1)]
+        return [DihedralElement(m, 1) for m in range(-math.floor(r), math.floor(r) + 1)]
 
     return HeckePair(
         "dihedral", {}, e,
@@ -237,14 +234,13 @@ def _build_dihedral(params):
         g_generators=(DihedralElement(1, 1), DihedralElement(-1, 1), flip),
         random_element=random_element,
         ball_rights=ball_rights,
-        ball_doubles=ball_doubles,
         rd_status="expected",
-        notes="Gelfand pair; commutative convolution algebra.",
     )
 
 
 # ---------------------------------------------------------------------------
-# finite_index: G = Z, H = nZ (default n = 2). Normal, so every degree is 1.
+# finite_index: G = Z, H = nZ (default n = 2). Normal, so every degree is 1
+# and the convolution algebra is the group algebra of Z/n.
 
 
 def _build_finite_index(params):
@@ -263,13 +259,11 @@ def _build_finite_index(params):
     def random_element(rng):
         return IntegerElement(int(rng.integers(-50, 51)))
 
-    def ball(r):
-        if r < 0:
-            return []
-        return [IntegerElement(k) for k in range(n)]
+    def ball_rights(r):
+        return [IntegerElement(k) for k in range(n)] if r >= 0 else []
 
     # coset space is finite, so the zero length still has finite balls here
-    zero = LengthFunction("zero", "zero", lambda g: 0, locally_finite=True)
+    zero = LengthFunction("zero", lambda g: 0, locally_finite=True)
 
     return HeckePair(
         "finite_index", {"n": n}, e,
@@ -281,15 +275,15 @@ def _build_finite_index(params):
         h_elements=None,
         g_generators=(IntegerElement(1), IntegerElement(-1)),
         random_element=random_element,
-        ball_rights=ball,
-        ball_doubles=ball,
+        ball_rights=ball_rights,
         rd_status="expected",
-        notes="Normal finite-index subgroup; group algebra of Z/%d." % n,
     )
 
 
 # ---------------------------------------------------------------------------
-# gl2q: G = GL(2,Q) with positive determinant, H = SL(2,Z).
+# gl2q: G = GL(2,Q) with positive determinant, H = SL(2,Z), the classical
+# Hecke-operator pair; double cosets are indexed by (scale, primitive
+# determinant).
 
 
 def _primitive_parts(g):
@@ -400,7 +394,7 @@ def _build_gl2q(params):
         return g
 
     cand = LengthFunction(
-        "log-det-prim", "log-norm", det_prim_log, locally_finite=False, exact=False
+        "log-det-prim", det_prim_log, locally_finite=False, exact=False
     )
 
     return HeckePair(
@@ -416,13 +410,13 @@ def _build_gl2q(params):
         random_element=random_element,
         double_product=_gl2q_double_product,
         rd_status="unknown",
-        notes="Classical Hecke-operator pair; double cosets indexed by "
-              "(scale, primitive determinant).",
     )
 
 
 # ---------------------------------------------------------------------------
 # bost_connes: G = {x -> a x + b : a in Q>0, b in Q}, H = integer translations.
+# Degrees are asymmetric: deg(a, b) is the numerator of a, the degree of the
+# inverse its denominator.
 
 
 def _bost_connes_double_product(g1, g2):
@@ -484,8 +478,7 @@ def _build_bost_connes(params):
         return AxbElement(a, b)
 
     cand = LengthFunction(
-        "abs-log-a", "log-norm",
-        lambda g: abs(math.log(float(g.a))),
+        "abs-log-a", lambda g: abs(math.log(float(g.a))),
         locally_finite=False, exact=False,
     )
 
@@ -502,13 +495,12 @@ def _build_bost_connes(params):
         random_element=random_element,
         double_product=_bost_connes_double_product,
         rd_status="unknown",
-        notes="Degrees are asymmetric: deg(a, b) is the numerator of a, "
-              "deg of the inverse its denominator.",
     )
 
 
 # ---------------------------------------------------------------------------
 # sl3: G = SL(3,Z), H = the order-two subgroup generated by a swap-flip T.
+# H is not normal: conjugating T by a shear leaves H.
 
 
 def _e3(i, j, v):
@@ -565,7 +557,6 @@ def _build_sl3(params):
         g_generators=tuple(gens),
         random_element=random_element,
         rd_status="non-example",
-        notes="H is not normal: conjugating T by a shear leaves H.",
     )
 
 
@@ -615,26 +606,8 @@ def _build_semidirect(params):
         return np.array([g.vec for g in reps], dtype=np.int64).reshape(-1, rank)
 
     def ball_rights(r):
-        rr = math.floor(r)
-        if rr < 0:
-            return []
-        out = []
-        for m in range(rr + 1):
-            out.extend(SemidirectElement(v, 0, action) for v in _l1_shell(rank, m))
-        return out
-
-    def ball_doubles(r):
-        rr = math.floor(r)
-        if rr < 0:
-            return []
-        out = []
-        for m in range(rr + 1):
-            out.extend(
-                SemidirectElement(v, 0, action)
-                for v in _l1_shell(rank, m)
-                if v <= alpha(v)
-            )
-        return out
+        return [SemidirectElement(v, 0, action)
+                for m in range(math.floor(r) + 1) for v in _l1_shell(rank, m)]
 
     gens = [flip]
     for i in range(rank):
@@ -654,11 +627,8 @@ def _build_semidirect(params):
         g_generators=tuple(gens),
         random_element=random_element,
         ball_rights=ball_rights,
-        ball_doubles=ball_doubles,
         coset_coords=coset_coords,
         rd_status="expected",
-        notes="Free abelian group with an order-two coordinate action "
-              "(%r) by the finite subgroup." % action,
     )
 
 

@@ -207,6 +207,43 @@ class TestExitCodes:
         assert payload["status"] == "failure"
         assert "tol" in payload["message"]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        # nan, -1 and 0 used to run every solve to its step cap, and inf
+        # accepted the first cycle whatever its residual
+        ini = write_ini(tmp_path / "c.ini", "normest", pair="dihedral",
+                        f="delta:1,1", radii="2", tol=tol)
+        assert run("normest", config=ini, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert "finite tol > 0" in payload["message"]
+
+    @pytest.mark.parametrize("command, key", [
+        ("rd-scan", "radii"), ("rd-scan", "operator_radii"), ("normest", "radii"),
+    ])
+    def test_negative_radius_exits_two(self, tmp_path, capsys, command, key):
+        # rd-scan with radii = -1, 2 used to die in rng.integers(1, 1), exit 1
+        values = {"pair": "dihedral", "samples": "2", "operator_samples": "2",
+                  "f": "delta:1,1", "operator": "true", "radii": "0,2",
+                  "operator_radii": "0,2"}
+        ini = write_ini(tmp_path / "ok.ini", command, **values)
+        assert run(command, config=ini, seed=1, out=str(tmp_path)) == 0
+        values[key] = "-1,2"
+        ini = write_ini(tmp_path / "c.ini", command, **values)
+        assert run(command, config=ini, seed=1, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert ">= 0" in payload["message"] and key in payload["message"]
+
+    def test_transfer_check_on_infinite_h_exits_two(self, tmp_path, capsys):
+        # InfiniteSubgroupError used to escape as a traceback with exit 1
+        ini = write_ini(tmp_path / "c.ini", "transfer-check", pair="gl2q",
+                        samples="2")
+        assert run("transfer-check", config=ini, seed=1, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert "finite H" in payload["message"]
+
     def test_inline_term_without_key_exits_two(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "c.ini", "normest", pair="dihedral",
                         f='{"terms": [{"re": "1"}]}', radii="2")

@@ -176,6 +176,25 @@ class TestEnumerateBall:
         assert (sizes[short], sizes[long_]) == (5, 9)
 
 
+    @pytest.mark.parametrize("name, params", [
+        ("dihedral", {}), ("finite_index", {"n": 2}), ("finite_index", {"n": 5}),
+    ] + [("semidirect", {"rank": rank, "action": action})
+         for action in ("swap", "negate") for rank in (1, 2, 3)])
+    def test_double_ball_is_the_image_of_the_right_ball(self, name, params):
+        # oracle: a bi-invariant length is constant on HgH, so HgH lies in
+        # the ball iff its right cosets do; the double ball is the set of
+        # double reps of the right ball's keys, each with that key's length
+        pair = build_pair(name, params)
+        for radius in (-1, 0, Fraction(1, 2), 1, 2, 5, 13):
+            ball = enumerate_ball(pair, None, radius)
+            want = {}
+            for k in ball.right:
+                assert want.setdefault(pair.double_rep(k.rep), k.length) == k.length
+            assert bool(want) == (radius >= 0)
+            assert len(ball.double) == len(want)
+            assert {d.rep: d.length for d in ball.double} == want
+
+
 class TestBallIndex:
     def test_prefix_select_shell(self, dihedral):
         ball = enumerate_ball(dihedral, dihedral.length, 5).right
@@ -201,7 +220,7 @@ class TestBallIndex:
     def test_rejects_keys_without_length(self, dihedral):
         bare = coset_key(dihedral, DihedralElement(1, 1))
         with pytest.raises(ValueError):
-            BallIndex("right", 3, [bare])
+            BallIndex(3, [bare])
 
 
 class TestReachable:

@@ -251,7 +251,7 @@ class TestValidateLength:
 
     def test_signed_translation_fails(self):
         # L((n, eps)) = n is not symmetric under inversion and goes negative
-        bad = LengthFunction("signed", "abs", lambda g: g.n)
+        bad = LengthFunction("signed", lambda g: g.n)
         sample = [DihedralElement(3, 1), DihedralElement(-3, 1)]
         report = validate_length(bad, DihedralElement(0, 1), sample)
         assert not report.ok
@@ -259,7 +259,7 @@ class TestValidateLength:
         assert "nonnegative" in rules
 
     def test_float_length_uses_tolerance(self):
-        L = LengthFunction("noisy", "abs", lambda g: abs(g.n) + 1e-12, exact=False)
+        L = LengthFunction("noisy", lambda g: abs(g.n) + 1e-12, exact=False)
         sample = [DihedralElement(2, 1)]
         assert not validate_length(L, DihedralElement(0, 1), sample).ok
         assert validate_length(L, DihedralElement(0, 1), sample, tol=1e-9).ok

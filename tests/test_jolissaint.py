@@ -384,7 +384,7 @@ class TestDerivation:
         from heckepairs.groups import LengthFunction
 
         approx = LengthFunction(
-            "float-abs", "abs", lambda g: float(abs(g.n)), exact=False
+            "float-abs", lambda g: float(abs(g.n)), exact=False
         )
         xi = L2Vector.delta_identity(dihedral)
         with pytest.raises(ConfigError):

@@ -329,7 +329,7 @@ class TestCoordinateTables:
         # the radius-4 domain leave in part
         empty, small = (
             _check_coordinate_table(pair, dkeys, dom, cod, allow_missing=True)
-            for cod in (BallIndex("right", 0, ()), enumerate_ball(pair, L, 2).right))
+            for cod in (BallIndex(0, ()), enumerate_ball(pair, L, 2).right))
         assert _entries(full) > _entries(small) > _entries(empty) == 0
 
     @pytest.mark.parametrize("action", ["swap", "negate"])

@@ -1,11 +1,15 @@
 """Catalog pairs: construction, degrees against hand enumerations, lengths."""
 
+import ast
+import copy
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heckepairs
 from heckepairs import (
     AxbElement,
     ConfigError,
@@ -256,3 +260,65 @@ class TestClosedFormProducts:
         # checks one product; the sweep above carries the real coverage
         g = AxbElement(3, Fraction(1, 3))
         assert err.value.witness == (g, g)
+
+
+class TestSanityCheck:
+    def test_double_reps_are_their_own_coset_reps(self, pairs):
+        # enumerate_ball finds the doubles of a closed-form right ball by this
+        rng = np.random.default_rng(3)
+        for pair in pairs.values():
+            for _ in range(300):
+                d = pair.double_rep(pair.random_element(rng))
+                assert pair.coset_rep(d) == d, (pair.name, d)
+
+    def test_double_rep_outside_its_coset_fails(self):
+        # H(n, -1) = H(-n, 1), so (|n|, -1) is never its own coset rep; every
+        # other contract still holds for this double_rep
+        pair = copy.copy(build_pair("dihedral"))
+        pair.double_rep = lambda g: DihedralElement(abs(g.n), -1)
+        with pytest.raises(PairSanityError, match="own coset rep"):
+            pairs_module._sanity_check(pair)
+
+
+class TestNoUnreadOptions:
+    def test_every_constructor_attribute_is_read(self):
+        # an attribute that only its own __init__ touches is an option that
+        # nothing uses. `self.x` is a read of the enclosing class only, and
+        # passing it straight into a new instance of that class is a copy,
+        # not a read; `obj.x` is a read for every class with an `x`
+        owners = ("HeckePair", "LengthFunction", "BallIndex")
+        paths = sorted(Path(heckepairs.__file__).parent.glob("*.py"))
+        paths += sorted(Path(__file__).parent.glob("*.py"))
+        assigned, read = {}, set()
+
+        def on_self(node):
+            return isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id == "self"
+
+        for path in paths:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and not on_self(node) \
+                        and isinstance(node.ctx, ast.Load):
+                    read.add((None, node.attr))
+            for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+                for fn in cls.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    copies = {id(arg) for call in ast.walk(fn)
+                              if isinstance(call, ast.Call)
+                              and isinstance(call.func, ast.Name)
+                              and call.func.id == cls.name
+                              for arg in call.args + [k.value for k in call.keywords]}
+                    init = fn.name == "__init__" and cls.name in owners
+                    for node in filter(on_self, ast.walk(fn)):
+                        if init and isinstance(node.ctx, ast.Store):
+                            assigned.setdefault(cls.name, set()).add(node.attr)
+                        elif not init and isinstance(node.ctx, ast.Load) \
+                                and id(node) not in copies:
+                            read.add((cls.name, node.attr))
+        assert sorted(assigned) == sorted(owners)
+        unread = sorted("%s.%s" % (cls, attr) for cls, attrs in assigned.items()
+                        for attr in attrs
+                        if (cls, attr) not in read and (None, attr) not in read)
+        assert unread == []
