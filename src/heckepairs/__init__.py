@@ -12,8 +12,6 @@ from .algebra import (
     l1_norm,
     l2_norm_sq,
     norms,
-    sobolev_inner,
-    spread,
 )
 from .cosets import (
     BallIndex,
@@ -34,7 +32,6 @@ from .diagnostics import (
     cauchy_schwarz_constant_check,
     degree_growth_fit,
     degree_table,
-    exact_ratio_sq,
     fit_power_law,
     haagerup_scan_exact,
     haagerup_scan_operator,
@@ -65,7 +62,6 @@ from .groups import (
     MatrixElement,
     SemidirectElement,
     dihedral_abs_length,
-    enumerate_word_ball,
     validate_length,
     word_length,
 )
@@ -75,12 +71,7 @@ from .jolissaint import (
     RhoResult,
     SubmultReport,
     corner_seminorm,
-    derivation_apply,
     jolissaint_seminorm,
-    nu,
-    project,
-    rho,
-    sobolev_tail_profile,
     submultiplicativity_check,
     vanishing_threshold,
 )
@@ -91,7 +82,6 @@ from .operators import (
     norm_lower,
     norm_upper,
     top_singular_value,
-    truncate,
 )
 from .pairs import HeckePair, build_pair, catalog_list
 

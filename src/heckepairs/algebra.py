@@ -52,20 +52,17 @@ class QQi:
 
     __rmul__ = __mul__
 
-    def conj(self):
+    def conjugate(self):
         return QQi(self.re, -self.im)
 
-    conjugate = conj
     real = property(lambda self: self.re)
     imag = property(lambda self: self.im)
 
     def abs_sq(self):
         return self.re * self.re + self.im * self.im
 
-    def to_complex(self):
+    def __complex__(self):
         return complex(self.re) + 1j * complex(self.im)
-
-    __complex__ = to_complex
 
     def is_real_nonneg(self):
         return self.im == 0 and self.re >= 0
@@ -105,7 +102,6 @@ class _ExactRing:
     exact = True
     zero = QQi()
     real_zero = Fraction(0)
-    i = QQi(0, 1)
 
     def coerce(self, c):
         try:
@@ -143,7 +139,6 @@ class _FloatRing:
     exact = False
     zero = 0j
     real_zero = 0.0
-    i = 1j
 
     def coerce(self, c):
         if isinstance(c, QQi):
@@ -342,19 +337,6 @@ class L2Vector(_Supported):
         return sum((abs_sq(c) for c in self.terms.values()), self.ring.real_zero)
 
 
-def spread(f):
-    """The right-coset function behind a Hecke element.
-
-    Each double coset's coefficient is replicated onto every right coset it
-    contains; distinct doubles contribute disjoint right cosets.
-    """
-    out = []
-    for d, c in f.terms.items():
-        for a in decompose_double_coset(f.pair, d.rep):
-            out.append((a, c))
-    return L2Vector(f.pair, out, f.mode)
-
-
 def _action_outputs(pair, dkey, ckey):
     """Output coset reps of (delta_D * delta_c), one per right coset of D.
 
@@ -508,23 +490,3 @@ def norms(f, length=None, s=1):
         prime_sq += a * w
     return NormsReport(s, length.name, l1_norm(f), l2_sq, sob_sq, prime_sq, exact)
 
-
-def sobolev_inner(f1, f2, length=None, s=1):
-    """<f1, f2>_{s,L} over right cosets; exact (QQi) in exact mode."""
-    _check_same(f1, f2)
-    pair = f1.pair
-    length = require_length(pair, length)
-    exact = f1.ring.exact
-    if exact and not (length.exact and isinstance(s, int) and s >= 0):
-        raise ModeMismatchError(
-            "inexact weights with exact coefficients; use to_float()"
-        )
-    acc = f1.ring.zero
-    for d, c in f1.terms.items():
-        other = f2.terms.get(d)
-        if other is None:
-            continue
-        deg = degree(pair, d.rep)
-        w = _weight(length(d.rep), s, exact)
-        acc += c * other.conjugate() * (w * deg)
-    return acc

@@ -61,7 +61,8 @@ class ExperimentConfig:
                  mode_flag=None):
         self.command = command
         self.values = dict(values)
-        self._seed_flag = seed_flag
+        if seed_flag is not None:  # the flag overrides the config key
+            self.values["seed"] = seed_flag
         self._out_flag = out_flag
         self._mode_flag = mode_flag
         self.resolved = {"command": command}
@@ -91,7 +92,7 @@ class ExperimentConfig:
             self._record(key, val)
         return val
 
-    def get_int(self, key, default=None):
+    def get_int(self, key, default=None, least=None):
         raw = self.values.get(key)
         if raw is None:
             val = default
@@ -101,6 +102,9 @@ class ExperimentConfig:
             except ValueError:
                 raise ConfigError("key %r: expected integer, got %r" % (key, raw))
         if val is not None:
+            if least is not None and val < least:
+                raise ConfigError("key %r: need an integer >= %d, got %d"
+                                  % (key, least, val))
             self._record(key, val)
         return val
 
@@ -148,10 +152,7 @@ class ExperimentConfig:
 
     @property
     def seed(self):
-        if self._seed_flag is not None:
-            self._record("seed", int(self._seed_flag))
-            return int(self._seed_flag)
-        return self.get_int("seed")
+        return self.get_int("seed", least=0)
 
     def require_seed(self):
         seed = self.seed
@@ -402,7 +403,7 @@ def cmd_degrees(cfg):
     elements = None
     if length is not None and not length.locally_finite:
         rng = spawn_rng(cfg.seed or 0, 3)
-        count = cfg.get_int("samples", 50)
+        count = cfg.get_int("samples", 50, least=0)
         elements = [pair.random_element(rng) for _ in range(count)]
     fit = degree_growth_fit(pair, length=length, radius=radius, budget=budget,
                             elements=elements)
@@ -487,14 +488,14 @@ def cmd_rd_scan(cfg):
     length = cfg.resolve_length(pair)
     radii = cfg.get_radii(default=(4, 8, 16, 32, 64))
     seed = cfg.require_seed()
-    samples = cfg.get_int("samples", 200)
+    samples = cfg.get_int("samples", 200, least=0)
     budget = cfg.get_int("budget", 10 ** 6)
     exact = haagerup_scan_exact(pair, length=length, radii=radii, seed=seed,
                                 samples=samples, budget=budget)
     op = None
     if cfg.get_bool("operator", False):
         op_radii = cfg.get_radii("operator_radii", default=(2, 4, 8))
-        op_samples = cfg.get_int("operator_samples", 25)
+        op_samples = cfg.get_int("operator_samples", 25, least=0)
         op = haagerup_scan_operator(pair, length=length, radii=op_radii,
                                     seed=seed, samples=op_samples,
                                     budget=budget)
@@ -511,9 +512,10 @@ def cmd_rd_scan(cfg):
 
 def cmd_transfer_check(cfg):
     pair = cfg.build_pair()
-    count = cfg.get_int("samples", 25)
+    count = cfg.get_int("samples", 25, least=0)
     seed = cfg.require_seed() if count > 0 else 0
-    radius = cfg.get_int("radius", 3)
+    # a negative radius gives empty balls: every draw is zero and is skipped
+    radius = cfg.get_int("radius", 3, least=0)
     failures = []
     item_names = None
     for i in range(count):
@@ -579,7 +581,7 @@ def cmd_validate_length(cfg):
     length = cfg.resolve_length(pair)
     if length is None:
         raise ConfigError("pair %r has no length to validate" % pair.name)
-    samples = cfg.get_int("samples", 30)
+    samples = cfg.get_int("samples", 30, least=0)
     rng = spawn_rng(cfg.seed or 0, 5)
     sample = [pair.random_element(rng) for _ in range(samples)]
     report = pair.validate_length(length=length, sample=sample)

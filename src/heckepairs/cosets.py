@@ -79,7 +79,7 @@ def degree(pair, g, budget=10 ** 6):
 
 
 class BallIndex:
-    """Ordered set of coset keys of length <= radius, with shell structure.
+    """Ordered set of coset keys of length <= radius.
 
     Keys are sorted by (length, canonical key); a smaller ball over the same
     length is always a prefix of a larger one, which `prefix` exploits.
@@ -107,25 +107,6 @@ class BallIndex:
 
     def __contains__(self, key):
         return key.rep in self._slots
-
-    def index(self, key):
-        """Position of a key (or anything with a .rep) in the ball order."""
-        return self._slots[key.rep]
-
-    def lengths_present(self):
-        out = []
-        for v in self._length_list:
-            if not out or out[-1] != v:
-                out.append(v)
-        return out
-
-    def shell(self, value):
-        """All keys with length exactly `value`."""
-        return tuple(k for k in self.keys if k.length == value)
-
-    def select(self, pred):
-        """Keys whose length satisfies a predicate (exact caller-side compare)."""
-        return tuple(k for k in self.keys if pred(k.length))
 
     def prefix(self, radius):
         """The sub-ball of keys with length <= radius (prefix of this order)."""

@@ -36,6 +36,15 @@ TRUNC_FACTOR = 2
 # integer coefficient parts in [-RANDOM_COEFF_MAX, RANDOM_COEFF_MAX]
 RANDOM_MAX_TERMS = 4
 RANDOM_COEFF_MAX = 5
+# scans draw random coefficients in [1, SCAN_COEFF_MAX]; the operator scan
+# brackets each norm to norm_lower's SCAN_TOL within SCAN_MAX_ITER steps
+SCAN_COEFF_MAX = 100
+SCAN_TOL = 1e-10
+SCAN_MAX_ITER = 10 ** 4
+# transfer_check's random group functions take values in [0, TRANSFER_COEFF_MAX]
+TRANSFER_COEFF_MAX = 3
+# cauchy_schwarz_constant_check draws entries in [0, CS_COEFF_MAX]
+CS_COEFF_MAX = 50
 
 
 def spawn_rng(seed, *key):
@@ -55,14 +64,13 @@ def _nonzero_int(rng, nonneg):
             return c
 
 
-def _random_terms(pair, rng, radius, length, nonneg, complex_part, double):
-    # keys come from the length ball when a usable length exists, otherwise
-    # from the pair's own random element stream
-    length = length or pair.length
+def _random_terms(pair, rng, radius, nonneg, complex_part, double):
+    # keys come from the pair's length ball when it has a usable one,
+    # otherwise from the pair's own random element stream
     keys = None
-    if length is not None:
+    if pair.length is not None:
         try:
-            ball = enumerate_ball(pair, length, radius)
+            ball = enumerate_ball(pair, pair.length, radius)
             keys = list((ball.double if double else ball.right).keys)
         except UnsupportedLengthError:
             keys = None
@@ -82,22 +90,20 @@ def _random_terms(pair, rng, radius, length, nonneg, complex_part, double):
     return terms
 
 
-def random_hecke_element(pair, rng, radius=3, length=None, nonneg=False,
-                         complex_part=False):
+def random_hecke_element(pair, rng, radius=3, nonneg=False, complex_part=False):
     """Random exact element with small integer coefficients.
 
     Supports are drawn from the double-coset ball when a usable length
     exists, otherwise from the pair's own random element stream.
     """
     return HeckeElement(pair, _random_terms(
-        pair, rng, radius, length, nonneg, complex_part, double=True), mode="exact")
+        pair, rng, radius, nonneg, complex_part, double=True), mode="exact")
 
 
-def random_l2_vector(pair, rng, radius=3, length=None, nonneg=False,
-                     complex_part=False):
+def random_l2_vector(pair, rng, radius=3, nonneg=False, complex_part=False):
     """Random exact right-coset vector, same sampling scheme as elements."""
     return L2Vector(pair, _random_terms(
-        pair, rng, radius, length, nonneg, complex_part, double=False), mode="exact")
+        pair, rng, radius, nonneg, complex_part, double=False), mode="exact")
 
 
 def _ols(xs, ys):
@@ -235,10 +241,6 @@ class RDReport:
         self.degree_t = degree_t
         self.config = dict(config or {})
 
-    @property
-    def radii(self):
-        return [row.radius for row in self.rows]
-
     def to_json_dict(self):
         rows = []
         for row in self.rows:
@@ -270,15 +272,6 @@ class RDReport:
         }
 
 
-def exact_ratio_sq(pair, f, k):
-    """Exact squared scan ratio ||f * k||_2^2 / (||f||_2^2 ||k||_2^2)."""
-    num = apply_regular_rep(pair, f, k).norm_sq()
-    den = l2_norm_sq(f) * k.norm_sq()
-    if den == 0:
-        raise ConfigError("ratio undefined for zero f or k")
-    return num / den
-
-
 def _char_ladder(radii, r):
     """Characteristic-function radii to include at scan radius r (nested)."""
     ladder = {rho for rho in radii if 1 <= rho <= r}
@@ -307,7 +300,7 @@ def _sample_stream(pair, dkeys, ladder, samples, seed, ri, coeff_max):
 
 
 def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
-                        samples=200, coeff_max=100, budget=10 ** 6):
+                        samples=200, coeff_max=SCAN_COEFF_MAX, budget=10 ** 6):
     """Exact scan of max ||f * k||_2 / (||f||_2 ||k||_2) per support radius.
 
     f runs over nonnegative integer elements supported in the double-coset
@@ -397,8 +390,7 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
 
 
 def haagerup_scan_operator(pair, length=None, radii=(2, 4, 8), seed=0,
-                           samples=25, coeff_max=100, tol=1e-10,
-                           max_iter=10 ** 4, budget=10 ** 6):
+                           samples=25, budget=10 ** 6):
     """Operator-norm scan: max norm_lower(f)/||f||_2 per support radius.
 
     Same f family as the exact scan (characteristic functions, deltas,
@@ -418,7 +410,7 @@ def haagerup_scan_operator(pair, length=None, radii=(2, 4, 8), seed=0,
         dkeys = list(dball.keys)
         best = None  # (ratio, label, schur_ratio)
         for label, coeffs, _rng in _sample_stream(
-            pair, dkeys, _char_ladder(radii, r), samples, seed, ri, coeff_max
+            pair, dkeys, _char_ladder(radii, r), samples, seed, ri, SCAN_COEFF_MAX
         ):
             if not coeffs:
                 continue
@@ -428,7 +420,7 @@ def haagerup_scan_operator(pair, length=None, radii=(2, 4, 8), seed=0,
             fn = math.sqrt(float(l2_norm_sq(f)))
             nb = norm_lower(
                 pair, f, length=length, radius=TRUNC_FACTOR * r,
-                tol=tol, max_iter=max_iter,
+                tol=SCAN_TOL, max_iter=SCAN_MAX_ITER,
             )
             ratio = nb.lower / fn
             if best is None or ratio > best[0]:
@@ -443,8 +435,8 @@ def haagerup_scan_operator(pair, length=None, radii=(2, 4, 8), seed=0,
     return RDReport(
         pair.name, length.name, "operator", seed, samples, rows, fitted_c, fitted_s,
         config={
-            "radii": radii, "coeff_max": coeff_max, "trunc_factor": TRUNC_FACTOR,
-            "tol": tol, "max_iter": max_iter,
+            "radii": radii, "coeff_max": SCAN_COEFF_MAX, "trunc_factor": TRUNC_FACTOR,
+            "tol": SCAN_TOL, "max_iter": SCAN_MAX_ITER,
         },
     )
 
@@ -592,9 +584,9 @@ def _bar_right(pair, psi, h):
     return L2Vector(pair, terms, mode="exact")
 
 
-def _random_group_function(pair, base, rng, coeff_max=3):
+def _random_group_function(pair, base, rng):
     """Nonnegative group function supported in the same set, not H-invariant."""
-    return {x: QQi(int(rng.integers(0, coeff_max + 1))) for x in base}
+    return {x: QQi(int(rng.integers(0, TRANSFER_COEFF_MAX + 1))) for x in base}
 
 
 def transfer_check(pair, f, k, rng=None):
@@ -699,7 +691,7 @@ def transfer_check(pair, f, k, rng=None):
     return TransferReport(pair.name, n, items)
 
 
-def cauchy_schwarz_constant_check(m, trials=1000, seed=0, coeff_max=50):
+def cauchy_schwarz_constant_check(m, trials=1000, seed=0):
     """The averaging constant c(m) = m is sharp: (sum x)^2 <= m sum x^2.
 
     Returns (max_ratio, achieved_at_constant): the max of (sum x)^2 / sum x^2
@@ -709,7 +701,7 @@ def cauchy_schwarz_constant_check(m, trials=1000, seed=0, coeff_max=50):
     rng = spawn_rng(seed, m)
     best = Fraction(0)
     for _ in range(trials):
-        xs = [int(v) for v in rng.integers(0, coeff_max + 1, size=m)]
+        xs = [int(v) for v in rng.integers(0, CS_COEFF_MAX + 1, size=m)]
         s2 = sum(x * x for x in xs)
         if s2 == 0:
             continue

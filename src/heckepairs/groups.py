@@ -1,4 +1,4 @@
-"""Group element backends, word balls and length functions.
+"""Group element backends, word-length layers and length functions.
 
 Every element is immutable and hashable; the hash key includes a backend tag
 so elements from different groups never compare equal. All arithmetic is
@@ -6,7 +6,6 @@ exact (ints and Fractions), floats only ever appear in length *values*.
 """
 
 from fractions import Fraction
-from itertools import islice
 
 from .errors import BackendMismatchError, BudgetExceededError
 
@@ -344,19 +343,6 @@ def word_layers(gens, budget):
         gen_list[0].identity(), lambda x: [x * s for s in gen_list], budget,
         "word ball",
     )
-
-
-def enumerate_word_ball(gens, radius, budget=10 ** 6):
-    """All group elements of word length <= radius, BFS layer by layer.
-
-    Returns a list sorted by (word length, element key); the identity comes
-    first. Negative radius gives []. Raises BudgetExceededError when the ball
-    outgrows `budget` nodes.
-    """
-    out = []
-    for layer in islice(word_layers(gens, budget), max(0, radius + 1)):
-        out.extend(sorted(layer, key=lambda g: g.key))
-    return out
 
 
 class LengthFunction:

@@ -1,4 +1,4 @@
-"""Corner-block seminorms over length projections, and the length derivation.
+"""Corner-block seminorms over length projections.
 
 For a finitely supported element f with max support length ell, the corner
 compressions (1-P_N) f P_{N-N^alpha} live entirely inside narrow length
@@ -12,8 +12,8 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .algebra import apply_regular_rep, convolve, norms, require_length
-from .cosets import BallIndex, degree, enumerate_ball
+from .algebra import convolve, require_length
+from .cosets import BallIndex, enumerate_ball
 from .errors import ConfigError
 from .operators import ActionTable, block_operator_norm, norm_upper
 
@@ -143,11 +143,6 @@ def corner_seminorm(pair, f, length=None, params=None, ball=None, budget=10 ** 6
     )
 
 
-def rho(pair, f, length=None, params=None, **kw):
-    """Float value of the level-N corner seminorm."""
-    return corner_seminorm(pair, f, length=length, params=params, **kw).value
-
-
 class NuResult:
     """Exact sup over levels: max of rho over N below the vanishing threshold."""
 
@@ -201,12 +196,6 @@ def jolissaint_seminorm(pair, f, length=None, alpha=Fraction(1, 2), q=1,
     return NuResult(best_val, best_n, rows, threshold, alpha, q)
 
 
-def nu(pair, f, length=None, alpha=Fraction(1, 2), q=1, budget=10 ** 6):
-    """Float value of the sup-over-levels seminorm."""
-    return jolissaint_seminorm(pair, f, length=length, alpha=alpha, q=q,
-                               budget=budget).value
-
-
 class SubmultReport:
     """One-sided product inequality record.
 
@@ -240,7 +229,7 @@ class SubmultReport:
         )
 
 
-def submultiplicativity_check(pair, f1, f2, length=None, alpha=Fraction(1, 2), q=1):
+def submultiplicativity_check(pair, f1, f2, alpha=Fraction(1, 2), q=1):
     """Check nu_{a,q}(f1*f2) <= nu_{a/2,q}(f1)||f2|| + nu_{a/2,q}(f2)||f1||.
 
     Operator norms on the right are replaced by their Schur upper bounds.
@@ -253,12 +242,11 @@ def submultiplicativity_check(pair, f1, f2, length=None, alpha=Fraction(1, 2), q
     against a longer f2 with lhs 113.14 > rhs 80, is not flagged.
     """
     alpha = Fraction(alpha)
-    length = length or pair.length
     prod = convolve(pair, f1, f2)
-    lhs = jolissaint_seminorm(pair, prod, length=length, alpha=alpha, q=q).value
+    lhs = jolissaint_seminorm(pair, prod, alpha=alpha, q=q).value
     half = alpha / 2
-    nu1 = jolissaint_seminorm(pair, f1, length=length, alpha=half, q=q).value
-    nu2 = jolissaint_seminorm(pair, f2, length=length, alpha=half, q=q).value
+    nu1 = jolissaint_seminorm(pair, f1, alpha=half, q=q).value
+    nu2 = jolissaint_seminorm(pair, f2, alpha=half, q=q).value
     u1 = norm_upper(pair, f1)
     u2 = norm_upper(pair, f2)
     rhs = nu1 * u2 + nu2 * u1
@@ -266,65 +254,3 @@ def submultiplicativity_check(pair, f1, f2, length=None, alpha=Fraction(1, 2), q
     degenerate = nu1 == 0.0 and nu2 == 0.0 and lhs > 0.0
     return SubmultReport(ok, lhs, rhs, alpha, q, nu1, nu2, u1, u2, degenerate)
 
-
-class TailProfile:
-    """Squared projection tails ||(1-P_k) f||^2 and the weighted norms."""
-
-    __slots__ = ("rows", "norm_reports", "length_name")
-
-    def __init__(self, rows, norm_reports, length_name):
-        self.rows = rows
-        self.norm_reports = norm_reports
-        self.length_name = length_name
-
-
-def sobolev_tail_profile(pair, f, length=None, s_list=(0, 1, 2)):
-    """Tail table ||(1-P_k) f||_2^2 for k = 0..ceil(ell), plus norms per s.
-
-    Tails beyond the max support length are identically zero, so the table
-    is complete. Exact in exact mode.
-    """
-    length = require_length(pair, length)
-    per_double = []
-    for dk, c in f.terms.items():
-        L = length(dk.rep)
-        w = f.ring.abs_sq(c)
-        per_double.append((L, w * degree(pair, dk.rep)))
-    ell = max((L for L, _ in per_double), default=0)
-    zero = f.ring.real_zero
-    rows = []
-    for k in range(0, math.ceil(ell) + 1):
-        rows.append((k, sum((w for L, w in per_double if L > k), zero)))
-    reports = {s: norms(f, length=length, s=s) for s in s_list}
-    return TailProfile(rows, reports, length.name)
-
-
-def project(xi, radius, length=None):
-    """Zero out the coefficients at keys of length > radius.
-
-    Works on right-coset vectors and on algebra elements alike; idempotent,
-    never norm-increasing, and P_r P_t = P_min(r,t) exactly.
-    """
-    length = require_length(xi.pair, length)
-    kept = [(k, c) for k, c in xi.terms.items() if length(k.rep) <= radius]
-    return type(xi)(xi.pair, kept, xi.mode)
-
-
-def _scale_by_length(vec, length):
-    terms = [(k, c * length(k.rep)) for k, c in vec.terms.items()]
-    return type(vec)(vec.pair, terms, vec.mode)
-
-
-def derivation_apply(pair, f, xi, length=None):
-    """The commutator i[d_L, lambda(f)] applied to xi.
-
-    d_L multiplies each coset coefficient by its length; the result is
-    i*(d_L(f * xi) - f * d_L(xi)). Exact when the length is exact.
-    """
-    length = require_length(pair, length)
-    if xi.ring.exact and not length.exact:
-        raise ConfigError("exact derivation needs an exact length")
-    d1 = _scale_by_length(apply_regular_rep(pair, f, xi), length)
-    d2 = apply_regular_rep(pair, f, _scale_by_length(xi, length))
-    diff = d1 - d2
-    return diff.scale(xi.ring.i)

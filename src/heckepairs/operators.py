@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .algebra import l1_norm, require_length
+from .algebra import l1_norm
 from .cosets import decompose_double_coset, enumerate_ball, reachable_coset_ball
 from .errors import PairSanityError, UnsupportedLengthError
 
@@ -128,30 +128,6 @@ class SparseOperator:
 
     def rmatvec(self, y):  # the adjoint
         return _scatter(self.cols, self.vals.conj() * y[self.rows], self.shape[1])
-
-
-class TruncatedOperator:
-    """lambda(f) compressed to a domain ball, with column-exact codomain."""
-
-    def __init__(self, domain, codomain, matrix, support_length):
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-        self.support_length = support_length
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
-def truncate(pair, f, length=None, radius=0):
-    """Matrix of lambda(f) on the right-coset ball of the given radius."""
-    length = require_length(pair, length)
-    ell = f.max_support_length(length)
-    ball_dom = enumerate_ball(pair, length, radius).right
-    ball_cod = enumerate_ball(pair, length, radius + ell).right
-    table = ActionTable(pair, f.support, ball_dom, ball_cod)
-    return TruncatedOperator(ball_dom, ball_cod, table.matrix_for(f), ell)
 
 
 _BASIS = 64  # Krylov vectors per cycle: memory O(_BASIS * (m + n))

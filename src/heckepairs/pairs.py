@@ -105,7 +105,7 @@ class HeckePair:
         out = chain.from_iterable(islice(layers, depth + 1))
         return tuple(sorted(out, key=lambda g: g.key))
 
-    def validate_length(self, length=None, sample=None, tol=None, rng=None):
+    def validate_length(self, length=None, sample=None, tol=None):
         """Run the length-axiom checks against this pair's data."""
         from .groups import validate_length as _vl
 
@@ -114,8 +114,7 @@ class HeckePair:
         if length is None:
             raise ConfigError("pair %r has no length attached" % self.name)
         if sample is None:
-            if rng is None:
-                rng = np.random.default_rng(0)
+            rng = np.random.default_rng(0)
             sample = [self.random_element(rng) for _ in range(30)]
         if tol is None and not length.exact:
             tol = 1e-9

@@ -235,6 +235,44 @@ class TestExitCodes:
         assert payload["status"] == "failure"
         assert ">= 0" in payload["message"] and key in payload["message"]
 
+    NEGATIVE_INPUTS = [
+        # (command, key, config, --seed); the key's negative value comes from
+        # the config or, for key "seed" with config seed unset, the flag.
+        # A negative seed used to die in numpy's SeedSequence with exit 1
+        ("normest", "seed", {"f": "delta:1,1", "radii": "2", "seed": "-1"}, None),
+        ("normest", "seed", {"f": "delta:1,1", "radii": "2"}, -1),
+        ("rd-scan", "seed", {"radii": "2", "samples": "2", "seed": "-1"}, None),
+        ("rd-scan", "seed", {"radii": "2", "samples": "2"}, -1),
+        ("degrees", "seed", {"pair": "gl2q", "length": "log-det-prim", "samples": "5",
+                             "seed": "-1"}, None),
+        ("validate-length", "seed", {"seed": "-1"}, None),
+        # negative counts, and transfer-check's empty balls, used to run and
+        # report success without checking anything
+        ("transfer-check", "samples", {"samples": "-1"}, 1),
+        ("transfer-check", "radius", {"samples": "5", "radius": "-1"}, 1),
+        ("rd-scan", "samples", {"radii": "2", "samples": "-3"}, 1),
+        ("rd-scan", "operator_samples", {"radii": "2", "samples": "2", "operator": "true",
+                                         "operator_radii": "2",
+                                         "operator_samples": "-1"}, 1),
+        ("validate-length", "samples", {"samples": "-2"}, None),
+    ]
+
+    @pytest.mark.parametrize("command, key, values, flag", NEGATIVE_INPUTS,
+                             ids=["%s-%s%s" % (c, k, "-flag" if f == -1 else "")
+                                  for c, k, _, f in NEGATIVE_INPUTS])
+    def test_negative_seed_count_or_radius_exits_two(self, tmp_path, capsys, command,
+                                                      key, values, flag):
+        values = dict({"pair": "dihedral"}, **values)
+        ini = write_ini(tmp_path / "c.ini", command, **values)
+        assert run(command, config=ini, seed=flag, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert ">= 0" in payload["message"] and repr(key) in payload["message"]
+        # the bound is inclusive: the same run at 0 succeeds
+        ini = write_ini(tmp_path / "c.ini", command, **dict(values, **{key: "0"}))
+        assert run(command, config=ini, seed=0 if flag == -1 else flag,
+                   out=str(tmp_path)) == 0
+
     def test_transfer_check_on_infinite_h_exits_two(self, tmp_path, capsys):
         # InfiniteSubgroupError used to escape as a traceback with exit 1
         ini = write_ini(tmp_path / "c.ini", "transfer-check", pair="gl2q",

@@ -197,25 +197,16 @@ class TestEnumerateBall:
 
 class TestBallIndex:
     def test_prefix_select_shell(self, dihedral):
+        # the shell of length 2 is what prefix(2) adds to prefix(1)
         ball = enumerate_ball(dihedral, dihedral.length, 5).right
         assert len(ball.prefix(2)) == 5
-        assert [k.key for k in ball.shell(2)] == [(-2, 1), (2, 1)]
-        odd = ball.select(lambda L: L % 2 == 1)
-        assert sorted(k.length for k in odd) == [1, 1, 3, 3, 5, 5]
+        shell = ball.prefix(2).keys[len(ball.prefix(1)):]
+        assert [k.key for k in shell] == [(-2, 1), (2, 1)]
 
     def test_prefix_extremes(self, dihedral):
         ball = enumerate_ball(dihedral, dihedral.length, 5).right
         assert len(ball.prefix(-1)) == 0
         assert len(ball.prefix(5)) == len(ball.keys)
-
-    def test_index_lookup(self, dihedral):
-        ball = enumerate_ball(dihedral, dihedral.length, 5).right
-        for i, k in enumerate(ball.keys):
-            assert ball.index(k) == i
-
-    def test_lengths_present(self, dihedral):
-        ball = enumerate_ball(dihedral, dihedral.length, 4).double
-        assert ball.lengths_present() == [0, 1, 2, 3, 4]
 
     def test_rejects_keys_without_length(self, dihedral):
         bare = coset_key(dihedral, DihedralElement(1, 1))

@@ -3,6 +3,7 @@
 import ast
 import math
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -18,12 +19,12 @@ from heckepairs import (
     MatrixElement,
     SemidirectElement,
     dihedral_abs_length,
-    enumerate_word_ball,
+    enumerate_ball,
     spawn_rng,
     validate_length,
     word_length,
 )
-from heckepairs.groups import LengthFunction, coordinate_sum_length
+from heckepairs.groups import LengthFunction, coordinate_sum_length, word_layers
 
 
 def dihedral_to_matrix(g):
@@ -158,9 +159,11 @@ class TestSemidirect:
 
 
 class TestWordBall:
+    # enumerate_ball walks a word length's ball as the layers of word_layers
+
     def test_dihedral_ball_matches_brute_force(self):
         gens = [DihedralElement(1, 1), DihedralElement(0, -1)]
-        ball = enumerate_word_ball(gens, 2)
+        ball = list(chain.from_iterable(islice(word_layers(gens, 10 ** 6), 3)))
         # brute force: all products of <= 2 symmetrized generators
         sym = [DihedralElement(1, 1), DihedralElement(-1, 1), DihedralElement(0, -1)]
         expect = {DihedralElement(0, 1)}
@@ -171,20 +174,29 @@ class TestWordBall:
         assert set(ball) == expect
         assert len(ball) == len(expect) == 8
 
-    def test_sorted_by_length_then_key(self):
+    def test_sorted_by_length_then_key(self, dihedral):
+        # layer r is word length r, which enumerate_ball takes as each
+        # double coset's length; its balls are ordered by (length, key)
         gens = [DihedralElement(1, 1), DihedralElement(0, -1)]
         wl = word_length(gens)
-        ball = enumerate_word_ball(gens, 4)
-        lengths = [wl(g) for g in ball]
-        assert lengths == sorted(lengths)
-        assert ball[0] == DihedralElement(0, 1)
+        layers = list(islice(word_layers(gens, 10 ** 6), 5))
+        assert layers[0] == [DihedralElement(0, 1)]
+        for r, layer in enumerate(layers):
+            assert {wl(g) for g in layer} == {r}
+        ball = enumerate_ball(dihedral, wl, 4)
+        for index in (ball.double, ball.right):
+            order = [(k.length, k.key) for k in index]
+            assert order == sorted(order)
+            assert {L for L, _ in order} == set(range(5))
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
-            enumerate_word_ball([IntegerElement(1)], 100, budget=10)
+            list(islice(word_layers([IntegerElement(1)], 10), 101))
 
-    def test_negative_radius_empty(self):
-        assert enumerate_word_ball([IntegerElement(1)], -1) == []
+    def test_negative_radius_empty(self, dihedral):
+        gens = [DihedralElement(1, 1), DihedralElement(0, -1)]
+        ball = enumerate_ball(dihedral, word_length(gens), -1)
+        assert len(ball.double) == len(ball.right) == 0
 
 
 class TestWordLength:

@@ -1,4 +1,4 @@
-"""Corner seminorms, the length derivation, and projection tails."""
+"""Corner seminorms, their vanishing thresholds, and the submultiplicativity probe."""
 
 import math
 from fractions import Fraction
@@ -16,17 +16,11 @@ from heckepairs import (
     QQi,
     SemidirectElement,
     apply_regular_rep,
-    convolve,
     corner_seminorm,
-    derivation_apply,
     enumerate_ball,
     jolissaint_seminorm,
     norms,
-    nu,
-    project,
     random_hecke_element,
-    rho,
-    sobolev_tail_profile,
     spawn_rng,
     submultiplicativity_check,
     vanishing_threshold,
@@ -70,7 +64,7 @@ def rho_oracle(pair, f, n, alpha, q):
             for rk, c in out.sorted_terms():
                 i = row_pos.get(rk)
                 if i is not None:
-                    mat[i, j] = complex(c.to_complex())
+                    mat[i, j] = complex(c)
         return mat
 
     inner = [k for k in keys if le_n_minus_pow(k.length, n, alpha)]
@@ -145,7 +139,8 @@ class TestRho:
             for alpha in alphas:
                 for n in (1, 2, 3, 5, 8):
                     want = rho_oracle(dihedral, f, n, alpha, q=1)
-                    got = rho(dihedral, f, params=JolissaintParams(alpha, q=1, n=n))
+                    got = corner_seminorm(
+                        dihedral, f, params=JolissaintParams(alpha, q=1, n=n)).value
                     assert got == pytest.approx(want, abs=1e-9), (alpha, n)
 
     def test_semidirect_levels_match_lapack_blocks(self, semidirect):
@@ -184,9 +179,9 @@ class TestRho:
 
     def test_q_scales_by_power_of_n(self, dihedral):
         f = sigma(dihedral, 3)
-        v1 = rho(dihedral, f, params=JolissaintParams(Fraction(1, 2), q=1, n=4))
-        v3 = rho(dihedral, f, params=JolissaintParams(Fraction(1, 2), q=3, n=4))
-        assert v3 == pytest.approx(16 * v1, abs=1e-9)
+        v1 = corner_seminorm(dihedral, f, params=JolissaintParams(Fraction(1, 2), q=1, n=4))
+        v3 = corner_seminorm(dihedral, f, params=JolissaintParams(Fraction(1, 2), q=3, n=4))
+        assert v3.value == pytest.approx(16 * v1.value, abs=1e-9)
 
     def test_vanishes_at_and_beyond_threshold(self, dihedral):
         rng = spawn_rng(6, 1)
@@ -247,8 +242,8 @@ class TestNu:
 
     def test_absolute_homogeneity(self, dihedral):
         f = sigma(dihedral, 3) + sigma(dihedral, 1, coeff=QQi(0, 2))
-        a = nu(dihedral, f)
-        b = nu(dihedral, f.scale(-3))
+        a = jolissaint_seminorm(dihedral, f).value
+        b = jolissaint_seminorm(dihedral, f.scale(-3)).value
         assert b == pytest.approx(3 * a, abs=1e-9)
 
     def test_alpha_monotone(self, dihedral):
@@ -259,7 +254,7 @@ class TestNu:
             f = random_hecke_element(dihedral, rng, radius=4, complex_part=True)
             if f.is_zero():
                 continue
-            values = [nu(dihedral, f, alpha=a) for a in alphas]
+            values = [jolissaint_seminorm(dihedral, f, alpha=a).value for a in alphas]
             assert values[0] >= values[1] - 1e-9
             assert values[1] >= values[2] - 1e-9
 
@@ -268,8 +263,8 @@ class TestNu:
         for _ in range(12):
             f = random_hecke_element(dihedral, rng, radius=3, complex_part=True)
             g = random_hecke_element(dihedral, rng, radius=3, complex_part=True)
-            lhs = nu(dihedral, f + g)
-            rhs = nu(dihedral, f) + nu(dihedral, g)
+            lhs = jolissaint_seminorm(dihedral, f + g).value
+            rhs = jolissaint_seminorm(dihedral, f).value + jolissaint_seminorm(dihedral, g).value
             assert lhs <= rhs + 1e-9
 
     def test_short_support_is_identically_zero(self, dihedral):
@@ -312,108 +307,15 @@ class TestSubmultiplicativity:
         assert rep.lhs == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
 
-class TestProjection:
-    def test_keeps_short_cosets_only(self, dihedral):
-        xi = (
-            L2Vector.delta(dihedral, DihedralElement(0, 1))
-            + L2Vector.delta(dihedral, DihedralElement(2, 1), coeff=QQi(0, 1))
-            + L2Vector.delta(dihedral, DihedralElement(-5, 1))
-        )
-        cut = project(xi, 2)
-        assert {k.key for k, _ in cut.sorted_terms()} == {(0, 1), (2, 1)}
-
-    def test_projection_lattice(self, dihedral):
-        rng = spawn_rng(6, 5)
-        from heckepairs import random_l2_vector
-
-        for _ in range(10):
-            xi = random_l2_vector(dihedral, rng, radius=5, complex_part=True)
-            for r in (0, 1, 3):
-                for t in (0, 2, 5):
-                    a = project(project(xi, r), t)
-                    b = project(xi, min(r, t))
-                    assert a.sorted_terms() == b.sorted_terms()
-
-    def test_idempotent_and_contractive(self, dihedral):
-        rng = spawn_rng(6, 6)
-        from heckepairs import random_l2_vector
-
-        xi = random_l2_vector(dihedral, rng, radius=4, complex_part=True)
-        cut = project(xi, 2)
-        assert project(cut, 2).sorted_terms() == cut.sorted_terms()
-        assert cut.norm_sq() <= xi.norm_sq()
-
-
-class TestDerivation:
-    def test_generator_on_identity_coset_frozen(self, dihedral):
-        # commutator weights are i(L(image) - L(source)): both images of
-        # sigma_1 from the identity coset gain one unit of length
-        xi = L2Vector.delta_identity(dihedral)
-        out = derivation_apply(dihedral, sigma(dihedral, 1), xi)
-        want = (
-            L2Vector.delta(dihedral, DihedralElement(1, 1), coeff=QQi(0, 1))
-            + L2Vector.delta(dihedral, DihedralElement(-1, 1), coeff=QQi(0, 1))
-        )
-        assert out.sorted_terms() == want.sorted_terms()
-
-    def test_vanishes_on_identity_element(self, dihedral):
-        rng = spawn_rng(6, 7)
-        from heckepairs import random_l2_vector
-
-        e = HeckeElement.delta(dihedral, dihedral.identity)
-        for _ in range(5):
-            xi = random_l2_vector(dihedral, rng, radius=4, complex_part=True)
-            assert derivation_apply(dihedral, e, xi).is_zero()
-
-    def test_leibniz_rule_exact(self, dihedral):
-        # D(f1 f2) xi = D(f1)(f2 xi) + lam(f1) D(f2) xi, the product rule
-        # the commutator form must satisfy
-        rng = spawn_rng(6, 8)
-        from heckepairs import random_l2_vector
-
-        for _ in range(8):
-            f1 = random_hecke_element(dihedral, rng, radius=3, complex_part=True)
-            f2 = random_hecke_element(dihedral, rng, radius=3, complex_part=True)
-            xi = random_l2_vector(dihedral, rng, radius=3, complex_part=True)
-            lhs = derivation_apply(dihedral, convolve(dihedral, f1, f2), xi)
-            rhs = derivation_apply(dihedral, f1, apply_regular_rep(dihedral, f2, xi)) \
-                + apply_regular_rep(dihedral, f1, derivation_apply(dihedral, f2, xi))
-            assert lhs.sorted_terms() == rhs.sorted_terms()
-
-    def test_exact_mode_needs_exact_length(self, dihedral):
-        from heckepairs.groups import LengthFunction
-
-        approx = LengthFunction(
-            "float-abs", lambda g: float(abs(g.n)), exact=False
-        )
-        xi = L2Vector.delta_identity(dihedral)
-        with pytest.raises(ConfigError):
-            derivation_apply(dihedral, sigma(dihedral, 1), xi, length=approx)
-
-
 class TestTailProfile:
     def test_frozen_rows(self, dihedral):
         # f = 2 sigma_1 + sigma_3 + delta_H: mass per length is
-        # L0 -> 1, L1 -> 8, L3 -> 2; tails count strictly longer mass
+        # L0 -> 1, L1 -> 8, L3 -> 2 over right cosets and 1, 4, 1 over
+        # doubles, weighted by (1 + L)^(2s)
         f = sigma(dihedral, 1, coeff=2) + sigma(dihedral, 3) \
             + HeckeElement.delta(dihedral, dihedral.identity)
-        prof = sobolev_tail_profile(dihedral, f)
-        assert prof.rows == [(0, 10), (1, 2), (2, 2), (3, 0)]
-        assert prof.length_name == "abs-translation"
-        assert prof.norm_reports[0].sobolev_sq == 11
-        assert prof.norm_reports[0].prime_sq == 6
-        assert prof.norm_reports[1].sobolev_sq == 65
-        assert prof.norm_reports[1].prime_sq == 33
-        assert prof.norm_reports[2].sobolev_sq == 641
-        assert prof.norm_reports[2].prime_sq == 321
-
-    def test_tail_rows_decrease_to_zero(self, dihedral):
-        rng = spawn_rng(6, 9)
-        for _ in range(5):
-            f = random_hecke_element(dihedral, rng, radius=4, complex_part=True)
-            if f.is_zero():
-                continue
-            prof = sobolev_tail_profile(dihedral, f)
-            values = [v for _, v in prof.rows]
-            assert all(a >= b for a, b in zip(values, values[1:]))
-            assert values[-1] == 0
+        want = {0: (11, 6), 1: (65, 33), 2: (641, 321)}
+        for s, (sobolev_sq, prime_sq) in want.items():
+            r = norms(f, s=s)
+            assert r.length_name == "abs-translation"
+            assert (r.sobolev_sq, r.prime_sq) == (sobolev_sq, prime_sq)
