@@ -11,79 +11,106 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from math import gcd, lcm
 
 from .cosets import CosetKey, DoubleCosetKey, coset_key, decompose_double_coset, degree, double_key
 from .errors import ConvolutionAuditError, ModeMismatchError, UnsupportedLengthError
 
 
 class QQi:
-    """Gaussian rational re + im*i with exact components."""
+    """Gaussian rational (a + b*i) / d over ints, d > 0 and gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    Sums and products run on the int triple; `re` and `im` are read-only
+    Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("QQi components must be exact (int/Fraction/str)")
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    re = property(lambda self: Fraction(self.a, self.d))
+    im = property(lambda self: Fraction(self.b, self.d))
+    real, imag = re, im
 
     def __add__(self, other):
         other = _as_qqi(other)
-        return QQi(self.re + other.re, self.im + other.im)
+        return _sum(self, other.a, other.b, other.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _as_qqi(other)
-        return QQi(self.re - other.re, self.im - other.im)
+        return _sum(self, -other.a, -other.b, other.d)
 
     def __rsub__(self, other):
         return _as_qqi(other) - self
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _qqi(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
+        if type(other) is int:  # the structure constants of `convolve`
+            return _qqi(self.a * other, self.b * other, self.d)
         other = _as_qqi(other)
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _qqi(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
-
-    real = property(lambda self: self.re)
-    imag = property(lambda self: self.im)
+        return _qqi(self.a, -self.b, self.d)
 
     def abs_sq(self):
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def is_real_nonneg(self):
-        return self.im == 0 and self.re >= 0
+        return self.b == 0 and self.a >= 0
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         try:
             other = _as_qqi(other)
         except TypeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __repr__(self):
-        if self.im == 0:
+        if self.b == 0:
             return "QQi(%s)" % (self.re,)
         return "QQi(%s, %s)" % (self.re, self.im)
+
+
+def _qqi(a, b, d):
+    """The QQi (a + b*i) / d from ints with d > 0, reduced by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    z = object.__new__(QQi)
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
+def _sum(x, a, b, d):
+    """x + (a + b*i) / d."""
+    if x.d == d:
+        return _qqi(x.a + a, x.b + b, d)
+    return _qqi(x.a * d + a * x.d, x.b * d + b * x.d, x.d * d)
 
 
 def _as_qqi(c):

@@ -37,10 +37,21 @@ class CosetKey:
 
 
 class DoubleCosetKey(CosetKey):
-    """Canonical key of a double coset HgH."""
+    """Canonical key of a double coset HgH.
 
-    __slots__ = ()
+    Convolution probes the same few double keys over and over, so the hash
+    is cached on first use; right keys, the bulk of every ball, do not cache.
+    """
+
+    __slots__ = ("_hash",)
     kind = "double"
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.kind, self.rep))
+            return self._hash
 
 
 def coset_key(pair, g, length=None):

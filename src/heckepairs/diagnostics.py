@@ -191,7 +191,8 @@ def degree_growth_fit(pair, length=None, radius=8, budget=10 ** 6, elements=None
     else:
         table = degree_table(pair, length, radius, budget)
     if not table:
-        raise ConfigError("empty ball: nothing to fit")
+        what = "empty ball" if elements is None else "no elements sampled"
+        raise ConfigError(what + ": nothing to fit")
     pts = [(float(L), d) for _, L, d in table if L >= 1]
     if pts:
         t_fit, intercept = _ols(

@@ -1,6 +1,7 @@
 """Convolution algebra: ring axioms, involution, norms, exact scalars."""
 
 import ast
+import math
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import product
@@ -37,6 +38,9 @@ small_fraction = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3
 )
 small_qqi = st.builds(QQi, small_fraction, small_fraction)
+wide_fraction = st.fractions(
+    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
+)
 
 
 def dihedral_elements(pair):
@@ -227,6 +231,50 @@ class TestScalars:
             )
             assert (a.conjugate().re, a.conjugate().im) == (a.re, -a.im)
             assert a.abs_sq() == a.re * a.re + a.im * a.im
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.tuples(wide_fraction, wide_fraction),
+           y=st.tuples(wide_fraction, wide_fraction),
+           n=st.integers(min_value=-30, max_value=30))
+    def test_qqi_matches_fraction_pair_oracle(self, x, y, n):
+        # the reference is a plain (re, im) pair of Fractions; every result
+        # must also keep its int triple reduced: d > 0 and gcd(a, b, d) = 1
+        def check(z, re, im):
+            assert (z.re, z.im) == (re, im)
+            assert all(type(v) is int for v in (z.a, z.b, z.d))
+            assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+            assert z == QQi(re, im) and hash(z) == hash((re, im))
+            assert bool(z) == (re != 0 or im != 0)
+            assert repr(z) == ("QQi(%s)" % re if im == 0 else "QQi(%s, %s)" % (re, im))
+            assert (str(z.re), str(z.im)) == (str(re), str(im))
+            assert complex(z) == complex(float(re), float(im))
+
+        (p, q), (u, v) = x, y
+        a, b = QQi(p, q), QQi(u, v)
+        check(a, p, q)
+        check(a + b, p + u, q + v)
+        check(a - b, p - u, q - v)
+        check(a * b, p * u - q * v, p * v + q * u)
+        check(a * n, p * n, q * n)
+        check(n * a, p * n, q * n)
+        check(a + n, p + n, q)
+        check(n - a, n - p, -q)
+        check(-a, -p, -q)
+        check(a.conjugate(), p, -q)
+        assert a.abs_sq() == p * p + q * q and type(a.abs_sq()) is Fraction
+        assert (a == b) == (x == y)
+
+    def test_qqi_constructor_takes_exact_input_only(self):
+        z = QQi("1/3")
+        assert (z.a, z.b, z.d) == (1, 0, 3)
+        assert z == QQi(Fraction(1, 3)) == Fraction(1, 3)
+        w = QQi(Fraction(1, 6), Fraction(3, 4))
+        assert (w.a, w.b, w.d) == (2, 9, 12)  # over lcm(6, 4)
+        for bad in ((0.5,), (1, 0.5)):
+            with pytest.raises(TypeError):
+                QQi(*bad)
+        with pytest.raises(AttributeError):
+            z.re = 1
 
     def test_qqi_real_nonneg(self):
         assert QQi(3).is_real_nonneg()

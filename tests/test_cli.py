@@ -273,6 +273,20 @@ class TestExitCodes:
         assert run(command, config=ini, seed=0 if flag == -1 else flag,
                    out=str(tmp_path)) == 0
 
+    @pytest.mark.parametrize("values, message", [
+        # samples = 0 used to report an empty ball, though none was enumerated
+        ({"pair": "gl2q", "length": "log-det-prim", "samples": "0"},
+         "no elements sampled: nothing to fit"),
+        ({"pair": "dihedral", "radius": "-1"}, "empty ball: nothing to fit"),
+    ], ids=["no-samples", "empty-ball"])
+    def test_degrees_with_nothing_to_fit_exits_two(self, tmp_path, capsys, values,
+                                                   message):
+        ini = write_ini(tmp_path / "c.ini", "degrees", **values)
+        assert run("degrees", config=ini, seed=1, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert payload["message"] == message
+
     def test_transfer_check_on_infinite_h_exits_two(self, tmp_path, capsys):
         # InfiniteSubgroupError used to escape as a traceback with exit 1
         ini = write_ini(tmp_path / "c.ini", "transfer-check", pair="gl2q",
@@ -330,6 +344,27 @@ class TestArtifacts:
         payload = json.loads((tmp_path / "convolve.json").read_text())
         terms = payload["product"]["terms"]
         assert [(t["key"], t["re"]) for t in terms] == [([0, 1], "2"), ([2, 1], "1")]
+
+    def test_exact_convolve_with_fractional_coefficients_frozen(self, tmp_path):
+        # (3/4 - 2/5 i) d(1/2, 1/3) + 5 d(2, 0) times (7/6 + 1/9 i) d(1/3, 1/5)
+        # + (-1 + 2i) d(1, 0) on bost_connes; d(1, 0) is the unit, so the last
+        # two rows are 5 (7/6 + 1/9 i) and 5 (-1 + 2i)
+        left = json.dumps({"terms": [
+            {"key": ["1/2", "1/3"], "re": "3/4", "im": "-2/5"},
+            {"key": [2, 0], "re": "5"}]})
+        right = json.dumps({"terms": [
+            {"key": ["1/3", "1/5"], "re": "7/6", "im": "1/9"},
+            {"key": [1, 0], "re": "-1", "im": "2"}]})
+        ini = write_ini(tmp_path / "c.ini", "convolve", pair="bost_connes",
+                        mode="exact", left=left, right=right)
+        assert run("convolve", config=ini, out=str(tmp_path)) == 0
+        terms = json.loads((tmp_path / "convolve.json").read_text())["product"]["terms"]
+        assert [(t["key"], t["re"], t["im"]) for t in terms] == [
+            (["1/6", "13/90"], "331/360", "-23/60"),
+            (["1/2", "1/3"], "1/20", "19/10"),
+            (["2/3", "1/5"], "35/6", "5/9"),
+            (["2", "0"], "-5", "10"),
+        ]
 
     @pytest.mark.parametrize("name, key", [("gl2q", [[1, 0], [0, 2]]),
                                            ("semidirect", [[1, 2], 0])])

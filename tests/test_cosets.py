@@ -8,6 +8,8 @@ from heckepairs import (
     AxbElement,
     BallIndex,
     BudgetExceededError,
+    CosetKey,
+    DoubleCosetKey,
     DihedralElement,
     MatrixElement,
     UnsupportedLengthError,
@@ -104,6 +106,23 @@ class TestKeys:
         a = coset_key(dihedral, DihedralElement(1, 1))
         b = coset_key(dihedral, DihedralElement(2, 1))
         assert a != b and len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("rep", [DihedralElement(3, 1),
+                                     AxbElement(Fraction(3, 2), Fraction(1, 4))],
+                             ids=["dihedral", "axb"])
+    def test_double_key_hash_is_cached_and_unchanged(self, rep):
+        # the cached hash is the tuple hash it replaces, before and after
+        # first use; right keys keep their two slots and no cache
+        d = DoubleCosetKey(rep)
+        first, cached = hash(d), hash(d)
+        assert first == cached == hash(("double", rep))
+        assert hash(DoubleCosetKey(rep, 4)) == hash(d)
+        r = CosetKey(rep)
+        assert r != d and d != r
+        table = {r: "right", d: "double"}
+        assert len(table) == 2
+        assert (table[CosetKey(rep)], table[DoubleCosetKey(rep)]) == ("right", "double")
+        assert CosetKey.__slots__ == ("rep", "length")
 
 
 class TestEnumerateBall:

@@ -339,25 +339,46 @@ class TestNoUnreadOptions:
             "jolissaint.submultiplicativity_check": "acceptance criterion 11",
         }
         # a method is reached through an attribute (obj.name, self.name); a
-        # function or class through its bare name or a module attribute
+        # function or class through its bare name or a module attribute. A
+        # bare name that an enclosing function, lambda or comprehension binds
+        # itself (a parameter, an assignment target, a loop or comprehension
+        # variable) is that local, not the definition
         defined, names, attrs = {}, set(), set()
+        scopes = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,
+                  ast.DictComp, ast.GeneratorExp)
 
-        def collect(node, scope, in_class):
+        def bound(scope):
+            args = getattr(scope, "args", None)
+            out = {a.arg for a in ast.walk(args) if isinstance(a, ast.arg)} \
+                if args else set()
+            todo = list(ast.iter_child_nodes(scope))
+            while todo:
+                node = todo.pop()
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    out.add(node.id)
+                if not isinstance(node, scopes):
+                    todo.extend(ast.iter_child_nodes(node))
+            return out
+
+        def collect(node, scope, in_class, local):
             for child in ast.iter_child_nodes(node):
                 inner = scope
                 if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                     inner = scope + (child.name,)
                     if not (child.name.startswith("__") and child.name.endswith("__")):
                         defined[".".join(inner)] = (child.name, in_class)
-                elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) \
+                        and child.id not in local:
                     names.add(child.id)
                 elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
                     attrs.add(child.attr)
-                collect(child, inner, isinstance(child, ast.ClassDef))
+                inner_local = local | bound(child) if isinstance(child, scopes) else local
+                collect(child, inner, isinstance(child, ast.ClassDef), inner_local)
 
         for path in sorted(Path(heckepairs.__file__).parent.glob("*.py")):
             if path.name != "__init__.py":
-                collect(ast.parse(path.read_text(encoding="utf-8")), (path.stem,), False)
+                collect(ast.parse(path.read_text(encoding="utf-8")), (path.stem,), False,
+                        frozenset())
         unloaded = {where for where, (name, method) in defined.items()
                     if name not in attrs and (method or name not in names)}
         assert sorted(unloaded - set(allowed)) == []
