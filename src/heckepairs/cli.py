@@ -209,58 +209,21 @@ class ExperimentConfig:
 # element (de)serialization: {"pair", "params", "terms": [{"key", "re", "im"}]}
 
 
-def _rep_components(rep):
-    b = rep.backend
-    if b == "dihedral":
-        return [rep.n, rep.eps]
-    if b == "integer":
-        return [rep.n]
-    if b == "axb":
-        return [str(rep.a), str(rep.b)]
-    if b == "matrix":
-        return [[str(x) for x in row] for row in rep.rows]
-    if b == "semidirect":
-        return [list(rep.vec), rep.flip]
-    raise ConfigError("no JSON form for backend %r" % b)
-
-
-def _rep_from_components(pair, comps):
-    t = type(pair.identity)
-    b = t.backend
-    want = len(_rep_components(pair.identity))
+def _rep_from_components(pair, comps, flat=False):
+    """Element of `pair`'s group from its JSON components, or from the flat
+    list of a `delta:` shorthand."""
+    like = pair.identity
+    cls = type(like)
     try:
+        if flat:
+            comps = cls.split_flat(comps, like)
+        want = len(like.components())
         if len(comps) != want:
             raise ValueError("need %d components" % want)
-        if b == "dihedral":
-            return t(int(comps[0]), int(comps[1]))
-        if b == "integer":
-            return t(int(comps[0]))
-        if b == "axb":
-            return t(Fraction(str(comps[0])), Fraction(str(comps[1])))
-        if b == "matrix":
-            return t(tuple(tuple(Fraction(str(x)) for x in row) for row in comps))
-        if b == "semidirect":
-            if len(comps[0]) != len(pair.identity.vec):
-                raise ValueError("need %d coordinates" % len(pair.identity.vec))
-            return t([int(x) for x in comps[0]], int(comps[1]),
-                     pair.identity.action)
+        return cls.from_components(comps, like)
     except (ValueError, TypeError, IndexError, ZeroDivisionError) as e:
         raise ConfigError("bad element key %r for pair %r: %s"
                           % (comps, pair.name, e))
-    raise ConfigError("no JSON form for backend %r" % b)
-
-
-def _rep_from_flat(pair, parts):
-    b = type(pair.identity).backend
-    if b == "matrix":
-        n = 2 if len(parts) == 4 else 3
-        if len(parts) != n * n:
-            raise ConfigError("matrix delta needs 4 or 9 entries")
-        rows = [parts[i * n:(i + 1) * n] for i in range(n)]
-        return _rep_from_components(pair, rows)
-    if b == "semidirect":
-        return _rep_from_components(pair, [parts[:-1], parts[-1]])
-    return _rep_from_components(pair, parts)
 
 
 def element_to_json(el):
@@ -269,7 +232,7 @@ def element_to_json(el):
     terms = []
     for key, c in el.sorted_terms():
         re, im = el.ring.dump_json(c)
-        terms.append({"key": _rep_components(key.rep), "re": re, "im": im})
+        terms.append({"key": key.rep.components(), "re": re, "im": im})
     return {
         "pair": pair.name,
         "params": {k: str(v) for k, v in sorted(pair.params.items())},
@@ -314,7 +277,7 @@ def load_element(pair, spec, mode="exact", kind="double"):
     spec = spec.strip()
     if spec.startswith("delta:"):
         parts = [tok.strip() for tok in spec[len("delta:"):].split(",")]
-        rep = _rep_from_flat(pair, parts)
+        rep = _rep_from_components(pair, parts, flat=True)
         cls = HeckeElement if kind == "double" else L2Vector
         return cls.delta(pair, rep, mode=mode)
     if spec.startswith("{"):
@@ -382,7 +345,7 @@ def cmd_enumerate(cfg):
     doubles = []
     for dk in ball.double:
         deg = degree(pair, dk.rep)
-        comps = _rep_components(dk.rep)
+        comps = dk.rep.components()
         rows.append([json.dumps(comps), dk.length, deg])
         doubles.append({"key": comps, "length": str(dk.length), "degree": deg})
     _write_csv(cfg, "enumerate.csv", rows)
@@ -409,7 +372,7 @@ def cmd_degrees(cfg):
                             elements=elements)
     rows = [["key", "length", "degree"]]
     for key, L, deg in fit.table:
-        rows.append([json.dumps(_rep_components(key.rep)), L, deg])
+        rows.append([json.dumps(key.rep.components()), L, deg])
     _write_csv(cfg, "degrees.csv", rows)
     _write_json(cfg, "degrees.json", {
         "d": fit.d,
@@ -417,7 +380,7 @@ def cmd_degrees(cfg):
         "d_fit": fit.d_fit,
         "t_fit": fit.t_fit,
         "table": [
-            [_rep_components(key.rep), str(L), deg] for key, L, deg in fit.table
+            [key.rep.components(), str(L), deg] for key, L, deg in fit.table
         ],
     })
     return "degrees: bound degree <= %.6g*(1+L)^%d over %d cosets" % (

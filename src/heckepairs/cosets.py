@@ -54,14 +54,12 @@ class DoubleCosetKey(CosetKey):
             return self._hash
 
 
-def coset_key(pair, g, length=None):
-    rep = pair.coset_rep(g)
-    return CosetKey(rep, length(rep) if length is not None else None)
+def coset_key(pair, g):
+    return CosetKey(pair.coset_rep(g))
 
 
-def double_key(pair, g, length=None):
-    rep = pair.double_rep(g)
-    return DoubleCosetKey(rep, length(rep) if length is not None else None)
+def double_key(pair, g):
+    return DoubleCosetKey(pair.double_rep(g))
 
 
 def decompose_double_coset(pair, g, budget=10 ** 6):
@@ -116,9 +114,6 @@ class BallIndex:
     def __iter__(self):
         return iter(self.keys)
 
-    def __contains__(self, key):
-        return key.rep in self._slots
-
     def prefix(self, radius):
         """The sub-ball of keys with length <= radius (prefix of this order)."""
         cut = bisect_right(self._length_list, radius)
@@ -158,13 +153,13 @@ def enumerate_ball(pair, length, radius, budget=10 ** 6):
         return hit
 
     if (
-        pair._ball_rights is not None
+        pair.ball_rights is not None
         and pair.length is not None
         and length.name == pair.length.name
     ):
         # the length is H-bi-invariant, so the ball holds HgH iff it holds
         # double_rep(g), a coset rep by _sanity_check
-        rights = [CosetKey(rep, length(rep)) for rep in pair._ball_rights(radius)]
+        rights = [CosetKey(rep, length(rep)) for rep in pair.ball_rights(radius)]
         doubles = [DoubleCosetKey(k.rep, k.length) for k in rights
                    if pair.double_rep(k.rep) == k.rep]
     elif length.gens is not None:

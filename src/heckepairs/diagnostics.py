@@ -67,14 +67,10 @@ def _nonzero_int(rng, nonneg):
 def _random_terms(pair, rng, radius, nonneg, complex_part, double):
     # keys come from the pair's length ball when it has a usable one,
     # otherwise from the pair's own random element stream
-    keys = None
-    if pair.length is not None:
-        try:
-            ball = enumerate_ball(pair, pair.length, radius)
-            keys = list((ball.double if double else ball.right).keys)
-        except UnsupportedLengthError:
-            keys = None
-    if keys is None:
+    try:
+        ball = enumerate_ball(pair, pair.length, radius)
+        keys = list((ball.double if double else ball.right).keys)
+    except UnsupportedLengthError:
         key = double_key if double else coset_key
         seen = dict.fromkeys(
             key(pair, pair.random_element(rng)) for _ in range(4 * RANDOM_MAX_TERMS)
@@ -147,8 +143,7 @@ class DegreeFit:
     Unpacks as (d, t, table).
     """
 
-    def __init__(self, pair_name, length_name, d, t, table, t_fit, d_fit):
-        self.pair_name = pair_name
+    def __init__(self, length_name, d, t, table, t_fit, d_fit):
         self.length_name = length_name
         self.d = d
         self.t = t
@@ -203,9 +198,7 @@ def degree_growth_fit(pair, length=None, radius=8, budget=10 ** 6, elements=None
         t_fit, intercept = 0.0, math.log(max(d for _, _, d in table))
     t = max(0, math.ceil(t_fit - 1e-9))
     d = max(Fraction(deg) / (1 + Fraction(L)) ** t for _, L, deg in table)
-    return DegreeFit(
-        pair.name, length.name, float(d), t, table, t_fit, math.exp(intercept)
-    )
+    return DegreeFit(length.name, float(d), t, table, t_fit, math.exp(intercept))
 
 
 class ScanRow:
@@ -280,22 +273,24 @@ def _char_ladder(radii, r):
     return sorted(ladder)
 
 
-def _sample_stream(pair, dkeys, ladder, samples, seed, ri, coeff_max):
-    """Yield (label, {double rep: positive int coeff}, rng_or_None).
+def _sample_stream(dkeys, ladder, samples, seed, ri, coeff_max):
+    """Yield (label, rho, {double rep: positive int coeff}, rng_or_None).
 
     Deterministic family: ball characteristic functions for each ladder
     radius, every single delta in the ball, then seeded random supports.
+    rho is the ladder radius of the characteristic k to pair with the
+    sample (the top of the ladder for deltas), None for random samples.
     """
     for rho in ladder:
-        yield "char:%s" % rho, {k.rep: 1 for k in dkeys if k.length <= rho}, None
+        yield "char:%s" % rho, rho, {k.rep: 1 for k in dkeys if k.length <= rho}, None
     for k in dkeys:
-        yield "delta:%r" % (k.rep.key,), {k.rep: 1}, None
+        yield "delta:%r" % (k.rep.key,), ladder[-1], {k.rep: 1}, None
     for si in range(samples):
         rng = spawn_rng(seed, ri, si)
         m = int(rng.integers(1, len(dkeys) + 1))
         picked = sorted(int(i) for i in rng.choice(len(dkeys), size=m, replace=False))
         coeffs = rng.integers(1, coeff_max + 1, size=m)
-        yield "random:%d" % si, {
+        yield "random:%d" % si, None, {
             dkeys[i].rep: int(c) for i, c in zip(picked, coeffs)
         }, rng
 
@@ -338,14 +333,13 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
             for rho in _char_ladder(radii, r)
         }
         rand_mask = (dom_len <= K_FACTOR * r).astype(np.int64)
-        for label, coeffs, rng in _sample_stream(
-            pair, dkeys, sorted(char_k), samples, seed, ri, coeff_max
+        for label, rho, coeffs, rng in _sample_stream(
+            dkeys, sorted(char_k), samples, seed, ri, coeff_max
         ):
             if not coeffs:
                 continue
-            if rng is None:
-                rho = int(label.split(":", 1)[1]) if label.startswith("char") else r
-                kvec = char_k.get(rho, char_k[max(char_k)])
+            if rho is not None:
+                kvec = char_k[rho]
             else:
                 kvec = rng.integers(0, coeff_max + 1, size=len(dom)) * rand_mask
             bound = sum(abs(c) * row_mult[rep] for rep, c in coeffs.items())
@@ -410,8 +404,8 @@ def haagerup_scan_operator(pair, length=None, radii=(2, 4, 8), seed=0,
         rball_size = len(enumerate_ball(pair, length, r, budget=budget).right)
         dkeys = list(dball.keys)
         best = None  # (ratio, label, schur_ratio)
-        for label, coeffs, _rng in _sample_stream(
-            pair, dkeys, _char_ladder(radii, r), samples, seed, ri, SCAN_COEFF_MAX
+        for label, _rho, coeffs, _rng in _sample_stream(
+            dkeys, _char_ladder(radii, r), samples, seed, ri, SCAN_COEFF_MAX
         ):
             if not coeffs:
                 continue

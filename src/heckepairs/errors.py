@@ -6,7 +6,8 @@ class HeckeError(Exception):
 
 
 class BackendMismatchError(HeckeError):
-    """Raised when elements from different group backends are combined."""
+    """Raised when elements of different groups are combined: two element
+    classes, two matrix sizes, or two semidirect actions or ranks."""
 
 
 class BudgetExceededError(HeckeError):

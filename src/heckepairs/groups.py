@@ -1,8 +1,9 @@
-"""Group element backends, word-length layers and length functions.
+"""Group element classes, word-length layers and length functions.
 
-Every element is immutable and hashable; the hash key includes a backend tag
-so elements from different groups never compare equal. All arithmetic is
-exact (ints and Fractions), floats only ever appear in length *values*.
+Every element is immutable and hashable; equality compares the class as well
+as the key, so elements from different groups never compare equal. Each class
+owns its JSON form (`components`/`from_components`). All arithmetic is exact
+(ints and Fractions), floats only ever appear in length *values*.
 """
 
 from fractions import Fraction
@@ -11,10 +12,10 @@ from .errors import BackendMismatchError, BudgetExceededError
 
 
 class GroupElement:
-    """Base class. Subclasses fill in `backend`, `key`, `mul`, `inv`, `identity`."""
+    """Base class. Subclasses fill in `key`, `mul`, `inv` and the JSON form
+    `components`/`from_components`."""
 
     __slots__ = ("_key",)
-    backend = "abstract"
 
     @property
     def key(self):
@@ -26,29 +27,33 @@ class GroupElement:
     def inv(self):
         raise NotImplementedError
 
-    def identity(self):
-        """Identity element of the same backend (and same parameters)."""
+    def components(self):
+        """JSON form: a list of ints, strings and lists of them."""
         raise NotImplementedError
 
-    def _check_backend(self, other):
-        if self.backend != other.backend:
-            raise BackendMismatchError(
-                "cannot combine %r with %r" % (self.backend, other.backend)
-            )
+    @classmethod
+    def from_components(cls, comps, like):
+        """Inverse of `components`; numbers may come as strings. `like`, an
+        element of the same group, supplies what the components leave out."""
+        raise NotImplementedError
+
+    @classmethod
+    def split_flat(cls, parts, like):
+        """The components of a flat list of numbers, as `delta:` writes them."""
+        return parts
 
     def __mul__(self, other):
-        self._check_backend(other)
+        if type(other) is not type(self):
+            raise BackendMismatchError(
+                "cannot combine %s with %s" % (type(self).__name__, type(other).__name__)
+            )
         return self.mul(other)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.backend == other.backend
-            and self._key == other._key
-        )
+        return type(other) is type(self) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.backend, self._key))
+        return hash(self._key)
 
     def __repr__(self):
         return "%s%r" % (type(self).__name__, (self._key,))
@@ -61,7 +66,6 @@ class DihedralElement(GroupElement):
     """
 
     __slots__ = ()
-    backend = "dihedral"
 
     def __init__(self, n, eps):
         if eps not in (1, -1):
@@ -85,15 +89,18 @@ class DihedralElement(GroupElement):
         n, e = self._key
         return DihedralElement(-e * n, e)
 
-    def identity(self):
-        return DihedralElement(0, 1)
+    def components(self):
+        return list(self._key)
+
+    @classmethod
+    def from_components(cls, comps, like):
+        return cls(int(comps[0]), int(comps[1]))
 
 
 class IntegerElement(GroupElement):
     """Element of (Z, +)."""
 
     __slots__ = ()
-    backend = "integer"
 
     def __init__(self, n):
         self._key = int(n)
@@ -108,8 +115,12 @@ class IntegerElement(GroupElement):
     def inv(self):
         return IntegerElement(-self._key)
 
-    def identity(self):
-        return IntegerElement(0)
+    def components(self):
+        return [self._key]
+
+    @classmethod
+    def from_components(cls, comps, like):
+        return cls(int(comps[0]))
 
 
 class AxbElement(GroupElement):
@@ -120,7 +131,6 @@ class AxbElement(GroupElement):
     """
 
     __slots__ = ()
-    backend = "axb"
 
     def __init__(self, a, b):
         a = Fraction(a)
@@ -146,8 +156,12 @@ class AxbElement(GroupElement):
         a, b = self._key
         return AxbElement(1 / a, -b / a)
 
-    def identity(self):
-        return AxbElement(1, 0)
+    def components(self):
+        return [str(x) for x in self._key]
+
+    @classmethod
+    def from_components(cls, comps, like):
+        return cls(Fraction(str(comps[0])), Fraction(str(comps[1])))
 
 
 def _det2(m):
@@ -166,7 +180,6 @@ class MatrixElement(GroupElement):
     """Square matrix over Q (2x2 or 3x3) with nonzero determinant."""
 
     __slots__ = ()
-    backend = "matrix"
 
     def __init__(self, rows):
         rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -221,11 +234,19 @@ class MatrixElement(GroupElement):
                 c[j][i] = cof / d
         return MatrixElement(tuple(tuple(row) for row in c))
 
-    def identity(self):
-        n = self.dim
-        return MatrixElement(
-            tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-        )
+    def components(self):
+        return [[str(x) for x in row] for row in self._key]
+
+    @classmethod
+    def from_components(cls, comps, like):
+        return cls(tuple(tuple(Fraction(str(x)) for x in row) for row in comps))
+
+    @classmethod
+    def split_flat(cls, parts, like):
+        n = 2 if len(parts) == 4 else 3
+        if len(parts) != n * n:
+            raise ValueError("matrix delta needs 4 or 9 entries")
+        return [parts[i * n:(i + 1) * n] for i in range(n)]
 
 
 _SEMIDIRECT_ACTIONS = ("swap", "negate")
@@ -240,7 +261,6 @@ class SemidirectElement(GroupElement):
     """
 
     __slots__ = ()
-    backend = "semidirect"
 
     def __init__(self, vec, flip, action):
         if action not in _SEMIDIRECT_ACTIONS:
@@ -281,9 +301,18 @@ class SemidirectElement(GroupElement):
         nv = tuple(-x for x in v)
         return SemidirectElement(self._alpha(nv) if s else nv, s, act)
 
-    def identity(self):
-        v, _, act = self._key
-        return SemidirectElement((0,) * len(v), 0, act)
+    def components(self):
+        return [list(self.vec), self.flip]
+
+    @classmethod
+    def from_components(cls, comps, like):
+        if len(comps[0]) != len(like.vec):
+            raise ValueError("need %d coordinates" % len(like.vec))
+        return cls([int(x) for x in comps[0]], int(comps[1]), like.action)
+
+    @classmethod
+    def split_flat(cls, parts, like):
+        return [parts[:-1], parts[-1]]
 
 
 class GeneratingSet:
@@ -293,10 +322,8 @@ class GeneratingSet:
         elements = tuple(elements)
         if not elements:
             raise ValueError("need at least one generator")
-        b = elements[0].backend
-        for g in elements:
-            if g.backend != b:
-                raise BackendMismatchError("mixed backends in generating set")
+        if any(type(g) is not type(elements[0]) for g in elements):
+            raise BackendMismatchError("mixed element types in generating set")
         seen = dict.fromkeys(elements)
         for g in elements:
             seen.setdefault(g.inv())
@@ -339,9 +366,9 @@ def word_layers(gens, budget):
     """`walk_layers` from the identity under right multiplication by the
     symmetrized `gens`: layer r holds the elements of word length r."""
     gen_list = GeneratingSet(gens).elements
+    g = gen_list[0]
     return walk_layers(
-        gen_list[0].identity(), lambda x: [x * s for s in gen_list], budget,
-        "word ball",
+        g * g.inv(), lambda x: [x * s for s in gen_list], budget, "word ball",
     )
 
 

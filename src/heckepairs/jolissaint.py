@@ -208,10 +208,9 @@ class SubmultReport:
     """
 
     __slots__ = ("ok", "lhs", "rhs", "alpha", "q", "nu_half_1", "nu_half_2",
-                 "upper_1", "upper_2", "degenerate")
+                 "degenerate")
 
-    def __init__(self, ok, lhs, rhs, alpha, q, nu_half_1, nu_half_2,
-                 upper_1, upper_2, degenerate):
+    def __init__(self, ok, lhs, rhs, alpha, q, nu_half_1, nu_half_2, degenerate):
         self.ok = ok
         self.lhs = lhs
         self.rhs = rhs
@@ -219,8 +218,6 @@ class SubmultReport:
         self.q = q
         self.nu_half_1 = nu_half_1
         self.nu_half_2 = nu_half_2
-        self.upper_1 = upper_1
-        self.upper_2 = upper_2
         self.degenerate = degenerate
 
     def __repr__(self):
@@ -252,5 +249,5 @@ def submultiplicativity_check(pair, f1, f2, alpha=Fraction(1, 2), q=1):
     rhs = nu1 * u2 + nu2 * u1
     ok = lhs <= rhs + SUBMULT_SLACK * max(1.0, rhs)
     degenerate = nu1 == 0.0 and nu2 == 0.0 and lhs > 0.0
-    return SubmultReport(ok, lhs, rhs, alpha, q, nu1, nu2, u1, u2, degenerate)
+    return SubmultReport(ok, lhs, rhs, alpha, q, nu1, nu2, degenerate)
 

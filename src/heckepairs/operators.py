@@ -256,17 +256,12 @@ def norm_lower(pair, f, length=None, radius=6, tol=1e-10, max_iter=10 ** 4, seed
     """
     if f.is_zero():
         return NormBracket(0.0, 0.0, "zero", 0, 0.0, True, radius, 0, 0)
-    length = length or pair.length
-    dom = cod = None
-    if length is not None:
-        try:
-            ell = f.max_support_length(length)
-            dom = enumerate_ball(pair, length, radius).right
-            cod = enumerate_ball(pair, length, radius + ell).right
-            method = "gkl/ball"
-        except UnsupportedLengthError:
-            dom = cod = None
-    if dom is None:
+    try:
+        ell = f.max_support_length(length)
+        dom = enumerate_ball(pair, length, radius).right
+        cod = enumerate_ball(pair, length, radius + ell).right
+        method = "gkl/ball"
+    except UnsupportedLengthError:
         dirs = list(f.support) + list(f.involution().support)
         cod = reachable_coset_ball(pair, dirs, radius + 1)
         dom = cod.prefix(radius)

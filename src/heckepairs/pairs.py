@@ -1,6 +1,6 @@
 """Catalog of concrete Hecke pairs: canonicalizers, lengths, metadata.
 
-Each pair bundles a group backend with a membership test for H, generators
+Each pair bundles an element class with a membership test for H, generators
 of H for orbit closure, exact right- and double-coset canonicalizers, an
 optional validated length, and (where a closed form exists) a direct
 right-coset ball enumerator. Everything is exact rational arithmetic.
@@ -68,8 +68,8 @@ class HeckePair:
         self.candidate_lengths = dict(candidate_lengths or {})
         self.h_elements = tuple(h_elements) if h_elements is not None else None
         self.g_generators = tuple(g_generators) if g_generators else None
-        self._random_element = random_element
-        self._ball_rights = ball_rights
+        self.random_element = random_element  # rng -> element, deterministic
+        self.ball_rights = ball_rights
         self.coset_coords = coset_coords
         self.double_product = double_product
         self.rd_status = rd_status
@@ -82,14 +82,6 @@ class HeckePair:
     @property
     def signature(self):
         return (self.name, tuple(sorted(self.params.items())))
-
-    @property
-    def h_is_finite(self):
-        return self.h_elements is not None
-
-    def random_element(self, rng):
-        """Deterministic sample given a numpy Generator."""
-        return self._random_element(rng)
 
     def h_sample(self, depth=3):
         """A finite, deterministic sample of H for validation checks.
@@ -661,7 +653,7 @@ def catalog_list():
             "rd_status": pair.rd_status,
             "length": pair.length.name if pair.length is not None else None,
             "candidate_lengths": sorted(pair.candidate_lengths),
-            "h_finite": pair.h_is_finite,
+            "h_finite": pair.h_elements is not None,
             "params": pair.params,
         })
     return out

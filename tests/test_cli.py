@@ -18,6 +18,7 @@ from heckepairs import (
     AxbElement,
     DihedralElement,
     HeckeElement,
+    IntegerElement,
     MatrixElement,
     QQi,
     SemidirectElement,
@@ -34,10 +35,15 @@ def write_ini(path, section, **values):
 
 
 class TestElementCodec:
-    def test_round_trip_all_backends(self, pairs):
+    def test_round_trip_all_backends(self):
+        # one sample per element class; the negate pair checks that the
+        # semidirect action comes from the pair, not from the key
         samples = {
             "dihedral": HeckeElement.delta(
                 build_pair("dihedral"), DihedralElement(2, -1), coeff=QQi(Fraction(1, 3), 2)
+            ),
+            "finite_index": HeckeElement.delta(
+                build_pair("finite_index"), IntegerElement(1)
             ),
             "bost_connes": HeckeElement.delta(
                 build_pair("bost_connes"), AxbElement(Fraction(3, 2), Fraction(-1, 4))
@@ -48,11 +54,14 @@ class TestElementCodec:
             "semidirect": HeckeElement.delta(
                 build_pair("semidirect"), SemidirectElement((2, -3), 1, "swap")
             ),
+            "semidirect-negate": HeckeElement.delta(
+                build_pair("semidirect", {"action": "negate"}),
+                SemidirectElement((2, -3), 1, "negate"),
+            ),
         }
         for name, f in samples.items():
-            pair = pairs[name]
             data = element_to_json(f)
-            back = element_from_json(pair, data, mode="exact")
+            back = element_from_json(f.pair, data, mode="exact")
             assert back.sorted_terms() == f.sorted_terms(), name
 
     def test_exact_coefficients_survive_as_strings(self, dihedral):

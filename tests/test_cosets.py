@@ -98,7 +98,8 @@ class TestKeys:
                 assert double_key(dihedral, h1 * g * h2) == double_key(dihedral, g)
 
     def test_key_carries_length_when_given(self, dihedral):
-        k = coset_key(dihedral, DihedralElement(-2, 1), length=dihedral.length)
+        rep = dihedral.coset_rep(DihedralElement(-2, 1))
+        k = CosetKey(rep, dihedral.length(rep))
         assert k.length == 2
         assert coset_key(dihedral, DihedralElement(-2, 1)).length is None
 

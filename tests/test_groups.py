@@ -304,3 +304,11 @@ class TestGeneratingSet:
     def test_mixed_backends_rejected(self):
         with pytest.raises(BackendMismatchError):
             GeneratingSet([DihedralElement(1, 1), IntegerElement(1)])
+
+    def test_classes_never_mix(self):
+        # equal keys: only the class tells these two apart
+        d, a = DihedralElement(1, 1), AxbElement(1, 1)
+        assert d.key == a.key
+        assert d != a and len({d, a}) == 2
+        with pytest.raises(BackendMismatchError):
+            d * a

@@ -113,6 +113,18 @@ class TestBrackets:
         assert b.method == "gkl/reachable"
         assert 0 < b.lower <= b.upper + 1e-9
 
+    def test_reachable_fallback_for_a_length_without_a_ball(self, gl2q):
+        # log-det-prim is not locally finite: the ball is refused, so the
+        # bracket is the same as the one with no length at all
+        from heckepairs import MatrixElement
+
+        f = HeckeElement.delta(gl2q, MatrixElement(((1, 0), (0, 2))))
+        b = norm_lower(gl2q, f, length=gl2q.candidate_lengths["log-det-prim"], radius=2)
+        assert b.method == "gkl/reachable"
+        assert b.lower == norm_lower(gl2q, f, radius=2).lower
+        assert b.lower == pytest.approx(math.sqrt(6), rel=1e-12)
+        assert b.upper == 3
+
     def test_upper_mixes_both_involution_sides(self, bost_connes):
         from heckepairs import AxbElement
 
