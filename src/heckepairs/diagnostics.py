@@ -357,6 +357,7 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
             ratio_sq = Fraction(num, fn2 * kn2)
             if best is None or ratio_sq > best[0]:
                 best = (ratio_sq, label, dict(coeffs), fn2)
+        del table  # free this radius's table before the next, larger one is built
         ratio_sq, label, fco, fn2 = best
         f_elt = HeckeElement(
             pair, [(double_key(pair, rep), QQi(c)) for rep, c in fco.items()]

@@ -512,11 +512,18 @@ def _build_sl3(params):
     def contains(g):
         return g == e or g == T
 
+    def in_g(g):
+        if (g.dim != 3 or g.det() != 1
+                or any(x.denominator != 1 for row in g.rows for x in row)):
+            raise ConfigError("sl3 needs an integer matrix of determinant 1, got %r" % (g,))
+
     def coset_rep(g):
+        in_g(g)
         tg = T * g
         return g if g.key <= tg.key else tg
 
     def double_rep(g):
+        in_g(g)
         best = g
         for x in (T * g, g * T, T * g * T):
             if x.key < best.key:

@@ -208,6 +208,18 @@ class TestExitCodes:
         assert payload["status"] == "failure"
         assert "bad element key" in payload["message"]
 
+    @pytest.mark.parametrize("key", ["delta:2,0,0,0,1,0,0,0,1",
+                                     "delta:1,0,0,0,0,0,0,0,0"],
+                             ids=["det-2", "singular"])
+    def test_sl3_key_outside_sl3z_exits_two(self, tmp_path, capsys, key):
+        # both used to exit 0 and write a product (of det-4 keys for det 2)
+        ini = write_ini(tmp_path / "c.ini", "convolve", pair="sl3", left=key, right=key)
+        assert run("convolve", config=ini, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert "sl3 needs an integer matrix of determinant 1" in payload["message"]
+        assert not (tmp_path / "convolve.json").exists()
+
     def test_non_numeric_tol_exits_two(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "c.ini", "normest", pair="dihedral",
                         f="delta:1,1", radii="2", tol="abc")

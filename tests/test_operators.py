@@ -21,12 +21,14 @@ from heckepairs import (
     block_operator_norm,
     build_pair,
     coset_key,
+    decompose_double_coset,
     enumerate_ball,
     norm_lower,
     norm_upper,
     spawn_rng,
     top_singular_value,
 )
+from heckepairs.diagnostics import K_FACTOR, K_FACTOR_CHAR
 from heckepairs.jolissaint import _window
 from heckepairs.operators import _grid_slots
 
@@ -295,7 +297,15 @@ def _check_coordinate_table(pair, dkeys, dom, cod, allow_missing=False):
     scalar = ActionTable(_scalar_twin(pair), dkeys, dom, cod, allow_missing=allow_missing)
     _assert_same_tables(table.tables, scalar.tables)
     _assert_same_tables(table.tables, _shift_oracle(pair, dkeys, dom, cod))
+    _assert_cols_never_decrease(table)
     return table
+
+
+def _assert_cols_never_decrease(table):
+    # matvec_int reads each table's entries up to the last nonzero of the
+    # vector as a prefix, which needs the column-major order
+    for _, cols in table.tables.values():
+        assert np.all(np.diff(cols) >= 0)
 
 
 def _entries(table):
@@ -369,3 +379,44 @@ class TestCoordinateTables:
                             enumerate_ball(pair, L, 5).right)
         assert _entries(table) > 0
         assert pair.action_cache == {}
+
+
+def _matvec_oracle(pair, coeffs, vec, dom, cod):
+    """lambda(f) k from coset products alone: delta_D sends Hx to every
+    H a x for Ha in D, and no ActionTable is read."""
+    out = [0] * len(cod)
+    for rep, c in coeffs.items():
+        for a in decompose_double_coset(pair, rep):
+            for x, v in zip(dom.keys, vec.tolist()):
+                out[cod._slots[pair.coset_rep(a.rep * x.rep)]] += c * v
+    return out
+
+
+class TestMatvecInt:
+    @pytest.mark.parametrize("name", ["semidirect", "dihedral"])  # grid, coset_rep
+    def test_matches_coset_product_oracle(self, name):
+        # the scan's shapes at r = 2: deltas of the radius-r double ball acting
+        # on a 5r window of the (5r + r)-ball
+        pair = build_pair(name)
+        L, r = pair.length, 2
+        dkeys = enumerate_ball(pair, L, r).double.keys
+        cod = enumerate_ball(pair, L, K_FACTOR_CHAR * r + r).right
+        dom = cod.prefix(K_FACTOR_CHAR * r)
+        table = ActionTable(pair, dkeys, dom, cod)
+        _assert_cols_never_decrease(table)
+        rng = np.random.default_rng(0)
+        coeffs = {k.rep: int(c) for k, c in zip(dkeys, rng.integers(1, 6, len(dkeys)))}
+        dom_len = np.array([float(k.length) for k in dom.keys])
+        masked = rng.integers(1, 6, len(dom)) * (dom_len <= K_FACTOR * r)
+        assert masked[0] and not masked[-1]  # its zeros are a proper suffix
+        interior = rng.integers(0, 6, len(dom))
+        interior[::3] = 0
+        interior[-1] = 7
+        zero = np.zeros(len(dom), dtype=np.int64)
+        for cs, vec in ((coeffs, masked), (coeffs, interior), (coeffs, zero),
+                        ({}, interior)):
+            vec = vec.astype(np.int64)
+            got = table.matvec_int(cs, vec)
+            assert got.dtype == np.int64
+            assert got.tolist() == _matvec_oracle(pair, cs, vec, dom, cod)
+        assert table.matvec_int(coeffs, masked.astype(np.int64)).any()
