@@ -17,7 +17,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .algebra import HeckeElement, L2Vector, convolve
+from .algebra import HeckeElement, convolve
 from .cosets import degree, enumerate_ball
 from .diagnostics import (
     _fmt,
@@ -57,14 +57,9 @@ class ExperimentConfig:
     the exact parameters that produced it.
     """
 
-    def __init__(self, command, values, seed_flag=None, out_flag=None,
-                 mode_flag=None):
+    def __init__(self, command, values):
         self.command = command
         self.values = dict(values)
-        if seed_flag is not None:  # the flag overrides the config key
-            self.values["seed"] = seed_flag
-        self._out_flag = out_flag
-        self._mode_flag = mode_flag
         self.resolved = {"command": command}
 
     @classmethod
@@ -80,7 +75,10 @@ class ExperimentConfig:
                 raise ConfigError("malformed config %s: %s" % (config_path, e))
             if cp.has_section(command):
                 values = dict(cp[command])
-        return cls(command, values, seed_flag=seed, out_flag=out, mode_flag=mode)
+        for key, flag in (("seed", seed), ("out", out), ("mode", mode)):
+            if flag is not None:  # a flag overrides the config key
+                values[key] = flag
+        return cls(command, values)
 
     def _record(self, key, value):
         self.resolved[key] = value if isinstance(value, (int, float, bool)) \
@@ -165,7 +163,7 @@ class ExperimentConfig:
 
     @property
     def mode(self):
-        val = self._mode_flag or self.values.get("mode", "exact")
+        val = self.values.get("mode", "exact")
         if val not in ("exact", "float"):
             raise ConfigError("mode must be 'exact' or 'float', got %r" % val)
         self._record("mode", val)
@@ -173,9 +171,8 @@ class ExperimentConfig:
 
     @property
     def out_dir(self):
-        val = self._out_flag or self.values.get("out", ".")
-        self._record("out", val)
-        return val
+        # not recorded: one run written to two directories gives equal bytes
+        return self.values.get("out") or "."
 
     def build_pair(self):
         name = self.get("pair")
@@ -227,7 +224,7 @@ def _rep_from_components(pair, comps, flat=False):
 
 
 def element_to_json(el):
-    """Interchange form of an algebra element or coset vector."""
+    """Interchange form of a Hecke element."""
     pair = el.pair
     terms = []
     for key, c in el.sorted_terms():
@@ -236,7 +233,7 @@ def element_to_json(el):
     return {
         "pair": pair.name,
         "params": {k: str(v) for k, v in sorted(pair.params.items())},
-        "kind": "double" if isinstance(el, HeckeElement) else "right",
+        "kind": "double",
         "mode": el.mode,
         "terms": terms,
     }
@@ -251,10 +248,12 @@ def element_from_json(pair, data, mode=None):
             "element belongs to pair %r, command uses %r"
             % (data.get("pair"), pair.name)
         )
-    mode = mode or data.get("mode", "exact")
     kind = data.get("kind", "double")
-    cls = HeckeElement if kind == "double" else L2Vector
-    out = cls.zero(pair, mode)
+    if kind != "double":
+        raise ConfigError("element JSON must be a Hecke element (kind 'double'), "
+                          "got kind %r" % (kind,))
+    mode = mode or data.get("mode", "exact")
+    out = HeckeElement.zero(pair, mode)
     for term in data["terms"]:
         if not isinstance(term, dict) or "key" not in term:
             raise ConfigError("element term %r has no 'key'" % (term,))
@@ -263,11 +262,11 @@ def element_from_json(pair, data, mode=None):
             c = out.ring.parse_json(term.get("re", 0), term.get("im", 0))
         except (ValueError, TypeError, ArithmeticError) as e:
             raise ConfigError("bad coefficient in element term %r: %s" % (term, e))
-        out = out + cls.delta(pair, rep, coeff=c, mode=mode)
+        out = out + HeckeElement.delta(pair, rep, coeff=c, mode=mode)
     return out
 
 
-def load_element(pair, spec, mode="exact", kind="double"):
+def load_element(pair, spec, mode="exact"):
     """Element from a config value: delta shorthand, inline JSON, or a path.
 
     `delta:1,1` builds the basis element at the given canonical-rep
@@ -278,8 +277,7 @@ def load_element(pair, spec, mode="exact", kind="double"):
     if spec.startswith("delta:"):
         parts = [tok.strip() for tok in spec[len("delta:"):].split(",")]
         rep = _rep_from_components(pair, parts, flat=True)
-        cls = HeckeElement if kind == "double" else L2Vector
-        return cls.delta(pair, rep, mode=mode)
+        return HeckeElement.delta(pair, rep, mode=mode)
     if spec.startswith("{"):
         try:
             data = json.loads(spec)
@@ -338,7 +336,7 @@ def cmd_pairs(cfg):
 def cmd_enumerate(cfg):
     pair = cfg.build_pair()
     length = cfg.resolve_length(pair)
-    radius = cfg.get_int("radius", 6)
+    radius = cfg.get_int("radius", 6, least=0)
     budget = cfg.get_int("budget", 10 ** 6)
     ball = enumerate_ball(pair, length, radius, budget=budget)
     rows = [["key", "length", "degree"]]
@@ -361,7 +359,7 @@ def cmd_enumerate(cfg):
 def cmd_degrees(cfg):
     pair = cfg.build_pair()
     length = cfg.resolve_length(pair)
-    radius = cfg.get_int("radius", 8)
+    radius = cfg.get_int("radius", 8, least=0)
     budget = cfg.get_int("budget", 10 ** 6)
     elements = None
     if length is not None and not length.locally_finite:
@@ -395,8 +393,8 @@ def cmd_convolve(cfg):
     right_spec = cfg.get("right")
     if left_spec is None or right_spec is None:
         raise ConfigError("convolve needs `left` and `right` element specs")
-    f1 = load_element(pair, left_spec, mode=mode, kind="double")
-    f2 = load_element(pair, right_spec, mode=mode, kind="double")
+    f1 = load_element(pair, left_spec, mode=mode)
+    f2 = load_element(pair, right_spec, mode=mode)
     prod = convolve(pair, f1, f2)
     _write_json(cfg, "convolve.json", {
         "left": element_to_json(f1),
@@ -413,7 +411,7 @@ def cmd_normest(cfg):
     spec = cfg.get("f")
     if spec is None:
         raise ConfigError("normest needs an `f` element spec")
-    f = load_element(pair, spec, mode=mode, kind="double")
+    f = load_element(pair, spec, mode=mode)
     radii = cfg.get_radii(default=(2, 4, 6))
     seed = cfg.seed or 0
     raw_tol = cfg.get("tol", "1e-10")
@@ -519,7 +517,7 @@ def cmd_jolissaint(cfg):
     spec = cfg.get("f")
     if spec is None:
         raise ConfigError("jolissaint needs an `f` element spec")
-    f = load_element(pair, spec, mode=mode, kind="double")
+    f = load_element(pair, spec, mode=mode)
     alpha = cfg.get_fraction("alpha", "1/2")
     q = cfg.get_int("q", 1)
     res = jolissaint_seminorm(pair, f, length=length, alpha=alpha, q=q)

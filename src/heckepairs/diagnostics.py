@@ -7,6 +7,7 @@ are exact. Operator-norm scans corroborate but only ever under-report.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -515,24 +516,14 @@ class TransferReport:
         }
 
 
-def _lift_double(pair, f, h):
-    """f-tilde as a genuine group function: x -> f(HxH) on the support set."""
+def _lift(pair, v):
+    """The group function x -> v(Hx) on H supp(v), for v given as (right
+    coset, value) pairs; a coset listed twice must carry one value."""
     out = {}
-    for dk, c in f.terms.items():
-        for ck in decompose_double_coset(pair, dk.rep):
-            for hi in h:
-                x = hi * ck.rep
-                if x in out and out[x] != c:
-                    raise ConfigError("lift is not well defined; bad pair data")
-                out[x] = c
-    return out
-
-
-def _lift_right(pair, k, h):
-    out = {}
-    for ck, c in k.terms.items():
-        for hi in h:
-            out[hi * ck.rep] = c
+    for ck, c in v:
+        for hi in pair.h_elements:
+            if out.setdefault(hi * ck.rep, c) != c:
+                raise ConfigError("lift is not well defined; bad pair data")
     return out
 
 
@@ -552,37 +543,22 @@ def _group_norm_sq(a):
     return acc
 
 
-def _bar_double(pair, phi, h):
-    """Average a group function to a Hecke element: sum over H x H translates."""
-    reps = dict.fromkeys(double_key(pair, x) for x in phi)
+def _bar(pair, phi, double):
+    """Average a group function over H translates: the sum over H x H gives
+    a Hecke element, the sum over H x {e} a right-coset vector."""
+    h = pair.h_elements
+    cls, key, right = (HeckeElement, double_key, h) if double else \
+        (L2Vector, coset_key, (pair.identity,))
     terms = []
-    for dk in reps:
+    for rk in dict.fromkeys(key(pair, x) for x in phi):
         acc = QQi(0)
         for hi in h:
-            for hj in h:
-                v = phi.get(hi * (dk.rep * hj))
+            for hj in right:
+                v = phi.get(hi * (rk.rep * hj))
                 if v is not None:
                     acc = acc + v
-        terms.append((dk, acc))
-    return HeckeElement(pair, terms, mode="exact")
-
-
-def _bar_right(pair, psi, h):
-    reps = dict.fromkeys(coset_key(pair, x) for x in psi)
-    terms = []
-    for ck in reps:
-        acc = QQi(0)
-        for hi in h:
-            v = psi.get(hi * ck.rep)
-            if v is not None:
-                acc = acc + v
-        terms.append((ck, acc))
-    return L2Vector(pair, terms, mode="exact")
-
-
-def _random_group_function(pair, base, rng):
-    """Nonnegative group function supported in the same set, not H-invariant."""
-    return {x: QQi(int(rng.integers(0, TRANSFER_COEFF_MAX + 1))) for x in base}
+        terms.append((rk, acc))
+    return cls(pair, terms, mode="exact")
 
 
 def transfer_check(pair, f, k, rng=None):
@@ -612,21 +588,22 @@ def transfer_check(pair, f, k, rng=None):
         raise ConfigError("transfer checks run in exact mode only")
     if not f.is_nonneg() or not k.is_nonneg():
         raise ConfigError("transfer checks need nonnegative f and k")
-    h = list(pair.h_elements)
-    n = len(h)
+    n = len(pair.h_elements)
     items = []
 
-    def check(name, lhs, rhs, note="", op="eq"):
-        ok = (lhs == rhs) if op == "eq" else (lhs <= rhs)
+    def check(name, ok, lhs, rhs, note=""):
         items.append(TransferItem(name, ok, lhs, rhs, note))
 
-    kt = _lift_right(pair, k, h)
-    ft = _lift_double(pair, f, h)
-    check("a:lift-right-norm", _group_norm_sq(kt), n * k.norm_sq())
-    check("b:lift-double-norm", _group_norm_sq(ft), n * l2_norm_sq(f))
+    kt = _lift(pair, k.terms.items())
+    # f~ from f's right-coset expansion, independent of the action in (c)
+    ft = _lift(pair, ((ck, c) for dk, c in f.terms.items()
+                      for ck in decompose_double_coset(pair, dk.rep)))
+    lhs, rhs = _group_norm_sq(kt), n * k.norm_sq()
+    check("a:lift-right-norm", lhs == rhs, lhs, rhs)
+    lhs, rhs = _group_norm_sq(ft), n * l2_norm_sq(f)
+    check("b:lift-double-norm", lhs == rhs, lhs, rhs)
 
     conv = apply_regular_rep(pair, f, k)
-    gconv = _group_conv(ft, kt)
     pointwise_ok = True
     probes = list(conv.terms) + [ck for ck in k.terms if ck not in conv.terms]
     for ck in probes:
@@ -638,51 +615,33 @@ def transfer_check(pair, f, k, rng=None):
                 acc = acc + cx * v
         if QQi(n) * conv.coefficient(ck) != acc:
             pointwise_ok = False
-    items.append(TransferItem(
-        "c:pointwise", pointwise_ok, "n*(f*k)", "sum f~(x) k~(x^-1 y)",
-        "checked at %d cosets" % len(probes),
-    ))
-    check("c:norm", (n ** 3) * conv.norm_sq(), _group_norm_sq(gconv))
+    check("c:pointwise", pointwise_ok, "n*(f*k)", "sum f~(x) k~(x^-1 y)",
+          "checked at %d cosets" % len(probes))
+    lhs, rhs = (n ** 3) * conv.norm_sq(), _group_norm_sq(_group_conv(ft, kt))
+    check("c:norm", lhs == rhs, lhs, rhs)
 
-    fbar = _bar_double(pair, ft, h)
-    kbar = _bar_right(pair, kt, h)
-    check("d:double-average", l2_norm_sq(fbar), n * (n ** 2) * _group_norm_sq(ft),
-          note="equality: input is a lift")
-    check("d:right-average", kbar.norm_sq(), n * _group_norm_sq(kt),
-          note="equality: input is a lift")
-    check("lift-consistency:f", fbar == f.scale(n * n), True,
-          note="bar of lift is n^2 f", op="eq")
-    check("lift-consistency:k", kbar == k.scale(n), True,
-          note="bar of lift is n k", op="eq")
-
-    dom_ok = all(
-        ft[x].re <= fbar.coefficient(double_key(pair, x)).re for x in ft
-    )
-    items.append(TransferItem("e:double-domination", dom_ok, "f~", "lift(bar f~)"))
-    dom_ok_k = all(
-        kt[x].re <= kbar.coefficient(coset_key(pair, x)).re for x in kt
-    )
-    items.append(TransferItem("e:right-domination", dom_ok_k, "k~", "lift(bar k~)"))
-
+    # (d)/(e) once per draw: the lifts (equality), then a random pair of
+    # nonnegative group functions on the same supports (inequality)
+    draws = [("", operator.eq, "equality: input is a lift", "f~", ft, "k~", kt)]
     if rng is not None:
-        phi = _random_group_function(pair, ft, rng)
-        psi = _random_group_function(pair, kt, rng)
-        pbar = _bar_double(pair, phi, h)
-        qbar = _bar_right(pair, psi, h)
-        check("d:double-average:random", l2_norm_sq(pbar),
-              n * (n ** 2) * _group_norm_sq(phi), op="le")
-        check("d:right-average:random", qbar.norm_sq(),
-              n * _group_norm_sq(psi), op="le")
-        dom_r = all(
-            phi[x].re <= pbar.coefficient(double_key(pair, x)).re for x in phi
-        )
-        items.append(TransferItem("e:double-domination:random", dom_r, "phi",
-                                  "lift(bar phi)"))
-        dom_rk = all(
-            psi[x].re <= qbar.coefficient(coset_key(pair, x)).re for x in psi
-        )
-        items.append(TransferItem("e:right-domination:random", dom_rk, "psi",
-                                  "lift(bar psi)"))
+        phi = {x: QQi(int(rng.integers(0, TRANSFER_COEFF_MAX + 1))) for x in ft}
+        psi = {x: QQi(int(rng.integers(0, TRANSFER_COEFF_MAX + 1))) for x in kt}
+        draws.append((":random", operator.le, "", "phi", phi, "psi", psi))
+    for tag, holds, note, fname, phi, kname, psi in draws:
+        pbar, qbar = _bar(pair, phi, True), _bar(pair, psi, False)
+        lhs, rhs = l2_norm_sq(pbar), n * (n ** 2) * _group_norm_sq(phi)
+        check("d:double-average" + tag, holds(lhs, rhs), lhs, rhs, note)
+        lhs, rhs = qbar.norm_sq(), n * _group_norm_sq(psi)
+        check("d:right-average" + tag, holds(lhs, rhs), lhs, rhs, note)
+        if phi is ft:
+            same = pbar == f.scale(n * n)
+            check("lift-consistency:f", same, same, True, "bar of lift is n^2 f")
+            same = qbar == k.scale(n)
+            check("lift-consistency:k", same, same, True, "bar of lift is n k")
+        for side, name, g, bar, key in (("double", fname, phi, pbar, double_key),
+                                        ("right", kname, psi, qbar, coset_key)):
+            ok = all(g[x].re <= bar.coefficient(key(pair, x)).re for x in g)
+            check("e:%s-domination%s" % (side, tag), ok, name, "lift(bar %s)" % name)
 
     return TransferReport(pair.name, n, items)
 

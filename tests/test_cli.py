@@ -73,7 +73,7 @@ class TestElementCodec:
         assert data["terms"][0]["im"] == "-1/3"
 
     def test_delta_shorthand(self, dihedral):
-        f = load_element(dihedral, "delta:3,-1", mode="exact", kind="double")
+        f = load_element(dihedral, "delta:3,-1", mode="exact")
         assert f.sorted_terms() == HeckeElement.delta(
             dihedral, DihedralElement(3, -1)
         ).sorted_terms()
@@ -82,14 +82,14 @@ class TestElementCodec:
         f = HeckeElement.delta(dihedral, DihedralElement(2, 1), coeff=QQi(0, 1)) \
             + HeckeElement.delta(dihedral, DihedralElement(0, 1), coeff=2)
         spec = json.dumps(element_to_json(f))
-        back = load_element(dihedral, spec, mode="exact", kind="double")
+        back = load_element(dihedral, spec, mode="exact")
         assert back.sorted_terms() == f.sorted_terms()
 
     def test_semidirect_key_of_wrong_rank_rejected(self, semidirect):
         from heckepairs import ConfigError
 
         with pytest.raises(ConfigError, match="coordinates"):
-            load_element(semidirect, "delta:1,0", mode="exact", kind="double")
+            load_element(semidirect, "delta:1,0", mode="exact")
 
     @pytest.mark.parametrize("name, spec", [
         ("dihedral", "delta:3,1,7"),
@@ -102,7 +102,7 @@ class TestElementCodec:
         from heckepairs import ConfigError
 
         with pytest.raises(ConfigError, match="components"):
-            load_element(pairs[name], spec, mode="exact", kind="double")
+            load_element(pairs[name], spec, mode="exact")
 
     @pytest.mark.parametrize("part", ["re", "im"])
     @pytest.mark.parametrize("value", [
@@ -276,6 +276,10 @@ class TestExitCodes:
                                          "operator_radii": "2",
                                          "operator_samples": "-1"}, 1),
         ("validate-length", "samples", {"samples": "-2"}, None),
+        # enumerate wrote an empty ball and exited 0; degrees exited 2 but
+        # said "empty ball: nothing to fit"
+        ("enumerate", "radius", {"pair": "semidirect", "radius": "-2"}, None),
+        ("degrees", "radius", {"radius": "-1"}, None),
     ]
 
     @pytest.mark.parametrize("command, key, values, flag", NEGATIVE_INPUTS,
@@ -295,10 +299,12 @@ class TestExitCodes:
                    out=str(tmp_path)) == 0
 
     @pytest.mark.parametrize("values, message", [
-        # samples = 0 used to report an empty ball, though none was enumerated
+        # samples = 0 used to report an empty ball, though none was enumerated;
+        # radius = -1, the one way to an empty ball, is refused before the walk
         ({"pair": "gl2q", "length": "log-det-prim", "samples": "0"},
          "no elements sampled: nothing to fit"),
-        ({"pair": "dihedral", "radius": "-1"}, "empty ball: nothing to fit"),
+        ({"pair": "dihedral", "radius": "-1"},
+         "key 'radius': need an integer >= 0, got -1"),
     ], ids=["no-samples", "empty-ball"])
     def test_degrees_with_nothing_to_fit_exits_two(self, tmp_path, capsys, values,
                                                    message):
@@ -316,6 +322,29 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["status"] == "failure"
         assert "finite H" in payload["message"]
+
+    @pytest.mark.parametrize("kind", ["right", "bogus"])
+    @pytest.mark.parametrize("command, key", [
+        ("convolve", "left"), ("normest", "f"), ("jolissaint", "f"),
+    ])
+    def test_element_json_of_another_kind_exits_two(self, tmp_path, capsys, command,
+                                                    key, kind):
+        # a non-"double" kind used to load a right-coset vector: convolve and
+        # jolissaint exited 0 (kind "right" gave the product 2 sigma_1), normest
+        # died in norm_upper with an AttributeError and exit 1
+        spec = json.dumps({"kind": kind, "terms": [{"key": [1, 1], "re": "1"},
+                                                   {"key": [-1, 1], "re": "1"}]})
+        values = {"pair": "dihedral", "left": "delta:1,1", "right": "delta:1,1",
+                  "f": "delta:1,1", "radii": "2"}
+        ini = write_ini(tmp_path / "ok.ini", command, **values)
+        assert run(command, config=ini, out=str(tmp_path)) == 0
+        ini = write_ini(tmp_path / "c.ini", command, **dict(values, **{key: spec}))
+        assert run(command, config=ini, out=str(tmp_path / "bad")) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure" and payload["command"] == command
+        assert payload["message"] == ("element JSON must be a Hecke element "
+                                      "(kind 'double'), got kind %r" % kind)
+        assert not (tmp_path / "bad").exists()
 
     def test_inline_term_without_key_exits_two(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "c.ini", "normest", pair="dihedral",
@@ -470,18 +499,33 @@ class TestArtifacts:
 
 
 class TestDeterminism:
-    def test_rd_scan_byte_identical_rerun(self, tmp_path, capsys):
-        ini = write_ini(
-            tmp_path / "c.ini", "rd-scan",
-            pair="dihedral", radii="2,4", samples="6",
-        )
-        out = tmp_path / "out"
-        assert run("rd-scan", config=ini, seed=9, out=str(out)) == 0
-        first_csv = (out / "rd-scan.csv").read_bytes()
-        first_json = (out / "rd-scan.json").read_bytes()
-        assert run("rd-scan", config=ini, seed=9, out=str(out)) == 0
-        assert (out / "rd-scan.csv").read_bytes() == first_csv
-        assert (out / "rd-scan.json").read_bytes() == first_json
+    RERUNS = {
+        "pairs": {},
+        "enumerate": {"pair": "semidirect", "radius": "3"},
+        "degrees": {"pair": "gl2q", "length": "log-det-prim", "samples": "6"},
+        "convolve": {"pair": "bost_connes", "left": "delta:1/2,1/3",
+                     "right": '{"terms": [{"key": [2, 0], "re": "1/3", "im": "2"}]}'},
+        "normest": {"pair": "semidirect", "f": "delta:1,0,0", "radii": "2,4",
+                    "mode": "float"},
+        "rd-scan": {"pair": "dihedral", "radii": "2,4", "samples": "6",
+                    "operator": "true", "operator_radii": "2"},
+        "transfer-check": {"pair": "sl3", "samples": "4", "radius": "2"},
+        "jolissaint": {"pair": "dihedral", "f": "delta:3,1"},
+        "validate-length": {"pair": "semidirect", "samples": "5"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(RERUNS))
+    def test_byte_identical_rerun(self, tmp_path, capsys, command):
+        # artifacts used to echo the output directory, so a rerun into
+        # another directory differed in that one line
+        ini = write_ini(tmp_path / "c.ini", command, **self.RERUNS[command])
+        outs = [tmp_path / "a", tmp_path / "b" / "nested"]
+        for out in outs:
+            assert run(command, config=ini, seed=9, out=str(out)) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names and names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_rd_scan_csv_shape(self, tmp_path, capsys):
         ini = write_ini(

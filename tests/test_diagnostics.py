@@ -197,6 +197,20 @@ class TestTransfer:
                 continue
             assert transfer_check(dihedral, f, k, rng=rng).ok
 
+    def test_lift_refuses_one_element_with_two_values(self, dihedral, monkeypatch):
+        # a decomposition that files every double coset under the coset H
+        # puts each h in H in the lifts of both sigma_1 and 2 sigma_2
+        from heckepairs import diagnostics
+
+        f = HeckeElement.delta(dihedral, DihedralElement(1, 1)) \
+            + HeckeElement.delta(dihedral, DihedralElement(2, 1), coeff=2)
+        k = L2Vector.delta_identity(dihedral)
+        assert transfer_check(dihedral, f, k).ok
+        monkeypatch.setattr(diagnostics, "decompose_double_coset",
+                            lambda pair, rep: list(k.terms))
+        with pytest.raises(ConfigError, match="lift is not well defined"):
+            transfer_check(dihedral, f, k)
+
     def test_requires_nonneg_exact(self, dihedral):
         f = HeckeElement.delta(dihedral, DihedralElement(1, 1), coeff=-1)
         k = L2Vector.delta_identity(dihedral)
