@@ -328,10 +328,15 @@ class HeckeElement(_Supported):
         return cls(pair, [(double_key(pair, g), coeff)], mode)
 
     def involution(self):
-        """f*(g) = conj(f(g^-1)); support maps through inversion."""
+        """f*(g) = conj(f(g^-1)); support maps through inversion, read from
+        `pair.inverse_cache`, which both coefficient modes share."""
+        inverse = self.pair.inverse_cache
         out = []
         for k, c in self.terms.items():
-            out.append((double_key(self.pair, k.rep.inv()), c.conjugate()))
+            star = inverse.get(k)
+            if star is None:
+                star = inverse[k] = double_key(self.pair, k.rep.inv())
+            out.append((star, c.conjugate()))
         return HeckeElement(self.pair, out, self.mode)
 
 

@@ -337,7 +337,7 @@ def cmd_enumerate(cfg):
     pair = cfg.build_pair()
     length = cfg.resolve_length(pair)
     radius = cfg.get_int("radius", 6, least=0)
-    budget = cfg.get_int("budget", 10 ** 6)
+    budget = cfg.get_int("budget", 10 ** 6, least=1)
     ball = enumerate_ball(pair, length, radius, budget=budget)
     rows = [["key", "length", "degree"]]
     doubles = []
@@ -359,13 +359,14 @@ def cmd_enumerate(cfg):
 def cmd_degrees(cfg):
     pair = cfg.build_pair()
     length = cfg.resolve_length(pair)
-    radius = cfg.get_int("radius", 8, least=0)
-    budget = cfg.get_int("budget", 10 ** 6)
-    elements = None
+    budget = cfg.get_int("budget", 10 ** 6, least=1)
+    radius = elements = None
     if length is not None and not length.locally_finite:
         rng = spawn_rng(cfg.seed or 0, 3)
         count = cfg.get_int("samples", 50, least=0)
         elements = [pair.random_element(rng) for _ in range(count)]
+    else:  # only a ball walk reads the radius
+        radius = cfg.get_int("radius", 8, least=0)
     fit = degree_growth_fit(pair, length=length, radius=radius, budget=budget,
                             elements=elements)
     rows = [["key", "length", "degree"]]
@@ -450,7 +451,7 @@ def cmd_rd_scan(cfg):
     radii = cfg.get_radii(default=(4, 8, 16, 32, 64))
     seed = cfg.require_seed()
     samples = cfg.get_int("samples", 200, least=0)
-    budget = cfg.get_int("budget", 10 ** 6)
+    budget = cfg.get_int("budget", 10 ** 6, least=1)
     exact = haagerup_scan_exact(pair, length=length, radii=radii, seed=seed,
                                 samples=samples, budget=budget)
     op = None

@@ -47,9 +47,12 @@ class HeckePair:
     canonical rep x, so action tables build in numpy. Pairs with closed-form
     structure constants pass `double_product(g1, g2)`, the product of
     canonical double reps as {DoubleCosetKey: int}. Instances are immutable
-    after build apart from four append-only caches: `ball_cache`,
-    `decompose_cache`, `action_cache` (`apply_regular_rep`'s action rows) and
-    `product_cache` (`convolve`'s constants); concurrent readers are safe.
+    after build apart from five append-only caches: `ball_cache`,
+    `decompose_cache`, `action_cache` (`apply_regular_rep`'s action rows),
+    `product_cache` (`convolve`'s constants) and `inverse_cache`
+    (`involution`'s map from the key of HgH to the key of Hg^-1H, well
+    defined because `double_rep` is H-bi-invariant); both coefficient modes
+    share them, and concurrent readers are safe.
     """
 
     def __init__(self, name, params, identity, contains, h_generators,
@@ -77,6 +80,7 @@ class HeckePair:
         self.decompose_cache = {}
         self.action_cache = {}
         self.product_cache = {}
+        self.inverse_cache = {}
         self.ball_cache = {}
 
     @property

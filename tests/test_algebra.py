@@ -178,11 +178,23 @@ class TestBostConnesRelations:
 
 
 class TestInvolution:
-    def test_involutive(self, dihedral):
-        rng = spawn_rng(2, 4)
-        for _ in range(20):
-            f = random_hecke_element(dihedral, rng, complex_part=True)
-            assert f.involution().involution().sorted_terms() == f.sorted_terms()
+    PAIR_NAMES = ("dihedral", "finite_index", "gl2q", "bost_connes", "sl3", "semidirect")
+
+    def test_involutive(self, pairs):
+        # with the D -> D* map warm, f* still equals a fresh recomputation
+        # from the inverses' double keys, and f** == f
+        for name in self.PAIR_NAMES:
+            pair = pairs[name]
+            rng = spawn_rng(2, 4)
+            for _ in range(20):
+                f = random_hecke_element(pair, rng, complex_part=True)
+                f.involution()
+                fresh = HeckeElement(pair, [
+                    (double_key(pair, k.rep.inv()), c.conjugate())
+                    for k, c in f.terms.items()
+                ])
+                assert f.involution().sorted_terms() == fresh.sorted_terms()
+                assert f.involution().involution().sorted_terms() == f.sorted_terms()
 
     def test_anti_homomorphism(self, pairs):
         from heckepairs import AxbElement
@@ -193,6 +205,42 @@ class TestInvolution:
         lhs = convolve(bc, a, b).involution()
         rhs = convolve(bc, b.involution(), a.involution())
         assert lhs.sorted_terms() == rhs.sorted_terms()
+        # (f1 f2)* == f2* f1* in one mode after the other mode filled the
+        # D -> D* map: both modes read the same entries and add none
+        for name, (first, second) in product(self.PAIR_NAMES, [("exact", "float"),
+                                                                ("float", "exact")]):
+            pair = pairs[name]
+            rng = spawn_rng(2, 6)
+            for _ in range(3):
+                f1, f2 = (random_hecke_element(pair, rng, radius=2, complex_part=True)
+                          for _ in range(2))
+                pair.inverse_cache.clear()
+                maps = []
+                for mode in (first, second):
+                    a, b = (f.to_float() if mode == "float" else f for f in (f1, f2))
+                    lhs = convolve(pair, a, b).involution()
+                    rhs = convolve(pair, b.involution(), a.involution())
+                    assert lhs.sorted_terms() == rhs.sorted_terms()
+                    maps.append(dict(pair.inverse_cache))
+                assert maps[0] == maps[1]
+
+    def test_second_involution_canonicalises_nothing(self, bost_connes, monkeypatch):
+        # the D -> D* map is read, not recomputed: a repeat involution of
+        # the same element makes no double_rep call
+        pair = bost_connes
+        f = random_hecke_element(pair, spawn_rng(2, 7), radius=2, complex_part=True)
+        first = f.involution()
+        assert first.terms
+        calls = []
+        double_rep = pair.double_rep
+
+        def counted(g):
+            calls.append(g)
+            return double_rep(g)
+
+        monkeypatch.setattr(pair, "double_rep", counted)
+        assert f.involution().sorted_terms() == first.sorted_terms()
+        assert calls == []
 
     def test_positivity_at_identity(self, pairs):
         # the identity coefficient of f * f^* equals the squared two-norm

@@ -314,6 +314,22 @@ class TestExitCodes:
         assert payload["status"] == "failure"
         assert payload["message"] == message
 
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    @pytest.mark.parametrize("command, values", [
+        ("enumerate", {"pair": "dihedral"}),
+        ("degrees", {"pair": "gl2q", "length": "log-det-prim", "samples": "8"}),
+        ("rd-scan", {"pair": "dihedral", "radii": "2", "samples": "2"}),
+    ], ids=["enumerate", "degrees", "rd-scan"])
+    def test_budget_below_one_exits_two(self, tmp_path, capsys, command, values,
+                                        budget):
+        # a walk always holds its start; enumerate and rd-scan used to run
+        # and record the budget, degrees to fail on "exceeded budget -1"
+        ini = write_ini(tmp_path / "c.ini", command, budget=budget, **values)
+        assert run(command, config=ini, seed=1, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert payload["message"] == "key 'budget': need an integer >= 1, got %s" % budget
+
     def test_transfer_check_on_infinite_h_exits_two(self, tmp_path, capsys):
         # InfiniteSubgroupError used to escape as a traceback with exit 1
         ini = write_ini(tmp_path / "c.ini", "transfer-check", pair="gl2q",
@@ -487,6 +503,20 @@ class TestArtifacts:
         payload = json.loads((tmp_path / "validate-length.json").read_text())
         assert payload["ok"]
         assert payload["checks"] > 0
+
+    @pytest.mark.parametrize("radius", [None, "-1"], ids=["default", "negative"])
+    def test_degrees_on_sampled_elements_reads_no_radius(self, tmp_path, capsys,
+                                                          radius):
+        # log-det-prim is not locally finite, so no ball is walked: the
+        # radius used to be recorded as 8, and -1 refused
+        values = {"pair": "gl2q", "length": "log-det-prim", "samples": "8"}
+        if radius is not None:
+            values["radius"] = radius
+        ini = write_ini(tmp_path / "c.ini", "degrees", **values)
+        assert run("degrees", config=ini, seed=3, out=str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "degrees.json").read_text())
+        assert "radius" not in payload["config"]
+        assert len(payload["table"]) == 8
 
     def test_degrees_artifacts(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "c.ini", "degrees", pair="dihedral", radius="6")
