@@ -94,15 +94,18 @@ class BallIndex:
     length is always a prefix of a larger one, which `prefix` exploits.
     """
 
-    def __init__(self, radius, keys):
-        keys = sorted(keys, key=lambda k: (k.length, k.key))
-        for k in keys:
-            if k.length is None:
-                raise ValueError("BallIndex keys need lengths")
-            if k.length > radius:
-                raise ValueError(
-                    "key %r has length %r beyond radius %r" % (k, k.length, radius)
-                )
+    def __init__(self, radius, keys, ordered=False):
+        # ordered: keys are a slice of a BallIndex of at least this radius,
+        # so already sorted and checked
+        if not ordered:
+            keys = sorted(keys, key=lambda k: (k.length, k.key))
+            for k in keys:
+                if k.length is None:
+                    raise ValueError("BallIndex keys need lengths")
+                if k.length > radius:
+                    raise ValueError(
+                        "key %r has length %r beyond radius %r" % (k, k.length, radius)
+                    )
         self.radius = radius
         self.keys = tuple(keys)
         self._slots = {k.rep: i for i, k in enumerate(self.keys)}
@@ -117,17 +120,36 @@ class BallIndex:
     def prefix(self, radius):
         """The sub-ball of keys with length <= radius (prefix of this order)."""
         cut = bisect_right(self._length_list, radius)
-        return BallIndex(radius, self.keys[:cut])
+        return BallIndex(radius, self.keys[:cut], ordered=True)
 
 
 class PairBall:
-    """A double-coset ball and the matching right-coset ball."""
+    """A right-coset ball and the matching double-coset ball.
 
-    __slots__ = ("double", "right")
+    The double ball of a closed-form right ball is built on first read, as
+    the right keys that are their own double rep: the codomain balls of
+    scans and brackets never read theirs. The ball keeps the pair's
+    `double_rep`, not the pair, whose `ball_cache` holds the ball: that
+    cycle would keep a finished command's caches alive until the cyclic
+    collector runs, which shows in peak memory.
+    """
 
-    def __init__(self, double, right):
-        self.double = double
+    __slots__ = ("right", "_double", "_double_rep")
+
+    def __init__(self, double_rep, right, double=None):
+        self._double_rep = double_rep
         self.right = right
+        self._double = double
+
+    @property
+    def double(self):
+        if self._double is None:
+            # the length is H-bi-invariant, so the ball holds HgH iff it
+            # holds double_rep(g), a coset rep by _sanity_check
+            self._double = BallIndex(self.right.radius, [
+                DoubleCosetKey(k.rep, k.length) for k in self.right
+                if self._double_rep(k.rep) == k.rep])
+        return self._double
 
 
 def enumerate_ball(pair, length, radius, budget=10 ** 6):
@@ -157,11 +179,8 @@ def enumerate_ball(pair, length, radius, budget=10 ** 6):
         and pair.length is not None
         and length.name == pair.length.name
     ):
-        # the length is H-bi-invariant, so the ball holds HgH iff it holds
-        # double_rep(g), a coset rep by _sanity_check
         rights = [CosetKey(rep, length(rep)) for rep in pair.ball_rights(radius)]
-        doubles = [DoubleCosetKey(k.rep, k.length) for k in rights
-                   if pair.double_rep(k.rep) == k.rep]
+        double = None  # PairBall.double derives it from the rights
     elif length.gens is not None:
         # layer r of the word walk is word length r, so length() is not called
         dlen = {}
@@ -174,12 +193,13 @@ def enumerate_ball(pair, length, radius, budget=10 ** 6):
         for d in doubles:
             for ck in decompose_double_coset(pair, d.rep, budget=budget):
                 rights.append(CosetKey(ck.rep, d.length))
+        double = BallIndex(radius, doubles)
     else:
         raise UnsupportedLengthError(
             "no ball enumeration for length %r on pair %r" % (length.name, pair.name)
         )
 
-    ball = PairBall(BallIndex(radius, doubles), BallIndex(radius, rights))
+    ball = PairBall(pair.double_rep, BallIndex(radius, rights), double)
     pair.ball_cache[cache_key] = ball
     return ball
 

@@ -83,7 +83,7 @@ def _window(ball, lo_excl, n, alpha, shift=0):
     # lengths are sorted, so the test holds on a prefix; find where it ends
     end = bisect_left(lengths, True, key=lambda L: not length_le_n_minus_pow(
         Fraction(L) - shift, n, alpha))
-    return BallIndex(ball.radius, ball.keys[start:end])
+    return BallIndex(ball.radius, ball.keys[start:end], ordered=True)
 
 
 class RhoResult:

@@ -20,24 +20,33 @@ from .cosets import decompose_double_coset, enumerate_ball, reachable_coset_ball
 from .errors import PairSanityError, UnsupportedLengthError
 
 
-def _grid_slots(cod):
-    """Lookup from int64 coordinate rows to their index in cod, -1 if absent.
+def _grid(cod):
+    """Dense lookup from int64 coordinate rows to their index in cod, -1 if absent.
 
-    A dense int64 grid over cod's bounding box, 8 bytes a cell, or None if
-    the box has over max(32 cells a key, 2**20) cells (an l1 ball's box has
-    about rank! a key). Rows outside the box map to -1; keys need distinct rows.
+    Returns (flat grid, lo, hi, strides): the row y sits at grid[(y - lo) @
+    strides] when lo <= y <= hi, 8 bytes a cell of cod's bounding box. None
+    if the box has over max(32 cells a key, 2**20) cells (an l1 ball's box
+    has about rank! a key); keys need distinct rows.
     """
-    if not len(cod):
-        return lambda ys: np.full(ys.shape[:-1], -1, dtype=np.int64)
-    lo, hi = cod.min(0), cod.max(0)
-    if math.prod((hi - lo + 1).tolist()) > max(32 * len(cod), 1 << 20):
+    if len(cod):
+        lo, hi = cod.min(0), cod.max(0)
+    else:  # an empty box, which every row leaves
+        lo, hi = np.zeros(cod.shape[1], np.int64), np.full(cod.shape[1], -1, np.int64)
+    shape = (hi - lo + 1).tolist()
+    if math.prod(shape) > max(32 * len(cod), 1 << 20):
         return None
-    grid = np.full(hi - lo + 1, -1, dtype=np.int64)
+    grid = np.full(shape, -1, dtype=np.int64)
     grid[tuple((cod - lo).T)] = np.arange(len(cod))
     if np.count_nonzero(grid >= 0) < len(cod):
         raise PairSanityError("coset_coords gives two cosets one coordinate row")
-    return lambda ys: np.where(((ys >= lo) & (ys <= hi)).all(-1),
-                               grid[tuple(np.moveaxis(ys.clip(lo, hi) - lo, -1, 0))], -1)
+    strides = np.array(grid.strides, dtype=np.int64) // grid.itemsize
+    return grid.reshape(-1), lo, hi, strides
+
+
+# entries per np.add.at in matvec_int: a call per double costs more than its
+# arithmetic, and a call per sample would copy every prefix at once, which
+# raises peak memory
+_BATCH = 1 << 14
 
 
 class ActionTable:
@@ -48,9 +57,13 @@ class ActionTable:
     decomposition order. Every (row, col) pair belongs to at most one D, so
     lambda(f) is the concatenation of the per-D patterns with the coefficient
     of D on each entry. With a `coset_coords` hook the rows of delta_D are
-    all found at once: coords(H a x) = coords(Ha) + coords(Hx), looked up in
-    the codomain's grid when `_grid_slots` builds one, else from `coset_rep`
-    of each product. Neither path touches `pair.action_cache`.
+    one gather: coords(H a x) = coords(Ha) + coords(Hx), so the flat grid
+    offset of H a x is the offset of x plus that of a, and
+    grid.flat[base[:, None] + offs_D] reads every row at once. Only when the
+    domain's box shifted by D's box can leave the codomain's box are the
+    translates outside it masked to -1. Without a grid (no hook, or a box
+    over `_grid`'s cap) the rows come from `coset_rep` of each product.
+    Neither path touches `pair.action_cache`.
     """
 
     def __init__(self, pair, doubles, domain, codomain, allow_missing=False):
@@ -58,24 +71,39 @@ class ActionTable:
         self.domain = domain
         self.codomain = codomain
         self.tables = {}
-        slots = pair.coset_coords and _grid_slots(
+        # entries per column of D's table, or None if it misses some rows
+        self.widths = {}
+        grid = pair.coset_coords and _grid(
             pair.coset_coords([k.rep for k in codomain.keys]))
-        if slots is not None:
+        if grid is not None:
+            flat, lo, hi, strides = grid
             xs = pair.coset_coords([k.rep for k in domain.keys])
+            base = (xs - lo) @ strides
+            box = len(xs) and (xs.min(0), xs.max(0))
         for dk in doubles:
             rights = decompose_double_coset(pair, dk.rep)
-            if slots is not None:
+            if grid is not None:
                 shifts = pair.coset_coords([a.rep for a in rights])
-                rows = slots(xs[:, None] + shifts).reshape(-1)
+                idx = (base[:, None] + shifts @ strides).reshape(-1)
+                if box and ((box[0] + shifts.min(0) >= lo)
+                            & (box[1] + shifts.max(0) <= hi)).all():
+                    rows = flat[idx]
+                else:
+                    ys = xs[:, None] + shifts
+                    inside = ((ys >= lo) & (ys <= hi)).all(-1).reshape(-1)
+                    rows = np.full(len(idx), -1, dtype=np.int64)
+                    rows[inside] = flat[idx[inside]]
             else:
                 rows = np.array([codomain._slots.get(pair.coset_rep(a.rep * ck.rep), -1)
                                  for ck in domain.keys for a in rights], dtype=np.int64)
             hit = rows >= 0
-            if not (allow_missing or hit.all()):
+            full = hit.all()
+            if not (allow_missing or full):
                 raise UnsupportedLengthError("codomain ball misses an image coset of %r"
                                              % (dk,))
             cols = np.repeat(np.arange(len(domain), dtype=np.int64), len(rights))
             self.tables[dk.rep] = (rows[hit], cols[hit])
+            self.widths[dk.rep] = len(rights) if full else None
 
     def operator_for(self, f):
         """Sparse lambda(f) on this index pattern; complex only if f is."""
@@ -103,15 +131,33 @@ class ActionTable:
         of vec: each table's cols never decrease, so they are a prefix, and
         the rest would add zeros. A domain is sorted by length, so the scan's
         random k (radius 2r in a 5r domain) reaches about (2/5)^2 of the
-        columns on a rank-2 lattice: 545 of 3,281 at r = 8.
+        columns on a rank-2 lattice: 545 of 3,281 at r = 8. Each table must
+        have kept every row (no allow_missing drop), so it has `width`
+        entries a column: its prefix is end * width long and reads vec[:end]
+        with each entry repeated width times. The prefixes go to np.add.at
+        in batches of up to _BATCH entries, or one prefix if it is longer.
         """
         out = np.zeros(len(self.codomain), dtype=np.int64)
         nonzero = np.flatnonzero(vec)
         end = nonzero[-1] + 1 if len(nonzero) else 0
+        spread = {}  # width -> vec[:end] with each entry repeated width times
+        rows, vals, size = [], [], 0
         for rep, c in coeffs.items():
-            rows, cols = self.tables[rep]
-            m = np.searchsorted(cols, end)
-            np.add.at(out, rows[:m], c * vec[cols[:m]])
+            r, w = self.tables[rep][0], self.widths[rep]
+            if w is None:
+                raise ValueError("matvec_int needs tables that kept every row")
+            m = end * w
+            v = spread.get(w)
+            if v is None:
+                v = spread[w] = np.repeat(vec[:end], w)
+            if size and size + m > _BATCH:
+                np.add.at(out, np.concatenate(rows), np.concatenate(vals))
+                rows, vals, size = [], [], 0
+            rows.append(r[:m])
+            vals.append(c * v)
+            size += m
+        if size:
+            np.add.at(out, np.concatenate(rows), np.concatenate(vals))
         return out
 
 

@@ -11,7 +11,9 @@ from heckepairs import (
     CosetKey,
     DoubleCosetKey,
     DihedralElement,
+    HeckeElement,
     MatrixElement,
+    SemidirectElement,
     UnsupportedLengthError,
     coset_key,
     decompose_double_coset,
@@ -19,6 +21,9 @@ from heckepairs import (
     double_key,
     build_pair,
     enumerate_ball,
+    haagerup_scan_exact,
+    jolissaint_seminorm,
+    norm_lower,
     reachable_coset_ball,
     spawn_rng,
     word_length,
@@ -215,7 +220,49 @@ class TestEnumerateBall:
             assert {d.rep: d.length for d in ball.double} == want
 
 
+    def test_double_ball_is_built_on_first_read(self):
+        pair = build_pair("semidirect")
+        calls = []
+        double_rep = pair.double_rep
+        pair.double_rep = lambda g: calls.append(g) or double_rep(g)
+        ball = enumerate_ball(pair, None, 5)
+        assert calls == []
+        first = ball.double
+        assert len(calls) == len(ball.right) == 61
+        assert ball.double is first and len(calls) == 61
+        assert [(k.length, k.key) for k in first] == [
+            (k.length, k.key) for k in ball.right if double_rep(k.rep) == k.rep]
+
+    def test_codomain_double_balls_stay_unbuilt(self):
+        # scans, brackets and corner seminorms act on right-coset balls; only
+        # the scan's support balls (and its degree fit) need their doubles
+        pair = build_pair("semidirect")
+        haagerup_scan_exact(pair, radii=(1, 2), samples=3, seed=0)
+        f = HeckeElement.delta(pair, SemidirectElement((2, 1), 0, "swap"))
+        norm_lower(pair, f, radius=4)
+        jolissaint_seminorm(pair, f)
+        built = sorted(key[2] for key, ball in pair.ball_cache.items()
+                       if ball._double is not None)
+        assert built == [1, 2]
+        # the scan's codomains (6r), the bracket's domain and codomain, the
+        # corner seminorm's ball
+        assert sorted(key[2] for key in pair.ball_cache) == [1, 2, 4, 6, 7, 11, 12]
+
+
 class TestBallIndex:
+    @pytest.mark.parametrize("name", ["dihedral", "semidirect"])
+    def test_prefix_equals_a_fresh_index(self, pairs, name):
+        # prefix slices the sorted keys without sorting or checking them
+        # again; it must give what a fresh index of the same keys gives
+        ball = enumerate_ball(pairs[name], None, 6).right
+        for radius in (-1, 0, Fraction(1, 2), 1, 3, 6):
+            got = ball.prefix(radius)
+            want = BallIndex(radius, [k for k in ball if k.length <= radius])
+            assert got.radius == want.radius == radius
+            assert [(k.length, k.key) for k in got] == [(k.length, k.key) for k in want]
+            assert got._slots == want._slots
+            assert got._length_list == want._length_list
+
     def test_prefix_select_shell(self, dihedral):
         # the shell of length 2 is what prefix(2) adds to prefix(1)
         ball = enumerate_ball(dihedral, dihedral.length, 5).right

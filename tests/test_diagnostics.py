@@ -13,6 +13,7 @@ from heckepairs import (
     InfiniteSubgroupError,
     L2Vector,
     apply_regular_rep,
+    build_pair,
     cauchy_schwarz_constant_check,
     degree_growth_fit,
     enumerate_ball,
@@ -134,6 +135,29 @@ class TestScans:
         with pytest.raises(ConfigError, match="too large"):
             haagerup_scan_exact(dihedral, radii=(2,), samples=2, seed=0,
                                 coeff_max=2 ** 40)
+
+    @pytest.mark.parametrize("name, params, radii, ball_right", [
+        ("dihedral", {}, (1, 2, 4, 8), lambda r: 2 * r + 1),
+        ("semidirect", {"rank": 2, "action": "swap"}, (1, 2, 4),
+         lambda r: 2 * r * r + 2 * r + 1),
+        # the octahedral numbers count |x| + |y| + |z| <= r in Z^3
+        ("semidirect", {"rank": 3, "action": "negate"}, (1, 2, 3),
+         lambda r: (2 * r + 1) * (2 * r * r + 2 * r + 3) // 3),
+    ], ids=["dihedral", "semidirect-rank2-swap", "semidirect-rank3-negate"])
+    def test_max_ratio_sq_below_ball_right(self, name, params, radii, ball_right):
+        # [PROVEN] for finite H and f = sum c_D delta_D on the double ball B_r:
+        # every column of lambda(delta_D) holds deg D ones and every row
+        # deg D* = deg D (H ∩ gHg^-1 and H ∩ g^-1Hg are conjugate), so the
+        # Schur test gives ||lambda(delta_D)|| <= deg D, and Cauchy-Schwarz
+        # (sum |c_D| deg D)^2 <= (sum c_D^2 deg D)(sum deg D) gives
+        # ||f * k||^2 <= ||f||^2 ||k||^2 N_r, with N_r = sum over B_r of deg D,
+        # the number of right cosets of length <= r
+        rep = haagerup_scan_exact(build_pair(name, params), radii=radii,
+                                  samples=10, seed=2)
+        assert [row.radius for row in rep.rows] == list(radii)
+        for row in rep.rows:
+            assert row.ball_right == ball_right(row.radius)
+            assert 1 <= row.max_ratio_sq <= row.ball_right
 
     def test_scan_rejects_lengthless_pair(self, gl2q):
         with pytest.raises(ConfigError):

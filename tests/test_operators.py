@@ -30,7 +30,8 @@ from heckepairs import (
 )
 from heckepairs.diagnostics import K_FACTOR, K_FACTOR_CHAR
 from heckepairs.jolissaint import _window
-from heckepairs.operators import _grid_slots
+from heckepairs import operators
+from heckepairs.operators import _grid
 
 
 def sigma(pair, n, coeff=1):
@@ -337,8 +338,8 @@ class TestCoordinateTables:
         pair = build_pair("semidirect", {"rank": rank, "action": action})
         L = pair.length
         cod = enumerate_ball(pair, L, 2).right
-        slots = _grid_slots(pair.coset_coords([k.rep for k in cod.keys]))
-        assert (slots is None) == (rank == 10)
+        grid = _grid(pair.coset_coords([k.rep for k in cod.keys]))
+        assert (grid is None) == (rank == 10)
         table = _check_coordinate_table(pair, enumerate_ball(pair, L, 1).double.keys,
                                         enumerate_ball(pair, L, 1).right, cod)
         assert _entries(table) > 0
@@ -420,3 +421,44 @@ class TestMatvecInt:
             assert got.dtype == np.int64
             assert got.tolist() == _matvec_oracle(pair, cs, vec, dom, cod)
         assert table.matvec_int(coeffs, masked.astype(np.int64)).any()
+
+    # semidirect takes the grid path, dihedral the coset_rep one; their
+    # prefixes are 841 or 1,682 and 41 or 82 entries long, so the smaller cap
+    # of each pair puts one prefix over it, the larger several in a batch,
+    # and None keeps the module's own cap
+    @pytest.mark.parametrize("name, batch", [
+        ("semidirect", 1000), ("semidirect", 4000), ("semidirect", None),
+        ("dihedral", 60), ("dihedral", 150), ("dihedral", None)])
+    def test_batched_scatter_matches_coset_product_oracle(self, name, batch, monkeypatch):
+        # matvec_int sums the picked doubles' prefixes in batches of at most
+        # _BATCH entries, or one prefix if it is longer
+        if batch:
+            monkeypatch.setattr(operators, "_BATCH", batch)
+        pair = build_pair(name)
+        L, r = pair.length, 4
+        dkeys = enumerate_ball(pair, L, r).double.keys
+        cod = enumerate_ball(pair, L, K_FACTOR_CHAR * r + r).right
+        dom = cod.prefix(K_FACTOR_CHAR * r)
+        table = ActionTable(pair, dkeys, dom, cod)
+        ones = np.ones(len(dom), dtype=np.int64)
+        every = {k.rep: 1 + i % 3 for i, k in enumerate(dkeys)}
+        if batch:
+            assert _entries(table) > 2 * batch
+        for cs in (every, {dkeys[-1].rep: 5}, {}):
+            got = table.matvec_int(cs, ones)
+            assert got.dtype == np.int64
+            assert got.tolist() == _matvec_oracle(pair, cs, ones, dom, cod)
+
+    @pytest.mark.parametrize("name", ["semidirect", "dihedral"])
+    def test_table_with_missing_rows_is_refused(self, name):
+        # a codomain no larger than the domain drops images, so a column
+        # holds fewer entries than D has right cosets and end * width is
+        # not the prefix
+        pair = build_pair(name)
+        L = pair.length
+        dkeys = enumerate_ball(pair, L, 2).double.keys
+        dom = enumerate_ball(pair, L, 6).right
+        table = ActionTable(pair, dkeys, dom, dom, allow_missing=True)
+        vec = np.ones(len(dom), dtype=np.int64)
+        with pytest.raises(ValueError, match="kept every row"):
+            table.matvec_int({k.rep: 1 for k in dkeys}, vec)
