@@ -31,7 +31,6 @@ from .diagnostics import (
     TransferReport,
     cauchy_schwarz_constant_check,
     degree_growth_fit,
-    degree_table,
     fit_power_law,
     haagerup_scan_exact,
     haagerup_scan_operator,

@@ -13,8 +13,9 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 
-from .cosets import CosetKey, DoubleCosetKey, coset_key, decompose_double_coset, degree, double_key
-from .errors import ConvolutionAuditError, ModeMismatchError, UnsupportedLengthError
+from .cosets import (CosetKey, DoubleCosetKey, coset_key, decompose_double_coset, degree,
+                     double_key, require_length)
+from .errors import ConvolutionAuditError, ModeMismatchError
 
 
 class QQi:
@@ -183,14 +184,6 @@ class _FloatRing:
 
 
 RINGS = {"exact": _ExactRing(), "float": _FloatRing()}
-
-
-def require_length(pair, length=None):
-    """The given length, else the pair's own; raises when neither exists."""
-    length = length or pair.length
-    if length is None:
-        raise UnsupportedLengthError("pair %r has no length" % pair.name)
-    return length
 
 
 def _check_same(a, b):

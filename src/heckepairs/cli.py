@@ -541,8 +541,6 @@ def cmd_jolissaint(cfg):
 def cmd_validate_length(cfg):
     pair = cfg.build_pair()
     length = cfg.resolve_length(pair)
-    if length is None:
-        raise ConfigError("pair %r has no length to validate" % pair.name)
     samples = cfg.get_int("samples", 30, least=0)
     rng = spawn_rng(cfg.seed or 0, 5)
     sample = [pair.random_element(rng) for _ in range(samples)]

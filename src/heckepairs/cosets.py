@@ -126,20 +126,19 @@ class BallIndex:
 class PairBall:
     """A right-coset ball and the matching double-coset ball.
 
-    The double ball of a closed-form right ball is built on first read, as
-    the right keys that are their own double rep: the codomain balls of
-    scans and brackets never read theirs. The ball keeps the pair's
-    `double_rep`, not the pair, whose `ball_cache` holds the ball: that
-    cycle would keep a finished command's caches alive until the cyclic
-    collector runs, which shows in peak memory.
+    The double ball is built on first read, as the right keys that are their
+    own double rep: the codomain balls of scans and brackets never read
+    theirs. The ball keeps the pair's `double_rep`, not the pair, whose
+    `ball_cache` holds the ball: that cycle would keep a finished command's
+    caches alive until the cyclic collector runs, which shows in peak memory.
     """
 
     __slots__ = ("right", "_double", "_double_rep")
 
-    def __init__(self, double_rep, right, double=None):
+    def __init__(self, double_rep, right):
         self._double_rep = double_rep
         self.right = right
-        self._double = double
+        self._double = None
 
     @property
     def double(self):
@@ -152,22 +151,25 @@ class PairBall:
         return self._double
 
 
+def require_length(pair, length=None):
+    """The given length, else the pair's own; raises when neither exists."""
+    length = length or pair.length
+    if length is None:
+        raise UnsupportedLengthError("pair %r has no length" % pair.name)
+    return length
+
+
 def enumerate_ball(pair, length, radius, budget=10 ** 6):
-    """All double cosets of length <= radius plus the parallel right ball.
+    """All right cosets of length <= radius, with the double cosets among them.
 
     length=None uses the pair's attached length. A closed-form right ball
-    (`ball_rights`) gives the doubles as its keys that are their own double
-    rep; otherwise a word length's ball of the whole group, walked in the
-    length's own generators, is projected (the induced double-coset length
-    is the minimum word length over the double coset, which is
-    H-bi-invariant by construction).
+    (`ball_rights`) is read directly; otherwise a word length's ball of the
+    whole group, walked in the length's own generators, is projected (the
+    induced double-coset length is the minimum word length over the double
+    coset, which is H-bi-invariant by construction) and each double coset
+    contributes its right cosets at that length.
     """
-    if length is None:
-        length = pair.length
-    if length is None:
-        raise UnsupportedLengthError(
-            "pair %r has no length; pass one explicitly" % pair.name
-        )
+    length = require_length(pair, length)
     # every word length is named "word"; its generators tell them apart
     cache_key = (length.name, length.gens, radius)
     hit = pair.ball_cache.get(cache_key)
@@ -180,7 +182,6 @@ def enumerate_ball(pair, length, radius, budget=10 ** 6):
         and length.name == pair.length.name
     ):
         rights = [CosetKey(rep, length(rep)) for rep in pair.ball_rights(radius)]
-        double = None  # PairBall.double derives it from the rights
     elif length.gens is not None:
         # layer r of the word walk is word length r, so length() is not called
         dlen = {}
@@ -188,18 +189,14 @@ def enumerate_ball(pair, length, radius, budget=10 ** 6):
         for r, layer in enumerate(islice(word_layers(length.gens, budget), count)):
             for g in layer:
                 dlen.setdefault(pair.double_rep(g), r)
-        doubles = [DoubleCosetKey(rep, l) for rep, l in dlen.items()]
-        rights = []
-        for d in doubles:
-            for ck in decompose_double_coset(pair, d.rep, budget=budget):
-                rights.append(CosetKey(ck.rep, d.length))
-        double = BallIndex(radius, doubles)
+        rights = [CosetKey(ck.rep, r) for rep, r in dlen.items()
+                  for ck in decompose_double_coset(pair, rep, budget=budget)]
     else:
         raise UnsupportedLengthError(
             "no ball enumeration for length %r on pair %r" % (length.name, pair.name)
         )
 
-    ball = PairBall(pair.double_rep, BallIndex(radius, rights), double)
+    ball = PairBall(pair.double_rep, BallIndex(radius, rights))
     pair.ball_cache[cache_key] = ball
     return ball
 

@@ -25,6 +25,7 @@ from .cosets import (
     degree,
     double_key,
     enumerate_ball,
+    require_length,
 )
 from .errors import ConfigError, InfiniteSubgroupError, UnsupportedLengthError
 from .operators import ActionTable, norm_lower, norm_upper
@@ -161,31 +162,22 @@ class DegreeFit:
         )
 
 
-def degree_table(pair, length=None, radius=8, budget=10 ** 6):
-    """(key, length, degree) for every double coset in the ball, ball order."""
-    length = length or pair.length
-    if length is None:
-        raise ConfigError("pair %r has no length for a degree table" % pair.name)
-    ball = enumerate_ball(pair, length, radius, budget=budget).double
-    return [(k, k.length, degree(pair, k.rep, budget=budget)) for k in ball.keys]
-
-
 def degree_growth_fit(pair, length=None, radius=8, budget=10 ** 6, elements=None):
     """Fit degree growth against length over a ball (or explicit elements).
 
-    `elements` bypasses ball enumeration for pairs whose interesting lengths
-    are not locally finite; rows are then (length, degree) of those elements.
+    Rows are (key, length, degree) of the ball's double cosets in ball
+    order. `elements` bypasses ball enumeration for pairs whose interesting
+    lengths are not locally finite, with one row per element.
     """
-    length = length or pair.length
+    length = require_length(pair, length)
     if elements is not None:
-        if length is None:
-            raise ConfigError("explicit elements still need a length")
         table = [
             (double_key(pair, g), length(pair.double_rep(g)), degree(pair, g, budget=budget))
             for g in elements
         ]
     else:
-        table = degree_table(pair, length, radius, budget)
+        ball = enumerate_ball(pair, length, radius, budget=budget).double
+        table = [(k, k.length, degree(pair, k.rep, budget=budget)) for k in ball.keys]
     if not table:
         what = "empty ball" if elements is None else "no elements sampled"
         raise ConfigError(what + ": nothing to fit")
@@ -275,7 +267,7 @@ def _char_ladder(radii, r):
 
 
 def _sample_stream(dkeys, ladder, samples, seed, ri, coeff_max):
-    """Yield (label, rho, {double rep: positive int coeff}, rng_or_None).
+    """Yield (label, rho, {double key: positive int coeff}, rng_or_None).
 
     Deterministic family: ball characteristic functions for each ladder
     radius, every single delta in the ball, then seeded random supports.
@@ -283,16 +275,16 @@ def _sample_stream(dkeys, ladder, samples, seed, ri, coeff_max):
     sample (the top of the ladder for deltas), None for random samples.
     """
     for rho in ladder:
-        yield "char:%s" % rho, rho, {k.rep: 1 for k in dkeys if k.length <= rho}, None
+        yield "char:%s" % rho, rho, {k: 1 for k in dkeys if k.length <= rho}, None
     for k in dkeys:
-        yield "delta:%r" % (k.rep.key,), ladder[-1], {k.rep: 1}, None
+        yield "delta:%r" % (k.rep.key,), ladder[-1], {k: 1}, None
     for si in range(samples):
         rng = spawn_rng(seed, ri, si)
         m = int(rng.integers(1, len(dkeys) + 1))
         picked = sorted(int(i) for i in rng.choice(len(dkeys), size=m, replace=False))
         coeffs = rng.integers(1, coeff_max + 1, size=m)
         yield "random:%d" % si, None, {
-            dkeys[i].rep: int(c) for i, c in zip(picked, coeffs)
+            dkeys[i]: int(c) for i, c in zip(picked, coeffs)
         }, rng
 
 
@@ -308,9 +300,7 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
     family at radius r contains every family at smaller radii and the max
     column is monotone by construction.
     """
-    length = length or pair.length
-    if length is None:
-        raise ConfigError("scan needs a length function")
+    length = require_length(pair, length)
     radii = list(radii)
     rows = []
     best = None  # (ratio_sq, label, f_coeffs, f_norm_sq) carried across radii
@@ -319,15 +309,14 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         kmax = max(K_FACTOR, K_FACTOR_CHAR) * r
         big = enumerate_ball(pair, length, kmax + r, budget=budget).right
         dom = big.prefix(kmax)
-        dball = enumerate_ball(pair, length, r, budget=budget).double
-        rball_size = len(enumerate_ball(pair, length, r, budget=budget).right)
-        dkeys = list(dball.keys)
+        ball = enumerate_ball(pair, length, r, budget=budget)
+        dkeys = list(ball.double.keys)
         table = ActionTable(pair, dkeys, dom, big)
         # most entries delta_D puts in one row, for bounding |out| before
         # matvec_int: a wrapped int64 sum cannot be detected afterwards
-        row_mult = {rep: int(np.bincount(rows).max(initial=0))
-                    for rep, (rows, _) in table.tables.items()}
-        degs = {k.rep: degree(pair, k.rep) for k in dkeys}
+        row_mult = {dk: int(np.bincount(rows).max(initial=0))
+                    for dk, (rows, _) in table.tables.items()}
+        degs = {k: degree(pair, k.rep) for k in dkeys}
         dom_len = np.array([float(k.length) for k in dom.keys])
         char_k = {
             rho: (dom_len <= K_FACTOR_CHAR * rho).astype(np.int64)
@@ -343,7 +332,7 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
                 kvec = char_k[rho]
             else:
                 kvec = rng.integers(0, coeff_max + 1, size=len(dom)) * rand_mask
-            bound = sum(abs(c) * row_mult[rep] for rep, c in coeffs.items())
+            bound = sum(abs(c) * row_mult[dk] for dk, c in coeffs.items())
             if bound * int(np.abs(kvec).max(initial=0)) >= 2 ** 63:
                 raise ConfigError("scan coefficients too large for exact int64 path")
             out = table.matvec_int(coeffs, kvec)
@@ -354,20 +343,18 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
             if num == 0:
                 continue
             kn2 = int(kvec @ kvec)
-            fn2 = sum(c * c * degs[rep] for rep, c in coeffs.items())
+            fn2 = sum(c * c * degs[dk] for dk, c in coeffs.items())
             ratio_sq = Fraction(num, fn2 * kn2)
             if best is None or ratio_sq > best[0]:
                 best = (ratio_sq, label, dict(coeffs), fn2)
         del table  # free this radius's table before the next, larger one is built
         ratio_sq, label, fco, fn2 = best
-        f_elt = HeckeElement(
-            pair, [(double_key(pair, rep), QQi(c)) for rep, c in fco.items()]
-        )
+        f_elt = HeckeElement(pair, [(dk, QQi(c)) for dk, c in fco.items()])
         schur = norm_upper(pair, f_elt) / math.sqrt(float(fn2))
         mx = math.sqrt(float(ratio_sq))
         maxes.append(mx)
         rows.append(ScanRow(
-            r, len(dkeys), rball_size, max_ratio_exact=mx, max_ratio_sq=ratio_sq,
+            r, len(dkeys), len(ball.right), max_ratio_exact=mx, max_ratio_sq=ratio_sq,
             schur_upper=schur, argmax_label=label, exact=True,
         ))
     fitted_c, fitted_s = _fit_or_flat(radii, maxes)
@@ -395,25 +382,20 @@ def haagerup_scan_operator(pair, length=None, radii=(2, 4, 8), seed=0,
     `TRUNC_FACTOR * r`; ratios are certified lower bounds, with the Schur
     upper bound of the per-radius argmax recorded alongside.
     """
-    length = length or pair.length
-    if length is None:
-        raise ConfigError("scan needs a length function")
+    length = require_length(pair, length)
     radii = list(radii)
     rows = []
     maxes = []
     for ri, r in enumerate(radii):
-        dball = enumerate_ball(pair, length, r, budget=budget).double
-        rball_size = len(enumerate_ball(pair, length, r, budget=budget).right)
-        dkeys = list(dball.keys)
+        ball = enumerate_ball(pair, length, r, budget=budget)
+        dkeys = list(ball.double.keys)
         best = None  # (ratio, label, schur_ratio)
         for label, _rho, coeffs, _rng in _sample_stream(
             dkeys, _char_ladder(radii, r), samples, seed, ri, SCAN_COEFF_MAX
         ):
             if not coeffs:
                 continue
-            f = HeckeElement(
-                pair, [(double_key(pair, rep), QQi(c)) for rep, c in coeffs.items()]
-            )
+            f = HeckeElement(pair, [(dk, QQi(c)) for dk, c in coeffs.items()])
             fn = math.sqrt(float(l2_norm_sq(f)))
             nb = norm_lower(
                 pair, f, length=length, radius=TRUNC_FACTOR * r,
@@ -425,7 +407,7 @@ def haagerup_scan_operator(pair, length=None, radii=(2, 4, 8), seed=0,
         ratio, label, schur = best
         maxes.append(ratio)
         rows.append(ScanRow(
-            r, len(dkeys), rball_size, operator_lower=ratio, schur_upper=schur,
+            r, len(dkeys), len(ball.right), operator_lower=ratio, schur_upper=schur,
             argmax_label=label, exact=False,
         ))
     fitted_c, fitted_s = _fit_or_flat(radii, maxes)

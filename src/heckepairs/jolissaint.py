@@ -12,8 +12,8 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .algebra import convolve, require_length
-from .cosets import BallIndex, enumerate_ball
+from .algebra import convolve
+from .cosets import BallIndex, enumerate_ball, require_length
 from .errors import ConfigError
 from .operators import ActionTable, block_operator_norm, norm_upper
 
@@ -108,7 +108,7 @@ class RhoResult:
         )
 
 
-def corner_seminorm(pair, f, length=None, params=None, ball=None, budget=10 ** 6):
+def corner_seminorm(pair, f, length=None, params=None, ball=None):
     """rho at one level N: the exact corner blocks of lambda(f) and their norms.
 
     Block 1 is (1-P_N) f P_{N-N^alpha}: columns are the right cosets with
@@ -128,7 +128,7 @@ def corner_seminorm(pair, f, length=None, params=None, ball=None, budget=10 ** 6
         # support too short to cross the corner: exact zero, no assembly
         return RhoResult(n, 0.0, vanished=True)
     if ball is None:
-        ball = enumerate_ball(pair, length, n + math.ceil(ell), budget=budget).right
+        ball = enumerate_ball(pair, length, n + math.ceil(ell)).right
     cols = _window(ball, Fraction(n) - Fraction(ell), n, alpha)
     rows = _window(ball, Fraction(n), n, alpha, shift=Fraction(ell))
     if len(cols) == 0 or len(rows) == 0:
@@ -162,8 +162,7 @@ class NuResult:
         )
 
 
-def jolissaint_seminorm(pair, f, length=None, alpha=Fraction(1, 2), q=1,
-                        budget=10 ** 6):
+def jolissaint_seminorm(pair, f, length=None, alpha=Fraction(1, 2), q=1):
     """nu = sup_N rho(f, N), computed exactly over the finite active range.
 
     rho vanishes for every N at or beyond the support threshold, so the sup
@@ -178,9 +177,7 @@ def jolissaint_seminorm(pair, f, length=None, alpha=Fraction(1, 2), q=1,
     threshold = vanishing_threshold(ell, alpha)
     if threshold <= 1:
         return NuResult(0.0, None, [], threshold, alpha, q)
-    ball = enumerate_ball(
-        pair, length, (threshold - 1) + math.ceil(ell), budget=budget
-    ).right
+    ball = enumerate_ball(pair, length, (threshold - 1) + math.ceil(ell)).right
     rows = []
     best_val = 0.0
     best_n = None

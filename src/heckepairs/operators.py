@@ -54,7 +54,8 @@ class ActionTable:
 
     For each double coset D, stores the (row, col) pairs where delta_D sends
     domain column col to codomain row, column-major with D's right cosets in
-    decomposition order. Every (row, col) pair belongs to at most one D, so
+    decomposition order, under D's `DoubleCosetKey` as it appears in
+    `doubles` (and in the terms of an element on those doubles). Every (row, col) pair belongs to at most one D, so
     lambda(f) is the concatenation of the per-D patterns with the coefficient
     of D on each entry. With a `coset_coords` hook the rows of delta_D are
     one gather: coords(H a x) = coords(Ha) + coords(Hx), so the flat grid
@@ -102,12 +103,12 @@ class ActionTable:
                 raise UnsupportedLengthError("codomain ball misses an image coset of %r"
                                              % (dk,))
             cols = np.repeat(np.arange(len(domain), dtype=np.int64), len(rights))
-            self.tables[dk.rep] = (rows[hit], cols[hit])
-            self.widths[dk.rep] = len(rights) if full else None
+            self.tables[dk] = (rows[hit], cols[hit])
+            self.widths[dk] = len(rights) if full else None
 
     def operator_for(self, f):
         """Sparse lambda(f) on this index pattern; complex only if f is."""
-        zs = [(self.tables[dk.rep], complex(c)) for dk, c in f.terms.items()]
+        zs = [(self.tables[dk], complex(c)) for dk, c in f.terms.items()]
         none = np.zeros(0, np.int64)  # keeps the zero element's operator empty
         vals = np.concatenate([none] + [np.full(len(rows), z) for (rows, _), z in zs])
         return SparseOperator(
@@ -125,7 +126,7 @@ class ActionTable:
         return m
 
     def matvec_int(self, coeffs, vec):
-        """Exact integer action: coeffs maps double reps to ints, vec is int64.
+        """Exact integer action: coeffs maps double keys to ints, vec is int64.
 
         Reads only the entries whose column is at or before the last nonzero
         of vec: each table's cols never decrease, so they are a prefix, and
@@ -142,8 +143,8 @@ class ActionTable:
         end = nonzero[-1] + 1 if len(nonzero) else 0
         spread = {}  # width -> vec[:end] with each entry repeated width times
         rows, vals, size = [], [], 0
-        for rep, c in coeffs.items():
-            r, w = self.tables[rep][0], self.widths[rep]
+        for dk, c in coeffs.items():
+            r, w = self.tables[dk][0], self.widths[dk]
             if w is None:
                 raise ValueError("matvec_int needs tables that kept every row")
             m = end * w

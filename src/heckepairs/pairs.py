@@ -15,7 +15,7 @@ from itertools import chain, islice, product
 import numpy as np
 
 from .algebra import _generic_product
-from .cosets import DoubleCosetKey, degree
+from .cosets import DoubleCosetKey, degree, require_length
 from .errors import BudgetExceededError, ConfigError, ConvolutionAuditError, PairSanityError
 from .groups import (
     AxbElement,
@@ -105,10 +105,7 @@ class HeckePair:
         """Run the length-axiom checks against this pair's data."""
         from .groups import validate_length as _vl
 
-        if length is None:
-            length = self.length
-        if length is None:
-            raise ConfigError("pair %r has no length attached" % self.name)
+        length = require_length(self, length)
         if sample is None:
             rng = np.random.default_rng(0)
             sample = [self.random_element(rng) for _ in range(30)]

@@ -182,6 +182,19 @@ class TestExitCodes:
         assert payload["status"] == "failure"
         assert "has no length" in payload["message"]
 
+    @pytest.mark.parametrize("command, values", [
+        ("rd-scan", {"radii": "2", "samples": "2", "seed": "0"}),
+        ("degrees", {"radius": "2"}),
+        ("validate-length", {"samples": "2"}),
+    ])
+    def test_lengthless_pair_exits_two_with_one_message(self, tmp_path, capsys,
+                                                        command, values):
+        ini = write_ini(tmp_path / "c.ini", command, pair="gl2q", **values)
+        assert run(command, config=ini, out=str(tmp_path)) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert payload["message"] == "pair 'gl2q' has no length"
+
     def test_exhausted_budget_fails_with_json(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "c.ini", "degrees", pair="dihedral", radius="3",
                         budget="1")

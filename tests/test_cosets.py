@@ -12,16 +12,20 @@ from heckepairs import (
     DoubleCosetKey,
     DihedralElement,
     HeckeElement,
+    JolissaintParams,
     MatrixElement,
     SemidirectElement,
     UnsupportedLengthError,
+    build_pair,
+    corner_seminorm,
     coset_key,
     decompose_double_coset,
     degree,
+    degree_growth_fit,
     double_key,
-    build_pair,
     enumerate_ball,
     haagerup_scan_exact,
+    haagerup_scan_operator,
     jolissaint_seminorm,
     norm_lower,
     reachable_coset_ball,
@@ -31,6 +35,22 @@ from heckepairs import (
 
 
 FLIP = DihedralElement(0, -1)
+
+# every public entry point that falls back on the pair's own length
+_LENGTH_CONSUMERS = {
+    "enumerate_ball": lambda pair, f, g: enumerate_ball(pair, None, 2),
+    "degree_growth_fit": lambda pair, f, g: degree_growth_fit(pair, radius=2),
+    "degree_growth_fit:elements":
+        lambda pair, f, g: degree_growth_fit(pair, elements=[g]),
+    "haagerup_scan_exact":
+        lambda pair, f, g: haagerup_scan_exact(pair, radii=(2,), samples=2, seed=0),
+    "haagerup_scan_operator":
+        lambda pair, f, g: haagerup_scan_operator(pair, radii=(2,), samples=2, seed=0),
+    "corner_seminorm": lambda pair, f, g: corner_seminorm(
+        pair, f, params=JolissaintParams(Fraction(1, 2), 1, 4)),
+    "jolissaint_seminorm": lambda pair, f, g: jolissaint_seminorm(pair, f),
+    "HeckePair.validate_length": lambda pair, f, g: pair.validate_length(),
+}
 
 
 def brute_double_coset_keys(pair, g):
@@ -165,6 +185,15 @@ class TestEnumerateBall:
     def test_missing_length_raises(self, gl2q):
         with pytest.raises(UnsupportedLengthError):
             enumerate_ball(gl2q, gl2q.length, 2)
+
+    @pytest.mark.parametrize("name", sorted(_LENGTH_CONSUMERS))
+    def test_every_length_consumer_refuses_a_lengthless_pair(self, gl2q, name):
+        # require_length is the one place a missing length is refused, so
+        # every consumer raises the same error with the same message
+        t2 = MatrixElement(((1, 0), (0, 2)))
+        f = HeckeElement(gl2q, [(double_key(gl2q, t2), 1)])
+        with pytest.raises(UnsupportedLengthError, match="^pair 'gl2q' has no length$"):
+            _LENGTH_CONSUMERS[name](gl2q, f, t2)
 
     def test_word_ball_agrees_with_closed_form(self, dihedral):
         # min word length over a double coset is |n|, so the projected word

@@ -12,6 +12,7 @@ from heckepairs import (
     HeckeElement,
     InfiniteSubgroupError,
     L2Vector,
+    UnsupportedLengthError,
     apply_regular_rep,
     build_pair,
     cauchy_schwarz_constant_check,
@@ -124,8 +125,8 @@ class TestScans:
         def checked(table, coeffs, vec):
             out = original(table, coeffs, vec)
             exact = [0] * len(out)
-            for rep, c in coeffs.items():
-                rows, cols = table.tables[rep]
+            for dk, c in coeffs.items():
+                rows, cols = table.tables[dk]
                 for i, j in zip(rows.tolist(), cols.tolist()):
                     exact[i] += c * int(vec[j])
             assert out.tolist() == exact, "matvec_int wrapped around"
@@ -160,7 +161,7 @@ class TestScans:
             assert 1 <= row.max_ratio_sq <= row.ball_right
 
     def test_scan_rejects_lengthless_pair(self, gl2q):
-        with pytest.raises(ConfigError):
+        with pytest.raises(UnsupportedLengthError, match="pair 'gl2q' has no length"):
             haagerup_scan_exact(gl2q, radii=(2,), samples=2, seed=0)
 
 

@@ -280,16 +280,16 @@ def _shift_oracle(pair, dkeys, dom, cod):
                 if i is not None:
                     rows.append(i)
                     cols.append(j)
-        out[dk.rep] = (rows, cols)
+        out[dk] = (rows, cols)
     return out
 
 
 def _assert_same_tables(got, want):
     assert list(got) == list(want)
-    for rep, (rows, cols) in want.items():
-        assert got[rep][0].dtype == got[rep][1].dtype == np.int64
-        assert np.array_equal(got[rep][0], rows), rep
-        assert np.array_equal(got[rep][1], cols), rep
+    for dk, (rows, cols) in want.items():
+        assert got[dk][0].dtype == got[dk][1].dtype == np.int64
+        assert np.array_equal(got[dk][0], rows), dk
+        assert np.array_equal(got[dk][1], cols), dk
 
 
 def _check_coordinate_table(pair, dkeys, dom, cod, allow_missing=False):
@@ -386,8 +386,8 @@ def _matvec_oracle(pair, coeffs, vec, dom, cod):
     """lambda(f) k from coset products alone: delta_D sends Hx to every
     H a x for Ha in D, and no ActionTable is read."""
     out = [0] * len(cod)
-    for rep, c in coeffs.items():
-        for a in decompose_double_coset(pair, rep):
+    for dk, c in coeffs.items():
+        for a in decompose_double_coset(pair, dk.rep):
             for x, v in zip(dom.keys, vec.tolist()):
                 out[cod._slots[pair.coset_rep(a.rep * x.rep)]] += c * v
     return out
@@ -406,7 +406,7 @@ class TestMatvecInt:
         table = ActionTable(pair, dkeys, dom, cod)
         _assert_cols_never_decrease(table)
         rng = np.random.default_rng(0)
-        coeffs = {k.rep: int(c) for k, c in zip(dkeys, rng.integers(1, 6, len(dkeys)))}
+        coeffs = {k: int(c) for k, c in zip(dkeys, rng.integers(1, 6, len(dkeys)))}
         dom_len = np.array([float(k.length) for k in dom.keys])
         masked = rng.integers(1, 6, len(dom)) * (dom_len <= K_FACTOR * r)
         assert masked[0] and not masked[-1]  # its zeros are a proper suffix
@@ -441,10 +441,10 @@ class TestMatvecInt:
         dom = cod.prefix(K_FACTOR_CHAR * r)
         table = ActionTable(pair, dkeys, dom, cod)
         ones = np.ones(len(dom), dtype=np.int64)
-        every = {k.rep: 1 + i % 3 for i, k in enumerate(dkeys)}
+        every = {k: 1 + i % 3 for i, k in enumerate(dkeys)}
         if batch:
             assert _entries(table) > 2 * batch
-        for cs in (every, {dkeys[-1].rep: 5}, {}):
+        for cs in (every, {dkeys[-1]: 5}, {}):
             got = table.matvec_int(cs, ones)
             assert got.dtype == np.int64
             assert got.tolist() == _matvec_oracle(pair, cs, ones, dom, cod)
@@ -461,4 +461,4 @@ class TestMatvecInt:
         table = ActionTable(pair, dkeys, dom, dom, allow_missing=True)
         vec = np.ones(len(dom), dtype=np.int64)
         with pytest.raises(ValueError, match="kept every row"):
-            table.matvec_int({k.rep: 1 for k in dkeys}, vec)
+            table.matvec_int({k: 1 for k in dkeys}, vec)

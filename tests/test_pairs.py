@@ -175,6 +175,40 @@ class TestLengths:
         assert pairs["dihedral"].rd_status == "expected"
         assert pairs["sl3"].rd_status == "non-example"
 
+    def test_no_length_fallback_outside_require_length(self):
+        # turning length=None into the pair's length, or refusing, belongs to
+        # cosets.require_length; `x or y.length`, or `if x is None: x =
+        # y.length`, anywhere else is a second copy of that decision
+        allowed = {("cosets.py", "require_length")}
+
+        def is_length(node):
+            return isinstance(node, ast.Attribute) and node.attr == "length"
+
+        def is_fallback(node):
+            if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+                return any(is_length(v) for v in node.values)
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) \
+                    and isinstance(node.test.ops[0], ast.Is) \
+                    and isinstance(node.test.comparators[0], ast.Constant) \
+                    and node.test.comparators[0].value is None:
+                return any(isinstance(n, ast.Assign) and is_length(n.value)
+                           for n in node.body)
+            return False
+
+        def walk(node, scope, path, found):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    inner = scope + (child.name,)
+                if is_fallback(child) and (path.name, ".".join(scope)) not in allowed:
+                    found.append("%s:%d in %s" % (path.name, child.lineno, ".".join(scope)))
+                walk(child, inner, path, found)
+
+        found = []
+        for path in sorted(Path(heckepairs.__file__).parent.glob("*.py")):
+            walk(ast.parse(path.read_text(encoding="utf-8")), (), path, found)
+        assert found == []
+
 
 class TestCoordinateHooks:
     def test_semidirect_hooks_match_coset_rep(self):
