@@ -1,10 +1,8 @@
 """Convolution algebra elements, the regular-representation action, norms.
 
-Elements carry a coefficient mode: "exact" uses Gaussian rationals (QQi),
-"float" uses complex. Each mode's arithmetic lives in one ring (`RINGS`),
-which every element carries as `.ring`; code elsewhere reads the ring and
-never the mode name. Mixing modes in one operation is an error, never a
-silent coercion. All identity checks in the test suite run in exact mode.
+Coefficients are Gaussian rationals (`QQi`), so every identity the test
+suite checks holds exactly; the float solvers convert at the numpy boundary
+(`ActionTable.operator_for`). Operands of different pairs are an error.
 """
 
 import math
@@ -83,7 +81,7 @@ class QQi:
     def __eq__(self, other):
         try:
             other = _as_qqi(other)
-        except TypeError:
+        except ModeMismatchError:
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
@@ -121,76 +119,15 @@ def _as_qqi(c):
         return QQi(c)
     if isinstance(c, str):
         return QQi(Fraction(c))
-    raise TypeError("cannot treat %r as an exact coefficient" % (c,))
+    raise ModeMismatchError("coefficients must be rational, got %r" % (c,))
 
 
-class _ExactRing:
-    """QQi coefficients, Fraction squared moduli, exact-string JSON parts."""
-
-    exact = True
-    zero = QQi()
-    real_zero = Fraction(0)
-
-    def coerce(self, c):
-        try:
-            return _as_qqi(c)
-        except TypeError:
-            raise ModeMismatchError(
-                "exact mode needs rational coefficients, got %r" % (c,)
-            )
-
-    abs_sq = staticmethod(QQi.abs_sq)
-
-    def dump_json(self, c):
-        return str(c.re), str(c.im)
-
-    def parse_json(self, re, im):
-        return QQi(Fraction(str(re)), Fraction(str(im)))
-
-
-def _parse_float(x):
-    try:
-        try:
-            v = float(x)  # JSON numbers and float strings
-        except ValueError:
-            v = float(Fraction(x))  # the exact ring's strings, such as "1/3"
-    except OverflowError:  # an int or fraction past the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise ValueError("coefficient part %r is not a finite float" % (x,))
-    return v
-
-
-class _FloatRing:
-    """Complex coefficients, float JSON parts; QQi input needs to_float() first."""
-
-    exact = False
-    zero = 0j
-    real_zero = 0.0
-
-    def coerce(self, c):
-        if isinstance(c, QQi):
-            raise ModeMismatchError("QQi coefficient in float mode; convert explicitly")
-        return complex(c)
-
-    def abs_sq(self, c):
-        return abs(c) ** 2
-
-    def dump_json(self, c):
-        return c.real, c.imag
-
-    def parse_json(self, re, im):
-        return complex(_parse_float(re), _parse_float(im))
-
-
-RINGS = {"exact": _ExactRing(), "float": _FloatRing()}
+_ZERO = QQi()
 
 
 def _check_same(a, b):
     if a.pair.signature != b.pair.signature:
         raise ModeMismatchError("elements belong to different pairs")
-    if a.mode != b.mode:
-        raise ModeMismatchError("mixed exact/float operands")
 
 
 class _Supported:
@@ -198,23 +135,18 @@ class _Supported:
 
     key_type = None
 
-    def __init__(self, pair, terms=None, mode="exact"):
-        if mode not in ("exact", "float"):
-            raise ModeMismatchError("mode must be 'exact' or 'float'")
+    def __init__(self, pair, terms=None):
         self.pair = pair
-        self.mode = mode
-        self.ring = RINGS[mode]
         data = {}
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
-            coerce = self.ring.coerce
             for key, c in items:
                 if type(key) is not self.key_type:
                     raise TypeError(
                         "%s wants %s keys, got %r"
                         % (type(self).__name__, self.key_type.__name__, key)
                     )
-                c = coerce(c)
+                c = _as_qqi(c)
                 if key in data:
                     c = data[key] + c
                 if c:
@@ -224,8 +156,8 @@ class _Supported:
         self.terms = data
 
     @classmethod
-    def zero(cls, pair, mode="exact"):
-        return cls(pair, None, mode)
+    def zero(cls, pair):
+        return cls(pair)
 
     @property
     def support(self):
@@ -236,24 +168,24 @@ class _Supported:
         return sorted(self.terms.items(), key=lambda kv: kv[0].key)
 
     def coefficient(self, key):
-        return self.terms.get(key, self.ring.zero)
+        return self.terms.get(key, _ZERO)
 
     def is_zero(self):
         return not self.terms
 
     def is_nonneg(self):
-        return all(c.imag == 0 and c.real >= 0 for c in self.terms.values())
+        return all(c.is_real_nonneg() for c in self.terms.values())
 
     def _binop(self, other, op):
         _check_same(self, other)
         data = dict(self.terms)
         for k, c in other.terms.items():
-            v = op(data.get(k, self.ring.zero), c)
+            v = op(data.get(k, _ZERO), c)
             if v:
                 data[k] = v
             elif k in data:
                 del data[k]
-        return type(self)(self.pair, data, self.mode)
+        return type(self)(self.pair, data)
 
     def __add__(self, other):
         return self._binop(other, lambda a, b: a + b)
@@ -265,10 +197,8 @@ class _Supported:
         return self.scale(-1)
 
     def scale(self, c):
-        c = self.ring.coerce(c)
-        return type(self)(
-            self.pair, [(k, c * v) for k, v in self.terms.items()], self.mode
-        )
+        c = _as_qqi(c)
+        return type(self)(self.pair, [(k, c * v) for k, v in self.terms.items()])
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -277,7 +207,6 @@ class _Supported:
         return (
             type(other) is type(self)
             and self.pair.signature == other.pair.signature
-            and self.mode == other.mode
             and self.terms == other.terms
         )
 
@@ -290,16 +219,6 @@ class _Supported:
         """Largest length over the support; 0 for the zero element."""
         length = require_length(self.pair, length)
         return max((length(k.rep) for k in self.terms), default=0)
-
-    def to_float(self):
-        """Explicit exact -> float conversion (float input passes through)."""
-        if not self.ring.exact:
-            return self
-        return type(self)(
-            self.pair,
-            [(k, complex(c)) for k, c in self.terms.items()],
-            "float",
-        )
 
     def __repr__(self):
         inside = ", ".join(
@@ -316,13 +235,13 @@ class HeckeElement(_Supported):
     key_type = DoubleCosetKey
 
     @classmethod
-    def delta(cls, pair, g, coeff=1, mode="exact"):
+    def delta(cls, pair, g, coeff=1):
         """coeff times the characteristic function of HgH."""
-        return cls(pair, [(double_key(pair, g), coeff)], mode)
+        return cls(pair, [(double_key(pair, g), coeff)])
 
     def involution(self):
         """f*(g) = conj(f(g^-1)); support maps through inversion, read from
-        `pair.inverse_cache`, which both coefficient modes share."""
+        `pair.inverse_cache`."""
         inverse = self.pair.inverse_cache
         out = []
         for k, c in self.terms.items():
@@ -330,7 +249,7 @@ class HeckeElement(_Supported):
             if star is None:
                 star = inverse[k] = double_key(self.pair, k.rep.inv())
             out.append((star, c.conjugate()))
-        return HeckeElement(self.pair, out, self.mode)
+        return HeckeElement(self.pair, out)
 
 
 class L2Vector(_Supported):
@@ -339,18 +258,18 @@ class L2Vector(_Supported):
     key_type = CosetKey
 
     @classmethod
-    def delta(cls, pair, g, coeff=1, mode="exact"):
+    def delta(cls, pair, g, coeff=1):
         """coeff times the characteristic function of Hg."""
-        return cls(pair, [(coset_key(pair, g), coeff)], mode)
+        return cls(pair, [(coset_key(pair, g), coeff)])
 
     @classmethod
-    def delta_identity(cls, pair, mode="exact"):
-        return cls.delta(pair, pair.identity, mode=mode)
+    def delta_identity(cls, pair):
+        return cls.delta(pair, pair.identity)
 
     def inner(self, other):
         """<self, other> in ell^2 of the right cosets (conjugate-linear right)."""
         _check_same(self, other)
-        acc = self.ring.zero
+        acc = _ZERO
         for k, c in self.terms.items():
             d = other.terms.get(k)
             if d is not None:
@@ -358,8 +277,7 @@ class L2Vector(_Supported):
         return acc
 
     def norm_sq(self):
-        abs_sq = self.ring.abs_sq
-        return sum((abs_sq(c) for c in self.terms.values()), self.ring.real_zero)
+        return sum((c.abs_sq() for c in self.terms.values()), Fraction(0))
 
 
 def _action_outputs(pair, dkey, ckey):
@@ -384,15 +302,14 @@ def apply_regular_rep(pair, f, xi):
     """The module action (f * xi)(Hg) = sum over right cosets Hk of
     f(g k^-1) xi(k), computed exactly on finite supports."""
     _check_same(f, xi)
-    zero = f.ring.zero
     acc = {}
     for dkey, c in f.terms.items():
         for ckey, v in xi.terms.items():
             w = c * v
             for rep in _action_outputs(pair, dkey, ckey):
                 out = CosetKey(rep)
-                acc[out] = acc.get(out, zero) + w
-    return L2Vector(pair, acc, f.mode)
+                acc[out] = acc.get(out, _ZERO) + w
+    return L2Vector(pair, acc)
 
 
 def _generic_product(pair, g1, g2):
@@ -420,7 +337,7 @@ def _generic_product(pair, g1, g2):
 def _double_product(pair, d1, d2):
     """delta_D1 * delta_D2 as {DoubleCosetKey: int}: the pair's closed form
     `double_product` if it has one, else `_generic_product`, cached per pair
-    in `product_cache`, which both coefficient modes share."""
+    in `product_cache`."""
     hit = pair.product_cache.get((d1, d2))
     if hit is None:
         count = pair.double_product or partial(_generic_product, pair)
@@ -437,29 +354,28 @@ def convolve(pair, f1, f2):
     cached per pair of doubles in `pair.product_cache`.
     """
     _check_same(f1, f2)
-    zero = f1.ring.zero
     acc = {}
     for d1, c1 in f1.terms.items():
         for d2, c2 in f2.terms.items():
             w = c1 * c2
             for d3, n in _double_product(pair, d1, d2).items():
-                acc[d3] = acc.get(d3, zero) + w * n
-    return HeckeElement(pair, acc, f1.mode)
+                acc[d3] = acc.get(d3, _ZERO) + w * n
+    return HeckeElement(pair, acc)
 
 
 def l2_norm_sq(f):
     """||f||_2^2 over right cosets: sum of |coeff|^2 * degree per double."""
-    acc = f.ring.real_zero
+    acc = Fraction(0)
     for d, c in f.terms.items():
-        acc += f.ring.abs_sq(c) * degree(f.pair, d.rep)
+        acc += c.abs_sq() * degree(f.pair, d.rep)
     return acc
 
 
 def l1_norm(f):
-    """||f||_1 over right cosets (float; exact only when coefficients are real)."""
+    """||f||_1 over right cosets, as a float."""
     acc = 0.0
     for d, c in f.terms.items():
-        acc += math.sqrt(f.ring.abs_sq(c)) * degree(f.pair, d.rep)
+        acc += math.sqrt(c.abs_sq()) * degree(f.pair, d.rep)
     return acc
 
 
@@ -497,15 +413,14 @@ def norms(f, length=None, s=1):
 
     The weighted norm sums over right cosets; its primed variant sums over
     double cosets, so prime <= weighted always. Exact squares are reported
-    whenever the length is exact, s is a nonnegative integer, and f is in
-    exact mode.
+    whenever the length is exact and s is a nonnegative integer.
     """
     pair = f.pair
     length = require_length(pair, length)
-    exact = f.ring.exact and length.exact and isinstance(s, int) and s >= 0
+    exact = length.exact and isinstance(s, int) and s >= 0
     l2_sq = sob_sq = prime_sq = Fraction(0) if exact else 0.0
     for d, c in f.terms.items():
-        a = f.ring.abs_sq(c)
+        a = c.abs_sq()
         if not exact:
             a = float(a)
         deg = degree(pair, d.rep)

@@ -1,7 +1,7 @@
 """Experiment runner: INI config in, deterministic CSV/JSON artifacts out.
 
 Every JSON artifact embeds the resolved configuration that produced it, and
-exact-mode runs are byte-identical for identical (command, config, seed).
+runs are byte-identical for identical (command, config, seed).
 Exit codes: 0 success; 2 for a failed check, a bad configuration, a length
 the pair lacks, an exhausted enumeration budget or a command that needs a
 finite H (a machine-readable failure object is printed); 1 internal error.
@@ -17,7 +17,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .algebra import HeckeElement, convolve
+from .algebra import HeckeElement, QQi, convolve
 from .cosets import degree, enumerate_ball
 from .diagnostics import (
     _fmt,
@@ -63,7 +63,7 @@ class ExperimentConfig:
         self.resolved = {"command": command}
 
     @classmethod
-    def load(cls, command, config_path=None, seed=None, out=None, mode=None):
+    def load(cls, command, config_path=None, seed=None, out=None):
         values = {}
         if config_path is not None:
             if not os.path.exists(config_path):
@@ -75,9 +75,12 @@ class ExperimentConfig:
                 raise ConfigError("malformed config %s: %s" % (config_path, e))
             if cp.has_section(command):
                 values = dict(cp[command])
-        for key, flag in (("seed", seed), ("out", out), ("mode", mode)):
+        for key, flag in (("seed", seed), ("out", out)):
             if flag is not None:  # a flag overrides the config key
                 values[key] = flag
+        if values.get("mode") not in (None, "exact"):
+            raise ConfigError("key 'mode': coefficients are exact only, got %r"
+                              % values["mode"])
         return cls(command, values)
 
     def _record(self, key, value):
@@ -162,14 +165,6 @@ class ExperimentConfig:
         return seed
 
     @property
-    def mode(self):
-        val = self.values.get("mode", "exact")
-        if val not in ("exact", "float"):
-            raise ConfigError("mode must be 'exact' or 'float', got %r" % val)
-        self._record("mode", val)
-        return val
-
-    @property
     def out_dir(self):
         # not recorded: one run written to two directories gives equal bytes
         return self.values.get("out") or "."
@@ -228,18 +223,17 @@ def element_to_json(el):
     pair = el.pair
     terms = []
     for key, c in el.sorted_terms():
-        re, im = el.ring.dump_json(c)
-        terms.append({"key": key.rep.components(), "re": re, "im": im})
+        terms.append({"key": key.rep.components(), "re": str(c.re),
+                      "im": str(c.im)})
     return {
         "pair": pair.name,
         "params": {k: str(v) for k, v in sorted(pair.params.items())},
         "kind": "double",
-        "mode": el.mode,
         "terms": terms,
     }
 
 
-def element_from_json(pair, data, mode=None):
+def element_from_json(pair, data):
     """Rebuild an element; the JSON's pair name must match the config's."""
     if not isinstance(data, dict) or "terms" not in data:
         raise ConfigError("element JSON needs a 'terms' list")
@@ -252,21 +246,23 @@ def element_from_json(pair, data, mode=None):
     if kind != "double":
         raise ConfigError("element JSON must be a Hecke element (kind 'double'), "
                           "got kind %r" % (kind,))
-    mode = mode or data.get("mode", "exact")
-    out = HeckeElement.zero(pair, mode)
+    if data.get("mode") not in (None, "exact"):
+        raise ConfigError("element JSON 'mode': coefficients are exact only, "
+                          "got %r" % (data["mode"],))
+    out = HeckeElement.zero(pair)
     for term in data["terms"]:
         if not isinstance(term, dict) or "key" not in term:
             raise ConfigError("element term %r has no 'key'" % (term,))
         rep = _rep_from_components(pair, term["key"])
         try:
-            c = out.ring.parse_json(term.get("re", 0), term.get("im", 0))
-        except (ValueError, TypeError, ArithmeticError) as e:
+            c = QQi(str(term.get("re", 0)), str(term.get("im", 0)))
+        except (ValueError, ArithmeticError) as e:
             raise ConfigError("bad coefficient in element term %r: %s" % (term, e))
-        out = out + HeckeElement.delta(pair, rep, coeff=c, mode=mode)
+        out = out + HeckeElement.delta(pair, rep, coeff=c)
     return out
 
 
-def load_element(pair, spec, mode="exact"):
+def load_element(pair, spec):
     """Element from a config value: delta shorthand, inline JSON, or a path.
 
     `delta:1,1` builds the basis element at the given canonical-rep
@@ -277,13 +273,13 @@ def load_element(pair, spec, mode="exact"):
     if spec.startswith("delta:"):
         parts = [tok.strip() for tok in spec[len("delta:"):].split(",")]
         rep = _rep_from_components(pair, parts, flat=True)
-        return HeckeElement.delta(pair, rep, mode=mode)
+        return HeckeElement.delta(pair, rep)
     if spec.startswith("{"):
         try:
             data = json.loads(spec)
         except json.JSONDecodeError as e:
             raise ConfigError("inline element JSON: %s" % e)
-        return element_from_json(pair, data, mode)
+        return element_from_json(pair, data)
     if not os.path.exists(spec):
         raise ConfigError("element file not found: %s" % spec)
     with open(spec, "r", encoding="utf-8") as fh:
@@ -291,7 +287,7 @@ def load_element(pair, spec, mode="exact"):
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError("element file %s: %s" % (spec, e))
-    return element_from_json(pair, data, mode)
+    return element_from_json(pair, data)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +385,12 @@ def cmd_degrees(cfg):
 
 def cmd_convolve(cfg):
     pair = cfg.build_pair()
-    mode = cfg.mode
     left_spec = cfg.get("left")
     right_spec = cfg.get("right")
     if left_spec is None or right_spec is None:
         raise ConfigError("convolve needs `left` and `right` element specs")
-    f1 = load_element(pair, left_spec, mode=mode)
-    f2 = load_element(pair, right_spec, mode=mode)
+    f1 = load_element(pair, left_spec)
+    f2 = load_element(pair, right_spec)
     prod = convolve(pair, f1, f2)
     _write_json(cfg, "convolve.json", {
         "left": element_to_json(f1),
@@ -408,11 +403,10 @@ def cmd_convolve(cfg):
 def cmd_normest(cfg):
     pair = cfg.build_pair()
     length = cfg.resolve_length(pair)
-    mode = cfg.mode
     spec = cfg.get("f")
     if spec is None:
         raise ConfigError("normest needs an `f` element spec")
-    f = load_element(pair, spec, mode=mode)
+    f = load_element(pair, spec)
     radii = cfg.get_radii(default=(2, 4, 6))
     seed = cfg.seed or 0
     raw_tol = cfg.get("tol", "1e-10")
@@ -514,11 +508,10 @@ def cmd_transfer_check(cfg):
 def cmd_jolissaint(cfg):
     pair = cfg.build_pair()
     length = cfg.resolve_length(pair)
-    mode = cfg.mode
     spec = cfg.get("f")
     if spec is None:
         raise ConfigError("jolissaint needs an `f` element spec")
-    f = load_element(pair, spec, mode=mode)
+    f = load_element(pair, spec)
     alpha = cfg.get_fraction("alpha", "1/2")
     q = cfg.get_int("q", 1)
     res = jolissaint_seminorm(pair, f, length=length, alpha=alpha, q=q)
@@ -579,7 +572,7 @@ COMMANDS = {
 }
 
 
-def run(command, config=None, seed=None, out=None, mode=None):
+def run(command, config=None, seed=None, out=None):
     """Programmatic entry point; returns the process exit code."""
     argv = [command]
     if config is not None:
@@ -588,8 +581,6 @@ def run(command, config=None, seed=None, out=None, mode=None):
         argv += ["--seed", str(seed)]
     if out is not None:
         argv += ["--out", str(out)]
-    if mode is not None:
-        argv += ["--mode", str(mode)]
     return main(argv)
 
 
@@ -603,13 +594,10 @@ def main(argv=None):
     parser.add_argument("--config", help="INI file with one section per command")
     parser.add_argument("--seed", type=int, help="overrides the config seed")
     parser.add_argument("--out", help="artifact directory (default: config or .)")
-    parser.add_argument("--mode", choices=("exact", "float"))
     args = parser.parse_args(argv)
     try:
-        cfg = ExperimentConfig.load(
-            args.command, config_path=args.config, seed=args.seed,
-            out=args.out, mode=args.mode,
-        )
+        cfg = ExperimentConfig.load(args.command, config_path=args.config,
+                                    seed=args.seed, out=args.out)
         summary = COMMANDS[args.command](cfg)
         print(summary)
         return 0

@@ -95,13 +95,13 @@ def random_hecke_element(pair, rng, radius=3, nonneg=False, complex_part=False):
     exists, otherwise from the pair's own random element stream.
     """
     return HeckeElement(pair, _random_terms(
-        pair, rng, radius, nonneg, complex_part, double=True), mode="exact")
+        pair, rng, radius, nonneg, complex_part, double=True))
 
 
 def random_l2_vector(pair, rng, radius=3, nonneg=False, complex_part=False):
     """Random exact right-coset vector, same sampling scheme as elements."""
     return L2Vector(pair, _random_terms(
-        pair, rng, radius, nonneg, complex_part, double=False), mode="exact")
+        pair, rng, radius, nonneg, complex_part, double=False))
 
 
 def _ols(xs, ys):
@@ -540,7 +540,7 @@ def _bar(pair, phi, double):
                 if v is not None:
                     acc = acc + v
         terms.append((rk, acc))
-    return cls(pair, terms, mode="exact")
+    return cls(pair, terms)
 
 
 def transfer_check(pair, f, k, rng=None):
@@ -566,8 +566,6 @@ def transfer_check(pair, f, k, rng=None):
         raise InfiniteSubgroupError(
             "transfer needs finite H; pair %r has infinite H" % pair.name
         )
-    if not (f.ring.exact and k.ring.exact):
-        raise ConfigError("transfer checks run in exact mode only")
     if not f.is_nonneg() or not k.is_nonneg():
         raise ConfigError("transfer checks need nonnegative f and k")
     n = len(pair.h_elements)

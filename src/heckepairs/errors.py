@@ -27,7 +27,8 @@ class UnsupportedLengthError(HeckeError):
 
 
 class ModeMismatchError(HeckeError):
-    """Exact and float coefficient modes were mixed in one operation."""
+    """Operands of different pairs were combined, or a coefficient is not
+    rational (int, Fraction, rational string or QQi)."""
 
 
 class ConvolutionAuditError(HeckeError):

@@ -12,12 +12,13 @@ LAPACK.
 """
 
 import math
+import sys
 
 import numpy as np
 
 from .algebra import l1_norm
 from .cosets import decompose_double_coset, enumerate_ball, reachable_coset_ball
-from .errors import PairSanityError, UnsupportedLengthError
+from .errors import ConfigError, PairSanityError, UnsupportedLengthError
 
 
 def _grid(cod):
@@ -107,7 +108,16 @@ class ActionTable:
             self.widths[dk] = len(rights) if full else None
 
     def operator_for(self, f):
-        """Sparse lambda(f) on this index pattern; complex only if f is."""
+        """Sparse lambda(f) on this index pattern; complex only if f is.
+
+        Every float solve starts here. The solvers square entries
+        (||A y||^2), so a coefficient whose squared modulus is past the float
+        range raises ConfigError rather than overflowing.
+        """
+        if any(c.abs_sq() > sys.float_info.max for c in f.terms.values()):
+            raise ConfigError("f has a coefficient past the float range: the "
+                              "spectral solvers need |c|^2 <= %.6g"
+                              % sys.float_info.max)
         zs = [(self.tables[dk], complex(c)) for dk, c in f.terms.items()]
         none = np.zeros(0, np.int64)  # keeps the zero element's operator empty
         vals = np.concatenate([none] + [np.full(len(rows), z) for (rows, _), z in zs])

@@ -51,8 +51,8 @@ class HeckePair:
     `decompose_cache`, `action_cache` (`apply_regular_rep`'s action rows),
     `product_cache` (`convolve`'s constants) and `inverse_cache`
     (`involution`'s map from the key of HgH to the key of Hg^-1H, well
-    defined because `double_rep` is H-bi-invariant); both coefficient modes
-    share them, and concurrent readers are safe.
+    defined because `double_rep` is H-bi-invariant). Concurrent readers are
+    safe.
     """
 
     def __init__(self, name, params, identity, contains, h_generators,

@@ -205,24 +205,15 @@ class TestInvolution:
         lhs = convolve(bc, a, b).involution()
         rhs = convolve(bc, b.involution(), a.involution())
         assert lhs.sorted_terms() == rhs.sorted_terms()
-        # (f1 f2)* == f2* f1* in one mode after the other mode filled the
-        # D -> D* map: both modes read the same entries and add none
-        for name, (first, second) in product(self.PAIR_NAMES, [("exact", "float"),
-                                                                ("float", "exact")]):
+        for name in self.PAIR_NAMES:
             pair = pairs[name]
             rng = spawn_rng(2, 6)
             for _ in range(3):
                 f1, f2 = (random_hecke_element(pair, rng, radius=2, complex_part=True)
                           for _ in range(2))
-                pair.inverse_cache.clear()
-                maps = []
-                for mode in (first, second):
-                    a, b = (f.to_float() if mode == "float" else f for f in (f1, f2))
-                    lhs = convolve(pair, a, b).involution()
-                    rhs = convolve(pair, b.involution(), a.involution())
-                    assert lhs.sorted_terms() == rhs.sorted_terms()
-                    maps.append(dict(pair.inverse_cache))
-                assert maps[0] == maps[1]
+                lhs = convolve(pair, f1, f2).involution()
+                rhs = convolve(pair, f2.involution(), f1.involution())
+                assert lhs.sorted_terms() == rhs.sorted_terms()
 
     def test_second_involution_canonicalises_nothing(self, bost_connes, monkeypatch):
         # the D -> D* map is read, not recomputed: a repeat involution of
@@ -337,14 +328,6 @@ class TestScalars:
 
 
 class TestModes:
-    def test_mixed_modes_rejected(self, dihedral):
-        fe = sigma(dihedral, 1)
-        ff = HeckeElement.delta(dihedral, DihedralElement(1, 1), mode="float")
-        with pytest.raises(ModeMismatchError):
-            fe + ff
-        with pytest.raises(ModeMismatchError):
-            convolve(dihedral, fe, ff)
-
     def test_cross_pair_rejected(self, dihedral, finite_index):
         from heckepairs import IntegerElement
 
@@ -353,51 +336,11 @@ class TestModes:
         with pytest.raises(ModeMismatchError):
             convolve(dihedral, f, g)
 
-    def test_to_float_preserves_values(self, dihedral):
-        f = sigma(dihedral, 2, coeff=QQi(Fraction(1, 3), 2))
-        g = f.to_float()
-        c = g.coefficient(double_key(dihedral, DihedralElement(2, 1)))
-        assert c == pytest.approx(complex(1 / 3, 2))
-        prod = convolve(dihedral, g, g)
-        exact = convolve(dihedral, f, f)
-        for k, v in exact.sorted_terms():
-            assert prod.coefficient(k) == pytest.approx(complex(v))
-
-    @pytest.mark.parametrize("name", ["dihedral", "semidirect"])
-    def test_float_operations_match_exact(self, pairs, name):
-        # every float-mode operation is the exact one seen through
-        # complex()/float(); small integer data keeps the gap at rounding
-        pair = pairs[name]
-        rng = spawn_rng(4, 1)
-
-        def close(got, want):
-            assert type(got) in (float, complex)
-            assert got == pytest.approx(complex(want), rel=1e-12, abs=1e-12)
-
-        def close_el(got, want):
-            assert got.mode == "float" and type(got) is type(want)
-            for k in set(got.terms) | set(want.terms):
-                close(got.coefficient(k), want.coefficient(k))
-
-        for _ in range(4):
-            f1 = random_hecke_element(pair, rng, complex_part=True)
-            f2 = random_hecke_element(pair, rng, complex_part=True)
-            xi = random_l2_vector(pair, rng, complex_part=True)
-            eta = random_l2_vector(pair, rng, complex_part=True)
-            g1, g2, xf, ef = f1.to_float(), f2.to_float(), xi.to_float(), eta.to_float()
-            close_el(g1, f1)
-            close_el(convolve(pair, g1, g2), convolve(pair, f1, f2))
-            close_el(g1.involution(), f1.involution())
-            close_el(apply_regular_rep(pair, g1, xf), apply_regular_rep(pair, f1, xi))
-            close(xf.inner(ef), xi.inner(eta))
-            close(xf.norm_sq(), xi.norm_sq())
-            close(l2_norm_sq(g1), l2_norm_sq(f1))
-            close(l1_norm(g1), l1_norm(f1))
-            for s in (0, 1, 2):
-                got, want = norms(g1, s=s), norms(f1, s=s)
-                assert want.exact and not got.exact
-                for attr in ("l1", "l2_sq", "sobolev_sq", "prime_sq"):
-                    close(getattr(got, attr), getattr(want, attr))
+    def test_non_rational_coefficient_rejected(self, dihedral):
+        with pytest.raises(ModeMismatchError, match="rational"):
+            sigma(dihedral, 1, coeff=0.5)
+        with pytest.raises(ModeMismatchError, match="rational"):
+            sigma(dihedral, 1).scale(1j)
 
 
 class TestRing:
@@ -409,38 +352,30 @@ class TestRing:
         # one name per operation: no aliases beside the protocol's own
         assert not hasattr(z, "conj") and not hasattr(z, "to_complex")
 
-    def test_no_mode_name_comparisons_outside_the_rings(self):
-        # the exact/float decision belongs to algebra's rings; only the two
-        # places that validate a mode name may compare against one
-        allowed = {
-            ("algebra.py", "_Supported.__init__"),
-            ("cli.py", "ExperimentConfig.mode"),
-        }
-        rings = ("_ExactRing", "_FloatRing")
-        names = {"exact", "float"}
-
-        def is_mode_name(node):
-            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-                return any(is_mode_name(e) for e in node.elts)
-            return isinstance(node, ast.Constant) and node.value in names
-
-        def walk(node, scope, path, found):
-            for child in ast.iter_child_nodes(node):
-                inner = scope
-                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                    inner = scope + (child.name,)
-                if isinstance(child, ast.Compare) and any(
-                    is_mode_name(n) for n in [child.left] + child.comparators
-                ):
-                    where = ".".join(scope)
-                    in_ring = bool(scope) and scope[0] in rings
-                    if not in_ring and (path.name, where) not in allowed:
-                        found.append("%s:%d in %s" % (path.name, child.lineno, where))
-                walk(child, inner, path, found)
-
+    def test_one_coefficient_path(self):
+        # coefficients are exact only: no function takes a `mode` and no
+        # class stores a `mode` or a `ring`, so a second coefficient path
+        # cannot come back quietly
         found = []
         for path in sorted(Path(heckepairs.__file__).parent.glob("*.py")):
-            walk(ast.parse(path.read_text(encoding="utf-8")), (), path, found)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    a = node.args
+                    params = a.posonlyargs + a.args + a.kwonlyargs + \
+                        [v for v in (a.vararg, a.kwarg) if v]
+                    found += ["%s:%d takes mode" % (path.name, node.lineno)
+                              for p in params if p.arg == "mode"]
+                elif isinstance(node, ast.ClassDef):
+                    found += ["%s:%d class %s stores %s" % (path.name, t.lineno,
+                                                             node.name, t.id)
+                              for stmt in node.body if isinstance(stmt, ast.Assign)
+                              for t in stmt.targets
+                              if isinstance(t, ast.Name) and t.id in ("mode", "ring")]
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) and node.value.id == "self" \
+                        and node.attr in ("mode", "ring"):
+                    found.append("%s:%d stores self.%s" % (path.name, node.lineno,
+                                                          node.attr))
         assert found == []
 
 

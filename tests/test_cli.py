@@ -23,6 +23,7 @@ from heckepairs import (
     QQi,
     SemidirectElement,
     build_pair,
+    convolve,
 )
 
 
@@ -61,7 +62,7 @@ class TestElementCodec:
         }
         for name, f in samples.items():
             data = element_to_json(f)
-            back = element_from_json(f.pair, data, mode="exact")
+            back = element_from_json(f.pair, data)
             assert back.sorted_terms() == f.sorted_terms(), name
 
     def test_exact_coefficients_survive_as_strings(self, dihedral):
@@ -73,7 +74,7 @@ class TestElementCodec:
         assert data["terms"][0]["im"] == "-1/3"
 
     def test_delta_shorthand(self, dihedral):
-        f = load_element(dihedral, "delta:3,-1", mode="exact")
+        f = load_element(dihedral, "delta:3,-1")
         assert f.sorted_terms() == HeckeElement.delta(
             dihedral, DihedralElement(3, -1)
         ).sorted_terms()
@@ -82,14 +83,14 @@ class TestElementCodec:
         f = HeckeElement.delta(dihedral, DihedralElement(2, 1), coeff=QQi(0, 1)) \
             + HeckeElement.delta(dihedral, DihedralElement(0, 1), coeff=2)
         spec = json.dumps(element_to_json(f))
-        back = load_element(dihedral, spec, mode="exact")
+        back = load_element(dihedral, spec)
         assert back.sorted_terms() == f.sorted_terms()
 
     def test_semidirect_key_of_wrong_rank_rejected(self, semidirect):
         from heckepairs import ConfigError
 
         with pytest.raises(ConfigError, match="coordinates"):
-            load_element(semidirect, "delta:1,0", mode="exact")
+            load_element(semidirect, "delta:1,0")
 
     @pytest.mark.parametrize("name, spec", [
         ("dihedral", "delta:3,1,7"),
@@ -102,34 +103,53 @@ class TestElementCodec:
         from heckepairs import ConfigError
 
         with pytest.raises(ConfigError, match="components"):
-            load_element(pairs[name], spec, mode="exact")
+            load_element(pairs[name], spec)
 
     @pytest.mark.parametrize("part", ["re", "im"])
-    @pytest.mark.parametrize("value", [
-        "inf", "nan", "1e400", json.loads("Infinity"), "1" + "0" * 400 + "/1",
-    ], ids=["inf", "nan", "1e400", "json-Infinity", "401-digit-fraction"])
-    def test_float_mode_refuses_non_finite_parts(self, dihedral, part, value):
-        # "inf", "nan", "1e400" and a JSON Infinity used to load as non-finite
-        # coefficients, while the 401-digit fraction overflowed
+    @pytest.mark.parametrize("value", ["inf", "nan", json.loads("Infinity")],
+                             ids=["inf", "nan", "json-Infinity"])
+    def test_non_finite_parts_refused(self, dihedral, part, value):
         from heckepairs import ConfigError
 
         data = {"terms": [{"key": [1, 1], part: value}]}
-        with pytest.raises(ConfigError, match="not a finite float"):
-            element_from_json(dihedral, data, mode="float")
+        with pytest.raises(ConfigError, match="bad coefficient"):
+            element_from_json(dihedral, data)
 
     def test_exact_mode_reads_fractions_past_the_float_range(self, dihedral):
-        big = "1" + "0" * 400 + "/1"
-        f = element_from_json(dihedral, {"terms": [{"key": [1, 1], "re": big}]},
-                              mode="exact")
-        assert f.sorted_terms() == HeckeElement.delta(
-            dihedral, DihedralElement(1, 1), coeff=10 ** 400).sorted_terms()
+        for part, unit in (("re", 1), ("im", QQi(0, 1))):
+            for big in ("1e400", "1" + "0" * 400 + "/1"):
+                f = element_from_json(dihedral, {"terms": [{"key": [1, 1], part: big}]})
+                assert f.sorted_terms() == HeckeElement.delta(
+                    dihedral, DihedralElement(1, 1), coeff=unit * 10 ** 400).sorted_terms()
 
     def test_wrong_pair_rejected(self, dihedral, finite_index):
         from heckepairs import ConfigError, IntegerElement
 
         data = element_to_json(HeckeElement.delta(finite_index, IntegerElement(1)))
         with pytest.raises(ConfigError):
-            element_from_json(dihedral, data, mode="exact")
+            element_from_json(dihedral, data)
+
+    def test_product_written_with_mode_exact_loads(self, tmp_path):
+        # the product of test_exact_convolve_with_fractional_coefficients_frozen
+        # as convolve.json wrote it while elements still carried "mode"
+        old = {"kind": "double", "mode": "exact", "pair": "bost_connes", "params": {},
+               "terms": [
+                   {"im": "-23/60", "key": ["1/6", "13/90"], "re": "331/360"},
+                   {"im": "19/10", "key": ["1/2", "1/3"], "re": "1/20"},
+                   {"im": "5/9", "key": ["2/3", "1/5"], "re": "35/6"},
+                   {"im": "10", "key": ["2", "0"], "re": "-5"}]}
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps(old))
+        pair = build_pair("bost_connes")
+        got = load_element(pair, str(path))
+        left = load_element(pair, json.dumps({"terms": [
+            {"key": ["1/2", "1/3"], "re": "3/4", "im": "-2/5"},
+            {"key": [2, 0], "re": "5"}]}))
+        right = load_element(pair, json.dumps({"terms": [
+            {"key": ["1/3", "1/5"], "re": "7/6", "im": "1/9"},
+            {"key": [1, 0], "re": "-1", "im": "2"}]}))
+        assert got == convolve(pair, left, right)
+        assert element_to_json(got) == {k: v for k, v in old.items() if k != "mode"}
 
 
 class TestExitCodes:
@@ -383,12 +403,10 @@ class TestExitCodes:
         assert payload["status"] == "failure"
         assert "key" in payload["message"]
 
-    @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("re", ["1/3+2i", "x", "1/0", "inf"])
-    def test_malformed_coefficient_exits_two(self, tmp_path, capsys, mode, re):
-        # used to raise a bare ValueError (or ZeroDivisionError) with exit 1;
-        # "inf" used to load as a coefficient in float mode
-        ini = write_ini(tmp_path / "c.ini", "convolve", pair="dihedral", mode=mode,
+    def test_malformed_coefficient_exits_two(self, tmp_path, capsys, re):
+        # used to raise a bare ValueError (or ZeroDivisionError) with exit 1
+        ini = write_ini(tmp_path / "c.ini", "convolve", pair="dihedral",
                         left='{"terms": [{"key": [1, 1], "re": "%s"}]}' % re,
                         right="delta:1,1")
         assert run("convolve", config=ini, out=str(tmp_path)) == 2
@@ -400,6 +418,39 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["normest", "jolissaint"])
+    @pytest.mark.parametrize("exp", [200, 400])
+    def test_coefficient_past_the_float_range_exits_two(self, tmp_path, capsys,
+                                                         command, exp):
+        # both used to exit 1: QQi.__complex__ overflowed at 10^400, and
+        # normest's l1_norm overflowed squaring 10^200
+        f = json.dumps({"terms": [{"key": [2, 1], "re": str(10 ** exp)}]})
+        ini = write_ini(tmp_path / "c.ini", command, pair="dihedral", f=f, radii="2")
+        assert run(command, config=ini, out=str(tmp_path / "out")) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure" and payload["command"] == command
+        assert "float range" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_stale_float_inputs_refused(self, tmp_path, capsys):
+        spec = '{"mode": "float", "terms": [{"key": [1, 1], "re": "1"}]}'
+        for name, values in (("key", {"mode": "float", "left": "delta:1,1"}),
+                             ("json", {"left": spec})):
+            ini = write_ini(tmp_path / ("%s.ini" % name), "convolve", pair="dihedral",
+                            right="delta:1,1", **values)
+            assert run("convolve", config=ini, out=str(tmp_path / name)) == 2
+            payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert payload["status"] == "failure"
+            assert "exact only" in payload["message"] and "'float'" in payload["message"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["convolve", "--mode", "float"])
+        assert exc.value.code == 2
+        # "exact" still loads, and is not echoed into the artifact
+        ini = write_ini(tmp_path / "exact.ini", "convolve", pair="dihedral", mode="exact",
+                        left="delta:1,1", right="delta:1,1")
+        assert run("convolve", config=ini, out=str(tmp_path / "exact")) == 0
+        assert '"mode"' not in (tmp_path / "exact" / "convolve.json").read_text()
 
 
 class TestArtifacts:
@@ -435,7 +486,7 @@ class TestArtifacts:
             {"key": ["1/3", "1/5"], "re": "7/6", "im": "1/9"},
             {"key": [1, 0], "re": "-1", "im": "2"}]})
         ini = write_ini(tmp_path / "c.ini", "convolve", pair="bost_connes",
-                        mode="exact", left=left, right=right)
+                        left=left, right=right)
         assert run("convolve", config=ini, out=str(tmp_path)) == 0
         terms = json.loads((tmp_path / "convolve.json").read_text())["product"]["terms"]
         assert [(t["key"], t["re"], t["im"]) for t in terms] == [
@@ -444,21 +495,6 @@ class TestArtifacts:
             (["2/3", "1/5"], "35/6", "5/9"),
             (["2", "0"], "-5", "10"),
         ]
-
-    @pytest.mark.parametrize("name, key", [("gl2q", [[1, 0], [0, 2]]),
-                                           ("semidirect", [[1, 2], 0])])
-    def test_float_convolve_reads_exact_strings(self, tmp_path, name, key):
-        # float mode used to call float("1/3") and die with exit 1
-        left = json.dumps({"terms": [{"key": key, "re": "1/3", "im": "-2/7"}]})
-        products = {}
-        for mode in ("exact", "float"):
-            out = tmp_path / mode
-            ini = write_ini(tmp_path / ("%s.ini" % mode), "convolve", pair=name,
-                            mode=mode, left=left, right=left)
-            assert run("convolve", config=ini, out=str(out)) == 0
-            data = json.loads((out / "convolve.json").read_text())["product"]
-            products[mode] = element_from_json(build_pair(name), data, mode=mode)
-        assert products["float"].sorted_terms() == products["exact"].to_float().sorted_terms()
 
     def test_normest_csv_header_and_monotone(self, tmp_path, capsys):
         ini = write_ini(
@@ -548,8 +584,7 @@ class TestDeterminism:
         "degrees": {"pair": "gl2q", "length": "log-det-prim", "samples": "6"},
         "convolve": {"pair": "bost_connes", "left": "delta:1/2,1/3",
                      "right": '{"terms": [{"key": [2, 0], "re": "1/3", "im": "2"}]}'},
-        "normest": {"pair": "semidirect", "f": "delta:1,0,0", "radii": "2,4",
-                    "mode": "float"},
+        "normest": {"pair": "semidirect", "f": "delta:1,0,0", "radii": "2,4"},
         "rd-scan": {"pair": "dihedral", "radii": "2,4", "samples": "6",
                     "operator": "true", "operator_radii": "2"},
         "transfer-check": {"pair": "sl3", "samples": "4", "radius": "2"},

@@ -241,12 +241,6 @@ class TestTransfer:
         k = L2Vector.delta_identity(dihedral)
         with pytest.raises(ConfigError):
             transfer_check(dihedral, f, k)
-        with pytest.raises(ConfigError):
-            transfer_check(
-                dihedral,
-                HeckeElement.delta(dihedral, DihedralElement(1, 1), mode="float"),
-                k.to_float(),
-            )
 
     def test_infinite_h_rejected(self, bost_connes):
         from heckepairs import AxbElement

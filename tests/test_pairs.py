@@ -364,10 +364,8 @@ class TestNoUnreadOptions:
         allowed = {
             "cli.run": "the programmatic entry point beside main",
             "groups.word_length": "the length that G's own (RD) is usually stated for",
-            "algebra._Supported.to_float": "the explicit exact-to-float conversion",
             "algebra.L2Vector.inner": "the inner product of the module ell^2(H\\G)",
             "algebra.L2Vector.delta_identity": "the cyclic vector delta_H",
-            "algebra.QQi.is_real_nonneg": "perfbench's convolve-exact check reads it",
             "algebra.norms": "acceptance criterion 12",
             "diagnostics.cauchy_schwarz_constant_check": "acceptance criterion 7",
             "jolissaint.submultiplicativity_check": "acceptance criterion 11",
