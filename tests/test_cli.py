@@ -115,12 +115,14 @@ class TestElementCodec:
         with pytest.raises(ConfigError, match="bad coefficient"):
             element_from_json(dihedral, data)
 
-    def test_exact_mode_reads_fractions_past_the_float_range(self, dihedral):
-        for part, unit in (("re", 1), ("im", QQi(0, 1))):
-            for big in ("1e400", "1" + "0" * 400 + "/1"):
-                f = element_from_json(dihedral, {"terms": [{"key": [1, 1], part: big}]})
-                assert f.sorted_terms() == HeckeElement.delta(
-                    dihedral, DihedralElement(1, 1), coeff=unit * 10 ** 400).sorted_terms()
+    @pytest.mark.parametrize("part, unit", [("re", 1), ("im", QQi(0, 1))],
+                             ids=["re", "im"])
+    @pytest.mark.parametrize("big", ["1e400", "1" + "0" * 400 + "/1"],
+                             ids=["1e400", "401-digit-fraction"])
+    def test_parts_past_the_float_range_read_exactly(self, dihedral, part, unit, big):
+        f = element_from_json(dihedral, {"terms": [{"key": [1, 1], part: big}]})
+        assert f.sorted_terms() == HeckeElement.delta(
+            dihedral, DihedralElement(1, 1), coeff=unit * 10 ** 400).sorted_terms()
 
     def test_wrong_pair_rejected(self, dihedral, finite_index):
         from heckepairs import ConfigError, IntegerElement
@@ -433,19 +435,25 @@ class TestExitCodes:
         assert "float range" in payload["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_stale_float_inputs_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("where", ["key", "json"])
+    def test_stale_float_inputs_refused(self, tmp_path, capsys, where):
         spec = '{"mode": "float", "terms": [{"key": [1, 1], "re": "1"}]}'
-        for name, values in (("key", {"mode": "float", "left": "delta:1,1"}),
-                             ("json", {"left": spec})):
-            ini = write_ini(tmp_path / ("%s.ini" % name), "convolve", pair="dihedral",
-                            right="delta:1,1", **values)
-            assert run("convolve", config=ini, out=str(tmp_path / name)) == 2
-            payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-            assert payload["status"] == "failure"
-            assert "exact only" in payload["message"] and "'float'" in payload["message"]
+        values = {"key": {"mode": "float", "left": "delta:1,1"},
+                  "json": {"left": spec}}[where]
+        ini = write_ini(tmp_path / "c.ini", "convolve", pair="dihedral",
+                        right="delta:1,1", **values)
+        assert run("convolve", config=ini, out=str(tmp_path / "out")) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure"
+        assert "exact only" in payload["message"] and "'float'" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_mode_flag_is_unknown(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["convolve", "--mode", "float"])
         assert exc.value.code == 2
+
+    def test_exact_mode_key_still_loads(self, tmp_path):
         # "exact" still loads, and is not echoed into the artifact
         ini = write_ini(tmp_path / "exact.ini", "convolve", pair="dihedral", mode="exact",
                         left="delta:1,1", right="delta:1,1")
@@ -495,6 +503,22 @@ class TestArtifacts:
             (["2/3", "1/5"], "35/6", "5/9"),
             (["2", "0"], "-5", "10"),
         ]
+
+    @pytest.mark.parametrize("name, key", [("gl2q", [[1, 0], [0, 2]]),
+                                           ("semidirect", [[1, 2], 0])])
+    def test_convolve_reads_exact_strings(self, tmp_path, name, key):
+        # the CLI product of fractional complex strings is the in-process one
+        pair = build_pair(name)
+        left = {"terms": [{"key": key, "re": "1/3", "im": "-2/7"}]}
+        ini = write_ini(tmp_path / "c.ini", "convolve", pair=name,
+                        left=json.dumps(left), right=json.dumps(left))
+        assert run("convolve", config=ini, out=str(tmp_path)) == 0
+        data = json.loads((tmp_path / "convolve.json").read_text())["product"]
+        f = element_from_json(pair, left)
+        assert f.sorted_terms()[0][1] == QQi(Fraction(1, 3), Fraction(-2, 7))
+        want = convolve(pair, f, f)
+        assert not want.is_zero()
+        assert element_from_json(pair, data).sorted_terms() == want.sorted_terms()
 
     def test_normest_csv_header_and_monotone(self, tmp_path, capsys):
         ini = write_ini(

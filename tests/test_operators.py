@@ -226,6 +226,22 @@ class TestActionTable:
         assert np.allclose(op.matvec(x), mat @ x, rtol=0, atol=1e-12)
         assert np.allclose(op.rmatvec(y), mat.conj().T @ y, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("exp", [154, 155])
+    def test_operator_for_float_range_boundary(self, dihedral, exp):
+        # the solvers square entries: |c|^2 = 10^308 fits a double, 10^310 not
+        from heckepairs import ConfigError
+
+        f = sigma(dihedral, 1, coeff=10 ** exp)
+        dom = enumerate_ball(dihedral, dihedral.length, 1).right
+        cod = enumerate_ball(dihedral, dihedral.length, 2).right
+        table = ActionTable(dihedral, f.support, dom, cod)
+        if exp == 154:
+            op = table.operator_for(f)
+            assert op.vals.dtype == np.float64 and set(op.vals) == {1e154}
+        else:
+            with pytest.raises(ConfigError, match="float range"):
+                table.operator_for(f)
+
     def test_missing_codomain_raises_without_flag(self, dihedral):
         from heckepairs import UnsupportedLengthError
 
