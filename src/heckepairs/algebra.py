@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 from .cosets import (CosetKey, DoubleCosetKey, coset_key, decompose_double_coset, degree,
                      double_key, require_length)
-from .errors import ConvolutionAuditError, ModeMismatchError
+from .errors import ConfigError, ConvolutionAuditError, ModeMismatchError
 
 
 class QQi:
@@ -371,8 +371,22 @@ def l2_norm_sq(f):
     return acc
 
 
+def require_float_range(f):
+    """Raise ConfigError if some |c|^2 of f is past the float range.
+
+    Every float norm and solver squares coefficients, so it starts here.
+    """
+    for c in f.terms.values():
+        try:
+            float(c.abs_sq())
+        except OverflowError:
+            raise ConfigError("f has a coefficient past the float range: float "
+                              "norms and solvers need |c|^2 to fit a float") from None
+
+
 def l1_norm(f):
     """||f||_1 over right cosets, as a float."""
+    require_float_range(f)
     acc = 0.0
     for d, c in f.terms.items():
         acc += math.sqrt(c.abs_sq()) * degree(f.pair, d.rep)
@@ -417,6 +431,7 @@ def norms(f, length=None, s=1):
     """
     pair = f.pair
     length = require_length(pair, length)
+    require_float_range(f)
     exact = length.exact and isinstance(s, int) and s >= 0
     l2_sq = sob_sq = prime_sq = Fraction(0) if exact else 0.0
     for d, c in f.terms.items():

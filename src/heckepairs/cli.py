@@ -249,7 +249,7 @@ def element_from_json(pair, data):
     if data.get("mode") not in (None, "exact"):
         raise ConfigError("element JSON 'mode': coefficients are exact only, "
                           "got %r" % (data["mode"],))
-    out = HeckeElement.zero(pair)
+    terms = []
     for term in data["terms"]:
         if not isinstance(term, dict) or "key" not in term:
             raise ConfigError("element term %r has no 'key'" % (term,))
@@ -258,8 +258,9 @@ def element_from_json(pair, data):
             c = QQi(str(term.get("re", 0)), str(term.get("im", 0)))
         except (ValueError, ArithmeticError) as e:
             raise ConfigError("bad coefficient in element term %r: %s" % (term, e))
-        out = out + HeckeElement.delta(pair, rep, coeff=c)
-    return out
+        terms.extend(HeckeElement.delta(pair, rep, coeff=c).terms.items())
+    # the constructor sums repeated keys in order, as a sum of deltas does
+    return HeckeElement(pair, terms)
 
 
 def load_element(pair, spec):

@@ -91,7 +91,10 @@ class BallIndex:
     """Ordered set of coset keys of length <= radius.
 
     Keys are sorted by (length, canonical key); a smaller ball over the same
-    length is always a prefix of a larger one, which `prefix` exploits.
+    length is always a prefix of a larger one, which `prefix` exploits. The
+    rep -> index map and the length list are built on first read, and the
+    int64 coordinate rows on the first `coords` call; a slice reads its rows
+    as a view of the rows of the ball it was cut from.
     """
 
     def __init__(self, radius, keys, ordered=False):
@@ -108,8 +111,10 @@ class BallIndex:
                     )
         self.radius = radius
         self.keys = tuple(keys)
-        self._slots = {k.rep: i for i, k in enumerate(self.keys)}
-        self._length_list = [k.length for k in self.keys]
+        self._slot_map = None
+        self._lengths = None
+        self._coords = None
+        self._source = None  # (ball, start) of a slice
 
     def __len__(self):
         return len(self.keys)
@@ -117,10 +122,37 @@ class BallIndex:
     def __iter__(self):
         return iter(self.keys)
 
+    @property
+    def _slots(self):
+        if self._slot_map is None:
+            self._slot_map = {k.rep: i for i, k in enumerate(self.keys)}
+        return self._slot_map
+
+    @property
+    def _length_list(self):
+        if self._lengths is None:
+            self._lengths = [k.length for k in self.keys]
+        return self._lengths
+
+    def coords(self, coset_coords):
+        """int64 rows `coset_coords` gives the keys, computed once per ball."""
+        if self._coords is None:
+            if self._source is None:
+                self._coords = coset_coords([k.rep for k in self.keys])
+            else:
+                ball, start = self._source
+                self._coords = ball.coords(coset_coords)[start:start + len(self.keys)]
+        return self._coords
+
+    def slice(self, start, stop, radius):
+        """keys[start:stop] as a ball of the given radius, sharing coordinates."""
+        out = BallIndex(radius, self.keys[start:stop], ordered=True)
+        out._source = (self, start)
+        return out
+
     def prefix(self, radius):
         """The sub-ball of keys with length <= radius (prefix of this order)."""
-        cut = bisect_right(self._length_list, radius)
-        return BallIndex(radius, self.keys[:cut], ordered=True)
+        return self.slice(0, bisect_right(self._length_list, radius), radius)
 
 
 class PairBall:

@@ -267,7 +267,7 @@ class SemidirectElement(GroupElement):
             raise ValueError("unknown action %r" % (action,))
         if flip not in (0, 1):
             raise ValueError("flip must be 0 or 1")
-        self._key = (tuple(int(x) for x in vec), flip, action)
+        self._key = (tuple(map(int, vec)), flip, action)
 
     @property
     def vec(self):
@@ -428,7 +428,7 @@ def dihedral_abs_length():
 
 def coordinate_sum_length():
     """L((v, s)) = sum_i |v_i| on semidirect products."""
-    return LengthFunction("coordinate-sum", lambda g: sum(abs(x) for x in g.vec))
+    return LengthFunction("coordinate-sum", lambda g: sum(map(abs, g.vec)))
 
 
 class LengthReport:

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .algebra import convolve
-from .cosets import BallIndex, enumerate_ball, require_length
+from .cosets import enumerate_ball, require_length
 from .errors import ConfigError
 from .operators import ActionTable, block_operator_norm, norm_upper
 
@@ -77,13 +77,21 @@ def vanishing_threshold(ell, alpha):
 
 
 def _window(ball, lo_excl, n, alpha, shift=0):
-    """Keys of the ball with lo_excl < length <= n - n^alpha + shift."""
+    """Keys of the ball with lo_excl < length <= n - n^alpha + shift.
+
+    With k = ceil(n^alpha), an exact integer root, every length up to
+    n + shift - k passes and every length from n + shift - k + 1 on fails,
+    so the exact test runs only on the lengths strictly between: none when
+    the lengths and the shift are integers.
+    """
     lengths = ball._length_list
     start = bisect_right(lengths, lo_excl)
-    # lengths are sorted, so the test holds on a prefix; find where it ends
-    end = bisect_left(lengths, True, key=lambda L: not length_le_n_minus_pow(
+    # k is the least integer with n <= k^(1/alpha)
+    sure = n + shift - vanishing_threshold(n, 1 / alpha)
+    lo, hi = bisect_right(lengths, sure), bisect_left(lengths, sure + 1)
+    end = bisect_left(lengths, True, lo, hi, key=lambda L: not length_le_n_minus_pow(
         Fraction(L) - shift, n, alpha))
-    return BallIndex(ball.radius, ball.keys[start:end], ordered=True)
+    return ball.slice(start, end, ball.radius)
 
 
 class RhoResult:
@@ -129,8 +137,11 @@ def corner_seminorm(pair, f, length=None, params=None, ball=None):
         return RhoResult(n, 0.0, vanished=True)
     if ball is None:
         ball = enumerate_ball(pair, length, n + math.ceil(ell)).right
-    cols = _window(ball, Fraction(n) - Fraction(ell), n, alpha)
-    rows = _window(ball, Fraction(n), n, alpha, shift=Fraction(ell))
+    # an int ell keeps the window bounds ints, which the bisections compare
+    # with int lengths without a Fraction comparison a step
+    ell = ell if isinstance(ell, int) else Fraction(ell)
+    cols = _window(ball, n - ell, n, alpha)
+    rows = _window(ball, n, n, alpha, shift=ell)
     if len(cols) == 0 or len(rows) == 0:
         return RhoResult(n, 0.0, block1_shape=(len(rows), len(cols)),
                          block2_shape=(len(cols), len(rows)))

@@ -12,13 +12,12 @@ LAPACK.
 """
 
 import math
-import sys
 
 import numpy as np
 
-from .algebra import l1_norm
+from .algebra import l1_norm, require_float_range
 from .cosets import decompose_double_coset, enumerate_ball, reachable_coset_ball
-from .errors import ConfigError, PairSanityError, UnsupportedLengthError
+from .errors import PairSanityError, UnsupportedLengthError
 
 
 def _grid(cod):
@@ -61,7 +60,8 @@ class ActionTable:
     of D on each entry. With a `coset_coords` hook the rows of delta_D are
     one gather: coords(H a x) = coords(Ha) + coords(Hx), so the flat grid
     offset of H a x is the offset of x plus that of a, and
-    grid.flat[base[:, None] + offs_D] reads every row at once. Only when the
+    grid.flat[base[:, None] + offs_D] reads every row at once; each ball
+    computes its coordinate rows once (`BallIndex.coords`). Only when the
     domain's box shifted by D's box can leave the codomain's box are the
     translates outside it masked to -1. Without a grid (no hook, or a box
     over `_grid`'s cap) the rows come from `coset_rep` of each product.
@@ -75,11 +75,10 @@ class ActionTable:
         self.tables = {}
         # entries per column of D's table, or None if it misses some rows
         self.widths = {}
-        grid = pair.coset_coords and _grid(
-            pair.coset_coords([k.rep for k in codomain.keys]))
+        grid = pair.coset_coords and _grid(codomain.coords(pair.coset_coords))
         if grid is not None:
             flat, lo, hi, strides = grid
-            xs = pair.coset_coords([k.rep for k in domain.keys])
+            xs = domain.coords(pair.coset_coords)
             base = (xs - lo) @ strides
             box = len(xs) and (xs.min(0), xs.max(0))
         for dk in doubles:
@@ -114,10 +113,7 @@ class ActionTable:
         (||A y||^2), so a coefficient whose squared modulus is past the float
         range raises ConfigError rather than overflowing.
         """
-        if any(c.abs_sq() > sys.float_info.max for c in f.terms.values()):
-            raise ConfigError("f has a coefficient past the float range: the "
-                              "spectral solvers need |c|^2 <= %.6g"
-                              % sys.float_info.max)
+        require_float_range(f)
         zs = [(self.tables[dk], complex(c)) for dk, c in f.terms.items()]
         none = np.zeros(0, np.int64)  # keeps the zero element's operator empty
         vals = np.concatenate([none] + [np.full(len(rows), z) for (rows, _), z in zs])
@@ -206,8 +202,9 @@ _BREAKDOWN = 1e-12
 def _reorth(x, basis):
     # classical Gram-Schmidt against the rows of basis, twice, which keeps
     # the Krylov vectors orthogonal to rounding
+    dual = basis.conj() if np.iscomplexobj(basis) else basis
     for _ in range(2):
-        x = x - basis.T @ (basis.conj() @ x)
+        x = x - basis.T @ (dual @ x)
     return x
 
 
@@ -274,8 +271,13 @@ def top_singular_value(a, tol=1e-10, max_iter=10 ** 4, seed=0):
 
 
 def block_operator_norm(a):
-    """Spectral norm of a dense block, by LAPACK SVD."""
+    """Spectral norm of a dense block, by LAPACK SVD of its nonzero part.
+
+    Deleting an all-zero row or column leaves the singular values as they
+    are, and a corner block is mostly such rows and columns.
+    """
     a = np.asarray(a)
+    a = a[a.any(1)][:, a.any(0)]
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
@@ -325,14 +327,13 @@ def norm_lower(pair, f, length=None, radius=6, tol=1e-10, max_iter=10 ** 4, seed
         return NormBracket(0.0, 0.0, "zero", 0, 0.0, True, radius, 0, 0)
     try:
         ell = f.max_support_length(length)
-        dom = enumerate_ball(pair, length, radius).right
         cod = enumerate_ball(pair, length, radius + ell).right
         method = "gkl/ball"
     except UnsupportedLengthError:
         dirs = list(f.support) + list(f.involution().support)
         cod = reachable_coset_ball(pair, dirs, radius + 1)
-        dom = cod.prefix(radius)
         method = "gkl/reachable"
+    dom = cod.prefix(radius)
     table = ActionTable(pair, f.support, dom, cod)
     sigma, iters, res, conv = top_singular_value(
         table.operator_for(f), tol=tol, max_iter=max_iter, seed=seed

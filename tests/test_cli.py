@@ -24,6 +24,7 @@ from heckepairs import (
     SemidirectElement,
     build_pair,
     convolve,
+    double_key,
 )
 
 
@@ -123,6 +124,30 @@ class TestElementCodec:
         f = element_from_json(dihedral, {"terms": [{"key": [1, 1], part: big}]})
         assert f.sorted_terms() == HeckeElement.delta(
             dihedral, DihedralElement(1, 1), coeff=unit * 10 ** 400).sorted_terms()
+
+    def test_long_element_loads_as_its_summed_terms(self, dihedral):
+        # 2,000 terms over 16 doubles, with repeats and with keys that cancel
+        # and come back: one constructor call gives the terms, in the order,
+        # of the sum of the deltas
+        def summed(terms):
+            out = HeckeElement.zero(dihedral)
+            for t in terms:
+                out = out + HeckeElement.delta(dihedral, DihedralElement(*t["key"]),
+                                               coeff=QQi(t["re"], t["im"]))
+            return out
+
+        terms = [{"key": [(7 * i) % 31 - 15, 1], "re": str(i % 5 - 2),
+                  "im": "0" if i % 2 else "1/%d" % (i % 3 + 1)} for i in range(1996)]
+        for n in (3, 8):  # cancel these two doubles
+            c = summed(terms).coefficient(double_key(dihedral, DihedralElement(n, 1)))
+            terms.append({"key": [n, 1], "re": str(-c.real), "im": str(-c.imag)})
+        terms += [{"key": [0, 1], "re": "1", "im": "0"}, {"key": [3, 1], "re": "5", "im": "0"}]
+        want = summed(terms)
+        got = element_from_json(dihedral, {"terms": terms})
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert len(terms) == 2000 and len(want.terms) == 15
+        # the double of (3, 1) came back, at the end
+        assert list(want.terms)[-1] == double_key(dihedral, DihedralElement(3, 1))
 
     def test_wrong_pair_rejected(self, dihedral, finite_index):
         from heckepairs import ConfigError, IntegerElement

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heckepairs import (
+    ActionTable,
     AxbElement,
     BallIndex,
     BudgetExceededError,
@@ -32,6 +34,7 @@ from heckepairs import (
     spawn_rng,
     word_length,
 )
+from heckepairs.jolissaint import _window
 
 
 FLIP = DihedralElement(0, -1)
@@ -273,9 +276,9 @@ class TestEnumerateBall:
         built = sorted(key[2] for key, ball in pair.ball_cache.items()
                        if ball._double is not None)
         assert built == [1, 2]
-        # the scan's codomains (6r), the bracket's domain and codomain, the
-        # corner seminorm's ball
-        assert sorted(key[2] for key in pair.ball_cache) == [1, 2, 4, 6, 7, 11, 12]
+        # the scan's codomains (6r), the bracket's codomain (its domain is a
+        # prefix of it), the corner seminorm's ball
+        assert sorted(key[2] for key in pair.ball_cache) == [1, 2, 6, 7, 11, 12]
 
 
 class TestBallIndex:
@@ -291,6 +294,28 @@ class TestBallIndex:
             assert [(k.length, k.key) for k in got] == [(k.length, k.key) for k in want]
             assert got._slots == want._slots
             assert got._length_list == want._length_list
+
+    @pytest.mark.parametrize("params", [{"rank": 2, "action": "swap"},
+                                        {"rank": 3, "action": "negate"}])
+    def test_slices_read_the_ball_coordinate_rows(self, params):
+        # a prefix or a corner window reads its rows as a view of its ball's,
+        # and those rows are what coset_coords gives its keys
+        pair = build_pair("semidirect", params)
+        hook = pair.coset_coords
+        ball = enumerate_ball(pair, None, 6).right
+        f = HeckeElement.delta(pair, SemidirectElement((1, 1) + (0,) * (params["rank"] - 2),
+                                                       0, params["action"]))
+        table = ActionTable(pair, f.support, ball.prefix(4), ball)
+        # the grid path needs no slot map
+        assert ball._slot_map is None and table.domain._slot_map is None
+        rows = ball.coords(hook)
+        assert rows is ball.coords(hook)
+        window = _window(ball, Fraction(2), 5, Fraction(1, 2), shift=Fraction(1))
+        for piece in (table.domain, ball.prefix(Fraction(7, 2)), window,
+                      window.prefix(3), ball.prefix(-1)):
+            got = piece.coords(hook)
+            assert np.shares_memory(got, rows) or len(piece) == 0
+            assert np.array_equal(got, hook([k.rep for k in piece]).reshape(got.shape))
 
     def test_prefix_select_shell(self, dihedral):
         # the shell of length 2 is what prefix(2) adds to prefix(1)

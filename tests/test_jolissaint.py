@@ -8,7 +8,9 @@ import pytest
 
 from heckepairs import (
     ActionTable,
+    BallIndex,
     ConfigError,
+    CosetKey,
     DihedralElement,
     HeckeElement,
     JolissaintParams,
@@ -16,6 +18,7 @@ from heckepairs import (
     QQi,
     SemidirectElement,
     apply_regular_rep,
+    build_pair,
     corner_seminorm,
     enumerate_ball,
     jolissaint_seminorm,
@@ -25,7 +28,8 @@ from heckepairs import (
     submultiplicativity_check,
     vanishing_threshold,
 )
-from heckepairs.jolissaint import length_le_n_minus_pow, length_le_pow
+from heckepairs import jolissaint
+from heckepairs.jolissaint import _window, length_le_n_minus_pow, length_le_pow
 
 
 def sigma(pair, n, coeff=1):
@@ -116,6 +120,72 @@ class TestThresholdPredicates:
             JolissaintParams(Fraction(1, 2), n=0)
         p = JolissaintParams(Fraction(1, 2), q=2, n=5)
         assert (p.alpha, p.q, p.n) == (Fraction(1, 2), 2, 5)
+
+
+_ALPHAS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
+
+# (pair name, params, element); every support length is an integer
+_WINDOW_CASES = {
+    "dihedral": ("dihedral", None, DihedralElement(3, 1)),
+    "semidirect-swap-2": ("semidirect", {"rank": 2, "action": "swap"},
+                          SemidirectElement((1, 1), 0, "swap")),
+    "semidirect-negate-3": ("semidirect", {"rank": 3, "action": "negate"},
+                            SemidirectElement((1, 1, 0), 0, "negate")),
+}
+
+
+def window_oracle(ball, lo_excl, n, alpha, shift=0):
+    # the exact predicate on every length, with no integer bound
+    keep = {L: lo_excl < L and length_le_n_minus_pow(Fraction(L) - shift, n, alpha)
+            for L in set(k.length for k in ball)}
+    return [k for k in ball if keep[k.length]]
+
+
+class TestWindow:
+    @pytest.mark.parametrize("alpha", _ALPHAS, ids=str)
+    @pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+    def test_windows_match_the_exact_predicate(self, case, alpha):
+        name, params, g = _WINDOW_CASES[case]
+        pair = build_pair(name, params)
+        ell = HeckeElement.delta(pair, g).max_support_length(pair.length)
+        threshold = vanishing_threshold(ell, alpha)
+        ball = enumerate_ball(pair, None, threshold - 1 + ell).right
+        for n in range(1, threshold):
+            for lo, shift in ((Fraction(n - ell), 0), (Fraction(n), Fraction(ell))):
+                got = _window(ball, lo, n, alpha, shift=shift)
+                assert list(got) == window_oracle(ball, lo, n, alpha, shift), (n, shift)
+
+    @pytest.mark.parametrize("alpha", _ALPHAS, ids=str)
+    @pytest.mark.parametrize("name", ["dihedral", "semidirect"])
+    def test_rational_lengths_match_the_exact_predicate(self, pairs, name, alpha):
+        # lengths and shifts off the integers put keys between the integer
+        # bound and the next integer, where the exact test decides
+        ball = enumerate_ball(pairs[name], None, 12).right
+        for scale in (Fraction(7, 5), Fraction(4, 3)):
+            keys = [CosetKey(k.rep, k.length * scale + Fraction(i % 3, 3))
+                    for i, k in enumerate(ball)]
+            moved = BallIndex(13 * scale, keys)
+            ell = 2 * scale
+            for n in range(1, 14):
+                for lo, shift in ((n - ell, 0), (Fraction(n), ell)):
+                    got = _window(moved, lo, n, alpha, shift=shift)
+                    assert list(got) == window_oracle(moved, lo, n, alpha, shift), \
+                        (scale, n, shift)
+
+    def test_integer_lengths_need_no_exact_test(self, monkeypatch, semidirect):
+        # with integer lengths and support length, ceil(n^alpha) alone
+        # places every window end
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return length_le_n_minus_pow(*args)
+
+        monkeypatch.setattr(jolissaint, "length_le_n_minus_pow", counted)
+        f = (HeckeElement.delta(semidirect, SemidirectElement((5, 2), 0, "swap"))
+             + 3 * HeckeElement.delta(semidirect, SemidirectElement((2, 2), 0, "swap")))
+        assert jolissaint_seminorm(semidirect, f).value > 0
+        assert calls == []
 
 
 class TestRho:

@@ -177,11 +177,25 @@ class TestSingularValues:
 
     def test_zero_and_empty(self):
         assert top_singular_value(np.zeros((3, 3)))[0] == 0.0
-        assert block_operator_norm(np.zeros((0, 4))) == 0.0
+        for shape in ((6, 9), (0, 0), (0, 4), (4, 0)):
+            assert block_operator_norm(np.zeros(shape)) == 0.0
 
     def test_rank_one(self):
         u = np.array([[3.0], [4.0]])
         assert top_singular_value(u @ u.T)[0] == pytest.approx(25.0)
+
+    @pytest.mark.parametrize("complex_part", [False, True])
+    def test_block_norm_drops_zero_rows_and_columns_exactly(self, complex_part):
+        # corner blocks are mostly zero rows and columns; deleting them must
+        # leave the top singular value of the whole block
+        rng = spawn_rng(3, 11)
+        for m, n in ((40, 30), (120, 72), (5, 200), (1, 1)):
+            a = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.02)
+            if complex_part:
+                a = a + 1j * rng.standard_normal((m, n)) * (a != 0)
+            a[0, 0] = 1.5  # at least one entry
+            want = np.linalg.svd(a, compute_uv=False)[0]
+            assert abs(block_operator_norm(a) - want) <= 1e-14 * want
 
     def test_block_norm_on_tall_matrix(self):
         rng = spawn_rng(3, 4)
@@ -241,6 +255,24 @@ class TestActionTable:
         else:
             with pytest.raises(ConfigError, match="float range"):
                 table.operator_for(f)
+
+    @pytest.mark.parametrize("norm", ["l1_norm", "norms", "norm_upper", "operator_for"])
+    def test_float_norms_share_one_range_check(self, dihedral, norm):
+        # |c|^2 = 10^400 has no float: each float norm raises ConfigError,
+        # not OverflowError, and says why
+        from heckepairs import ConfigError, l1_norm, norms
+
+        f = HeckeElement.delta(dihedral, DihedralElement(2, 1), coeff=10 ** 200)
+        ball = enumerate_ball(dihedral, dihedral.length, 2).right
+        call = {
+            "l1_norm": lambda: l1_norm(f),
+            "norms": lambda: norms(f),
+            "norm_upper": lambda: norm_upper(dihedral, f),
+            "operator_for": lambda: ActionTable(dihedral, f.support, ball.prefix(0),
+                                                ball).operator_for(f),
+        }[norm]
+        with pytest.raises(ConfigError, match="past the float range"):
+            call()
 
     def test_missing_codomain_raises_without_flag(self, dihedral):
         from heckepairs import UnsupportedLengthError

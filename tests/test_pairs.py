@@ -366,6 +366,8 @@ class TestNoUnreadOptions:
             "groups.word_length": "the length that G's own (RD) is usually stated for",
             "algebra.L2Vector.inner": "the inner product of the module ell^2(H\\G)",
             "algebra.L2Vector.delta_identity": "the cyclic vector delta_H",
+            "algebra._Supported.zero": "the additive identity that the benchmark's "
+                                       "workloads start their sums from",
             "algebra.norms": "acceptance criterion 12",
             "diagnostics.cauchy_schwarz_constant_check": "acceptance criterion 7",
             "jolissaint.submultiplicativity_check": "acceptance criterion 11",
