@@ -54,7 +54,6 @@ from .errors import (
 from .groups import (
     AxbElement,
     DihedralElement,
-    GeneratingSet,
     IntegerElement,
     LengthFunction,
     LengthReport,
@@ -65,7 +64,6 @@ from .groups import (
     word_length,
 )
 from .jolissaint import (
-    JolissaintParams,
     NuResult,
     RhoResult,
     SubmultReport,

@@ -427,7 +427,8 @@ def norms(f, length=None, s=1):
 
     The weighted norm sums over right cosets; its primed variant sums over
     double cosets, so prime <= weighted always. Exact squares are reported
-    whenever the length is exact and s is a nonnegative integer.
+    whenever the length is exact and s is a nonnegative integer. Raises
+    ConfigError when a norm is past the float range.
     """
     pair = f.pair
     length = require_length(pair, length)
@@ -443,5 +444,8 @@ def norms(f, length=None, s=1):
         l2_sq += a * deg
         sob_sq += a * deg * w
         prime_sq += a * w
-    return NormsReport(s, length.name, l1_norm(f), l2_sq, sob_sq, prime_sq, exact)
+    try:
+        return NormsReport(s, length.name, l1_norm(f), l2_sq, sob_sq, prime_sq, exact)
+    except OverflowError:
+        raise ConfigError("a norm of f is past the float range") from None
 

@@ -236,15 +236,12 @@ def enumerate_ball(pair, length, radius, budget=10 ** 6):
 def reachable_coset_ball(pair, directions, depth, budget=10 ** 6):
     """Right cosets reachable from H in <= depth convolution steps.
 
-    `directions` is an iterable of double-coset keys (or elements); one step
-    from coset Hx reaches the cosets {H a x : a in rights(D)} for each
-    direction D. The reported "length" of a key is its discovery depth, which
-    gives a monotone exhaustion usable when no locally finite length exists.
+    `directions` is an iterable of double-coset keys; one step from coset Hx
+    reaches the cosets {H a x : a in rights(D)} for each direction D. The
+    reported "length" of a key is its discovery depth, which gives a
+    monotone exhaustion usable when no locally finite length exists.
     """
-    decs = []
-    for d in directions:
-        g = d.rep if isinstance(d, CosetKey) else d
-        decs.append(decompose_double_coset(pair, g, budget=budget))
+    decs = [decompose_double_coset(pair, d.rep, budget=budget) for d in directions]
     layers = walk_layers(
         pair.coset_rep(pair.identity),
         lambda x: [pair.coset_rep(a.rep * x) for dec in decs for a in dec],

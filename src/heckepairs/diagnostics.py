@@ -142,7 +142,6 @@ class DegreeFit:
 
     `d` is the exact pointwise-minimal constant for the integer exponent
     t = ceil(fit slope); `d_fit`/`t_fit` are the raw log-log least squares.
-    Unpacks as (d, t, table).
     """
 
     def __init__(self, length_name, d, t, table, t_fit, d_fit):
@@ -152,9 +151,6 @@ class DegreeFit:
         self.table = table
         self.t_fit = t_fit
         self.d_fit = d_fit
-
-    def __iter__(self):
-        return iter((self.d, self.t, self.table))
 
     def __repr__(self):
         return "DegreeFit(d=%.6g, t=%d, slope=%.4f, rows=%d)" % (
@@ -316,7 +312,6 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         # matvec_int: a wrapped int64 sum cannot be detected afterwards
         row_mult = {dk: int(np.bincount(rows).max(initial=0))
                     for dk, (rows, _) in table.tables.items()}
-        degs = {k: degree(pair, k.rep) for k in dkeys}
         dom_len = np.array([float(k.length) for k in dom.keys])
         char_k = {
             rho: (dom_len <= K_FACTOR_CHAR * rho).astype(np.int64)
@@ -343,7 +338,8 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
             if num == 0:
                 continue
             kn2 = int(kvec @ kvec)
-            fn2 = sum(c * c * degs[dk] for dk, c in coeffs.items())
+            # a scan table keeps every row, so its width is D's degree
+            fn2 = sum(c * c * table.widths[dk] for dk, c in coeffs.items())
             ratio_sq = Fraction(num, fn2 * kn2)
             if best is None or ratio_sq > best[0]:
                 best = (ratio_sq, label, dict(coeffs), fn2)

@@ -315,25 +315,21 @@ class SemidirectElement(GroupElement):
         return [parts[:-1], parts[-1]]
 
 
-class GeneratingSet:
-    """Finite symmetric set of generators, kept in a deterministic order."""
+def _symmetric(gens):
+    """The generators followed by their new inverses, in first-seen order.
 
-    def __init__(self, elements):
-        elements = tuple(elements)
-        if not elements:
-            raise ValueError("need at least one generator")
-        if any(type(g) is not type(elements[0]) for g in elements):
-            raise BackendMismatchError("mixed element types in generating set")
-        seen = dict.fromkeys(elements)
-        for g in elements:
-            seen.setdefault(g.inv())
-        self.elements = tuple(seen)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
+    Raises ValueError when there are none and BackendMismatchError when they
+    mix element classes.
+    """
+    gens = tuple(gens)
+    if not gens:
+        raise ValueError("need at least one generator")
+    if any(type(g) is not type(gens[0]) for g in gens):
+        raise BackendMismatchError("mixed element types in generating set")
+    seen = dict.fromkeys(gens)
+    for g in gens:
+        seen.setdefault(g.inv())
+    return tuple(seen)
 
 
 def walk_layers(start, step, budget, what):
@@ -365,7 +361,7 @@ def walk_layers(start, step, budget, what):
 def word_layers(gens, budget):
     """`walk_layers` from the identity under right multiplication by the
     symmetrized `gens`: layer r holds the elements of word length r."""
-    gen_list = GeneratingSet(gens).elements
+    gen_list = _symmetric(gens)
     g = gen_list[0]
     return walk_layers(
         g * g.inv(), lambda x: [x * s for s in gen_list], budget, "word ball",
@@ -401,7 +397,7 @@ def word_length(gens, budget=10 ** 6):
     Each query pulls word-ball layers only until the element appears.
     Queries for elements outside the budgeted ball raise BudgetExceededError.
     """
-    gen_list = GeneratingSet(gens).elements
+    gen_list = _symmetric(gens)
     known = {}
     layers = enumerate(word_layers(gen_list, budget))
 

@@ -21,24 +21,19 @@ from .operators import ActionTable, block_operator_norm, norm_upper
 SUBMULT_SLACK = 1e-9
 
 
-class JolissaintParams:
-    """Corner-seminorm parameters: exponent alpha in (0,1), weight q, level N."""
-
-    __slots__ = ("alpha", "q", "n")
-
-    def __init__(self, alpha, q=1, n=None):
-        self.alpha = Fraction(alpha)
-        if not 0 < self.alpha < 1:
-            raise ConfigError("alpha must lie strictly between 0 and 1")
-        self.q = int(q)
-        if self.q < 1:
-            raise ConfigError("q must be a positive integer")
-        self.n = None if n is None else int(n)
-        if self.n is not None and self.n < 1:
-            raise ConfigError("N must be a positive integer")
-
-    def __repr__(self):
-        return "JolissaintParams(alpha=%s, q=%d, n=%r)" % (self.alpha, self.q, self.n)
+def _checked(alpha, q, n=1):
+    """(alpha, q, N) as a Fraction strictly between 0 and 1 and two positive
+    ints; raises ConfigError otherwise."""
+    alpha = Fraction(alpha)
+    if not 0 < alpha < 1:
+        raise ConfigError("alpha must lie strictly between 0 and 1")
+    q = int(q)
+    if q < 1:
+        raise ConfigError("q must be a positive integer")
+    n = int(n)
+    if n < 1:
+        raise ConfigError("N must be a positive integer")
+    return alpha, q, n
 
 
 def length_le_pow(value, n, alpha):
@@ -116,21 +111,18 @@ class RhoResult:
         )
 
 
-def corner_seminorm(pair, f, length=None, params=None, ball=None):
+def corner_seminorm(pair, f, n, length=None, alpha=Fraction(1, 2), q=1, ball=None):
     """rho at one level N: the exact corner blocks of lambda(f) and their norms.
 
     Block 1 is (1-P_N) f P_{N-N^alpha}: columns are the right cosets with
     length in (N-ell, N-N^alpha], rows those in (N, N-N^alpha+ell]; block 2
     is the transposed window pattern for P_{N-N^alpha} f (1-P_N). Outside
     those windows the compressions are identically zero, so the matrices are
-    the full blocks and the norms carry no truncation error.
+    the full blocks and the norms carry no truncation error. The level N,
+    exponent alpha in (0, 1) and weight q are checked by `_checked`.
     """
-    if params is None or params.n is None:
-        raise ConfigError("corner_seminorm needs params with a level N")
+    alpha, q, n = _checked(alpha, q, n)
     length = require_length(pair, length)
-    n, alpha, q = params.n, params.alpha, params.q
-    if f.is_zero():
-        return RhoResult(n, 0.0, vanished=True)
     ell = f.max_support_length(length)
     if length_le_pow(ell, n, alpha):
         # support too short to cross the corner: exact zero, no assembly
@@ -157,15 +149,13 @@ def corner_seminorm(pair, f, length=None, params=None, ball=None):
 class NuResult:
     """Exact sup over levels: max of rho over N below the vanishing threshold."""
 
-    __slots__ = ("value", "argmax_n", "rows", "threshold", "alpha", "q")
+    __slots__ = ("value", "argmax_n", "rows", "threshold")
 
-    def __init__(self, value, argmax_n, rows, threshold, alpha, q):
+    def __init__(self, value, argmax_n, rows, threshold):
         self.value = value
         self.argmax_n = argmax_n
         self.rows = rows
         self.threshold = threshold
-        self.alpha = alpha
-        self.q = q
 
     def __repr__(self):
         return "NuResult(value=%.12g, argmax_N=%r, levels=%d)" % (
@@ -179,29 +169,23 @@ def jolissaint_seminorm(pair, f, length=None, alpha=Fraction(1, 2), q=1):
     rho vanishes for every N at or beyond the support threshold, so the sup
     is a max over N in [1, threshold). Ties break toward the smaller N.
     """
-    proto = JolissaintParams(alpha, q)
-    alpha, q = proto.alpha, proto.q
+    alpha, q, _ = _checked(alpha, q)
     length = require_length(pair, length)
-    if f.is_zero():
-        return NuResult(0.0, None, [], 1, alpha, q)
     ell = f.max_support_length(length)
     threshold = vanishing_threshold(ell, alpha)
     if threshold <= 1:
-        return NuResult(0.0, None, [], threshold, alpha, q)
+        return NuResult(0.0, None, [], threshold)
     ball = enumerate_ball(pair, length, (threshold - 1) + math.ceil(ell)).right
     rows = []
     best_val = 0.0
     best_n = None
     for n in range(1, threshold):
-        res = corner_seminorm(
-            pair, f, length=length,
-            params=JolissaintParams(alpha, q, n), ball=ball,
-        )
+        res = corner_seminorm(pair, f, n, length=length, alpha=alpha, q=q, ball=ball)
         rows.append(res)
         if res.value > best_val:
             best_val = res.value
             best_n = n
-    return NuResult(best_val, best_n, rows, threshold, alpha, q)
+    return NuResult(best_val, best_n, rows, threshold)
 
 
 class SubmultReport:
@@ -215,15 +199,12 @@ class SubmultReport:
     vanish while lhs > 0; a failure with rhs > 0 is not flagged.
     """
 
-    __slots__ = ("ok", "lhs", "rhs", "alpha", "q", "nu_half_1", "nu_half_2",
-                 "degenerate")
+    __slots__ = ("ok", "lhs", "rhs", "nu_half_1", "nu_half_2", "degenerate")
 
-    def __init__(self, ok, lhs, rhs, alpha, q, nu_half_1, nu_half_2, degenerate):
+    def __init__(self, ok, lhs, rhs, nu_half_1, nu_half_2, degenerate):
         self.ok = ok
         self.lhs = lhs
         self.rhs = rhs
-        self.alpha = alpha
-        self.q = q
         self.nu_half_1 = nu_half_1
         self.nu_half_2 = nu_half_2
         self.degenerate = degenerate
@@ -257,5 +238,5 @@ def submultiplicativity_check(pair, f1, f2, alpha=Fraction(1, 2), q=1):
     rhs = nu1 * u2 + nu2 * u1
     ok = lhs <= rhs + SUBMULT_SLACK * max(1.0, rhs)
     degenerate = nu1 == 0.0 and nu2 == 0.0 and lhs > 0.0
-    return SubmultReport(ok, lhs, rhs, alpha, q, nu1, nu2, degenerate)
+    return SubmultReport(ok, lhs, rhs, nu1, nu2, degenerate)
 

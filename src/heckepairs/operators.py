@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import l1_norm, require_float_range
 from .cosets import decompose_double_coset, enumerate_ball, reachable_coset_ball
-from .errors import PairSanityError, UnsupportedLengthError
+from .errors import ConfigError, PairSanityError, UnsupportedLengthError
 
 
 def _grid(cod):
@@ -236,20 +236,16 @@ def _bidiagonalise(matvec, rmatvec, v, m, k):
 def top_singular_value(a, tol=1e-10, max_iter=10 ** 4, seed=0):
     """Largest singular value by restarted Golub-Kahan-Lanczos bidiagonalisation.
 
-    `a` is a dense array or a SparseOperator. Cycles of at most _BASIS steps
-    with full reorthogonalisation start from one seeded random vector and
-    restart from the top Ritz vector y. sigma = ||A y|| for unit y, always a
-    valid lower bound; the solve stops once the Gram residual
-    ||A^H A y - sigma^2 y|| is at most tol * max(sigma^2, 1). max_iter
-    counts Lanczos steps.
+    `a` is a SparseOperator. Cycles of at most _BASIS steps with full
+    reorthogonalisation start from one seeded random vector and restart from
+    the top Ritz vector y. sigma = ||A y|| for unit y, always a valid lower
+    bound; the solve has converged once sigma^2 is finite and the Gram
+    residual ||A^H A y - sigma^2 y|| is at most tol * max(sigma^2, 1).
+    max_iter counts Lanczos steps.
 
     Returns (sigma, iterations, residual, converged).
     """
-    if isinstance(a, SparseOperator):
-        matvec, rmatvec = a.matvec, a.rmatvec
-    else:
-        a = np.asarray(a)
-        matvec, rmatvec = a.__matmul__, a.conj().T.__matmul__
+    matvec, rmatvec = a.matvec, a.rmatvec
     m, n = a.shape
     if m == 0 or n == 0:
         return 0.0, 0, 0.0, True
@@ -265,7 +261,9 @@ def top_singular_value(a, tol=1e-10, max_iter=10 ** 4, seed=0):
         w = matvec(y)
         s2 = float(np.vdot(w, w).real)
         res = float(np.linalg.norm(rmatvec(w) - s2 * y))
-        converged = res <= tol * max(s2, 1.0)
+        # a residual past the float range fails the test; an overflowed
+        # sigma^2 would pass it as inf <= inf
+        converged = math.isfinite(s2) and res <= tol * max(s2, 1.0)
         if converged or steps >= max_iter:
             return math.sqrt(s2), steps, res, converged
 
@@ -288,9 +286,14 @@ def norm_upper(pair, f):
 
     Every column of lambda(f) has absolute sum ||f||_1 (right-coset l1) and
     every row has absolute sum ||f*||_1; for inversion-stable supports the
-    two coincide and the bound is plain ||f||_1.
+    two coincide and the bound is plain ||f||_1. Raises ConfigError when
+    the product is past the float range.
     """
-    return math.sqrt(l1_norm(f) * l1_norm(f.involution()))
+    product = l1_norm(f) * l1_norm(f.involution())
+    if product == math.inf:
+        raise ConfigError("||f||_1 ||f*||_1 is past the float range: the "
+                          "Schur bound needs it to fit a float")
+    return math.sqrt(product)
 
 
 class NormBracket:
@@ -322,9 +325,12 @@ def norm_lower(pair, f, length=None, radius=6, tol=1e-10, max_iter=10 ** 4, seed
     given radius. Without one, the domain is the set of cosets reachable
     from H in `radius` convolution steps along supp(f) and supp(f*), which
     is still an exhaustion, so the lower bound stays monotone in radius.
+    The Schur bound comes first, so an f past the float range fails before
+    any solve.
     """
     if f.is_zero():
         return NormBracket(0.0, 0.0, "zero", 0, 0.0, True, radius, 0, 0)
+    upper = norm_upper(pair, f)
     try:
         ell = f.max_support_length(length)
         cod = enumerate_ball(pair, length, radius + ell).right
@@ -339,6 +345,6 @@ def norm_lower(pair, f, length=None, radius=6, tol=1e-10, max_iter=10 ** 4, seed
         table.operator_for(f), tol=tol, max_iter=max_iter, seed=seed
     )
     return NormBracket(
-        sigma, norm_upper(pair, f), method, iters, res, conv,
+        sigma, upper, method, iters, res, conv,
         radius, len(dom), len(cod),
     )

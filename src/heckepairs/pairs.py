@@ -57,7 +57,7 @@ class HeckePair:
 
     def __init__(self, name, params, identity, contains, h_generators,
                  coset_rep, double_rep, length=None, candidate_lengths=None,
-                 h_elements=None, g_generators=None, random_element=None,
+                 h_elements=None, random_element=None,
                  ball_rights=None, coset_coords=None, double_product=None,
                  rd_status="unknown"):
         self.name = name
@@ -70,7 +70,6 @@ class HeckePair:
         self.length = length
         self.candidate_lengths = dict(candidate_lengths or {})
         self.h_elements = tuple(h_elements) if h_elements is not None else None
-        self.g_generators = tuple(g_generators) if g_generators else None
         self.random_element = random_element  # rng -> element, deterministic
         self.ball_rights = ball_rights
         self.coset_coords = coset_coords
@@ -101,16 +100,16 @@ class HeckePair:
         out = chain.from_iterable(islice(layers, depth + 1))
         return tuple(sorted(out, key=lambda g: g.key))
 
-    def validate_length(self, length=None, sample=None, tol=None):
-        """Run the length-axiom checks against this pair's data."""
+    def validate_length(self, length=None, sample=None):
+        """Run the length-axiom checks against this pair's data: exact for an
+        exact length, else to an absolute slack of 1e-9."""
         from .groups import validate_length as _vl
 
         length = require_length(self, length)
         if sample is None:
             rng = np.random.default_rng(0)
             sample = [self.random_element(rng) for _ in range(30)]
-        if tol is None and not length.exact:
-            tol = 1e-9
+        tol = None if length.exact else 1e-9
         return _vl(length, self.identity, sample, self.h_sample(), tol=tol)
 
     def __repr__(self):
@@ -223,7 +222,6 @@ def _build_dihedral(params):
         double_rep=double_rep,
         length=dihedral_abs_length(),
         h_elements=(e, flip),
-        g_generators=(DihedralElement(1, 1), DihedralElement(-1, 1), flip),
         random_element=random_element,
         ball_rights=ball_rights,
         rd_status="expected",
@@ -265,7 +263,6 @@ def _build_finite_index(params):
         double_rep=coset_rep,
         length=zero,
         h_elements=None,
-        g_generators=(IntegerElement(1), IntegerElement(-1)),
         random_element=random_element,
         ball_rights=ball_rights,
         rd_status="expected",
@@ -398,7 +395,6 @@ def _build_gl2q(params):
         length=None,
         candidate_lengths={"log-det-prim": cand},
         h_elements=None,
-        g_generators=None,
         random_element=random_element,
         double_product=_gl2q_double_product,
         rd_status="unknown",
@@ -483,7 +479,6 @@ def _build_bost_connes(params):
         length=None,
         candidate_lengths={"abs-log-a": cand},
         h_elements=None,
-        g_generators=None,
         random_element=random_element,
         double_product=_bost_connes_double_product,
         rd_status="unknown",
@@ -553,7 +548,6 @@ def _build_sl3(params):
         double_rep=double_rep,
         length=None,
         h_elements=(e, T),
-        g_generators=tuple(gens),
         random_element=random_element,
         rd_status="non-example",
     )
@@ -608,13 +602,6 @@ def _build_semidirect(params):
         return [SemidirectElement(v, 0, action)
                 for m in range(math.floor(r) + 1) for v in _l1_shell(rank, m)]
 
-    gens = [flip]
-    for i in range(rank):
-        for sgn in (1, -1):
-            v = [0] * rank
-            v[i] = sgn
-            gens.append(SemidirectElement(tuple(v), 0, action))
-
     return HeckePair(
         "semidirect", {"rank": rank, "action": action}, e,
         contains=lambda g: all(x == 0 for x in g.vec),
@@ -623,7 +610,6 @@ def _build_semidirect(params):
         double_rep=double_rep,
         length=coordinate_sum_length(),
         h_elements=(e, flip),
-        g_generators=tuple(gens),
         random_element=random_element,
         ball_rights=ball_rights,
         coset_coords=coset_coords,

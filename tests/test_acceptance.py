@@ -18,7 +18,6 @@ from heckepairs import (
     DihedralElement,
     HeckeElement,
     IntegerElement,
-    JolissaintParams,
     L2Vector,
     MatrixElement,
     QQi,
@@ -308,9 +307,7 @@ def test_criterion_10_corner_vanishing_and_monotonicity(dihedral):
         for alpha in alphas:
             t = vanishing_threshold(ell, alpha)
             for n in (t, t + 1, t + 2, t + 3, t + 4, 10 ** 6):
-                res = corner_seminorm(
-                    dihedral, f, params=JolissaintParams(alpha, q=1, n=n)
-                )
+                res = corner_seminorm(dihedral, f, n, alpha=alpha, q=1)
                 assert res.value == 0.0 and res.vanished, (g, alpha, n)
     for g in gs:
         f = HeckeElement.delta(dihedral, g)
@@ -363,7 +360,7 @@ def test_criterion_11_submultiplicativity(dihedral):
     beta = alpha / 2
 
     def blocks(f, level):
-        res = corner_seminorm(dihedral, f, params=JolissaintParams(beta, q, level))
+        res = corner_seminorm(dihedral, f, level, alpha=beta, q=q)
         return res.block1_norm, res.block2_norm
 
     literal_breaks = 0
@@ -396,9 +393,7 @@ def test_criterion_11_submultiplicativity(dihedral):
             _, b2_f2_n = blocks(f2, n)
             _, b2_f1_m = blocks(f1, m)
             b1_f2_m, _ = blocks(f2, m)
-            lhs = corner_seminorm(
-                dihedral, prod, params=JolissaintParams(alpha, q, n)
-            ).value
+            lhs = corner_seminorm(dihedral, prod, n, alpha=alpha, q=q).value
             rhs = float(n ** q) * (
                 (b1_f1_n + b2_f1_m) * u2 + u1 * (b1_f2_m + b2_f2_n)
             )

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -459,6 +460,33 @@ class TestExitCodes:
         assert payload["status"] == "failure" and payload["command"] == command
         assert "float range" in payload["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_schur_bound_past_the_float_range_exits_two(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # |c|^2 = 10^308 fits a float, ||f||_1 ||f*||_1 = 4 * 10^308 does not;
+        # normest used to write lower = upper = inf as converged
+        from heckepairs import operators
+
+        def solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(operators, "top_singular_value", solve)
+        f = json.dumps({"terms": [{"key": [2, 1], "re": str(10 ** 154)}]})
+        ini = write_ini(tmp_path / "c.ini", "normest", pair="dihedral", f=f, radii="2")
+        assert run("normest", config=ini, out=str(tmp_path / "out")) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure" and payload["command"] == "normest"
+        assert "past the float range" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_corner_blocks_at_the_float_range_edge_still_run(self, tmp_path, capsys):
+        # LAPACK scales its blocks, so the seminorm of 10^154 delta(2, 1) is
+        # 10^154 times that of delta(2, 1): sqrt(2) + sqrt(2) at N = 1
+        f = json.dumps({"terms": [{"key": [2, 1], "re": str(10 ** 154)}]})
+        ini = write_ini(tmp_path / "c.ini", "jolissaint", pair="dihedral", f=f)
+        assert run("jolissaint", config=ini, out=str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "jolissaint.json").read_text())
+        assert payload["nu"] == pytest.approx(2 * math.sqrt(2) * 1e154, rel=1e-12)
 
     @pytest.mark.parametrize("where", ["key", "json"])
     def test_stale_float_inputs_refused(self, tmp_path, capsys, where):

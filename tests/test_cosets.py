@@ -14,7 +14,6 @@ from heckepairs import (
     DoubleCosetKey,
     DihedralElement,
     HeckeElement,
-    JolissaintParams,
     MatrixElement,
     SemidirectElement,
     UnsupportedLengthError,
@@ -38,6 +37,8 @@ from heckepairs.jolissaint import _window
 
 
 FLIP = DihedralElement(0, -1)
+# the generators of the dihedral group: unit translations and the flip
+DIHEDRAL_GENS = (DihedralElement(1, 1), DihedralElement(-1, 1), FLIP)
 
 # every public entry point that falls back on the pair's own length
 _LENGTH_CONSUMERS = {
@@ -49,8 +50,7 @@ _LENGTH_CONSUMERS = {
         lambda pair, f, g: haagerup_scan_exact(pair, radii=(2,), samples=2, seed=0),
     "haagerup_scan_operator":
         lambda pair, f, g: haagerup_scan_operator(pair, radii=(2,), samples=2, seed=0),
-    "corner_seminorm": lambda pair, f, g: corner_seminorm(
-        pair, f, params=JolissaintParams(Fraction(1, 2), 1, 4)),
+    "corner_seminorm": lambda pair, f, g: corner_seminorm(pair, f, 4),
     "jolissaint_seminorm": lambda pair, f, g: jolissaint_seminorm(pair, f),
     "HeckePair.validate_length": lambda pair, f, g: pair.validate_length(),
 }
@@ -201,14 +201,14 @@ class TestEnumerateBall:
     def test_word_ball_agrees_with_closed_form(self, dihedral):
         # min word length over a double coset is |n|, so the projected word
         # ball must reproduce the closed-form ball key for key
-        wl = word_length(dihedral.g_generators)
+        wl = word_length(DIHEDRAL_GENS)
         via_word = enumerate_ball(dihedral, wl, 3)
         direct = enumerate_ball(dihedral, dihedral.length, 3)
         assert [k.key for k in via_word.right.keys] == [k.key for k in direct.right.keys]
         assert [k.length for k in via_word.double.keys] == [0, 1, 2, 3]
 
     def test_budget_enforced_on_word_path(self, dihedral):
-        wl = word_length(dihedral.g_generators)
+        wl = word_length(DIHEDRAL_GENS)
         with pytest.raises(BudgetExceededError):
             enumerate_ball(dihedral, wl, 100, budget=30)
 
@@ -226,7 +226,7 @@ class TestEnumerateBall:
         # hands the second one the first one's ball. A fresh pair per order
         # keeps the session-wide pair's caches out of it.
         pair = build_pair("dihedral")
-        short = word_length(pair.g_generators)
+        short = word_length(DIHEDRAL_GENS)
         long_ = word_length([DihedralElement(2, 1), DihedralElement(1, 1), FLIP])
         order = [long_, short] if first_long else [short, long_]
         sizes = {wl: len(enumerate_ball(pair, wl, 4).double) for wl in order}
@@ -337,24 +337,27 @@ class TestBallIndex:
 
 class TestReachable:
     def test_dihedral_depth_three(self, dihedral):
-        idx = reachable_coset_ball(dihedral, [DihedralElement(1, 1)], 3)
+        dk = double_key(dihedral, DihedralElement(1, 1))
+        idx = reachable_coset_ball(dihedral, [dk], 3)
         assert len(idx.keys) == 7
         assert {k.key for k in idx.keys} == {(n, 1) for n in range(-3, 4)}
 
     def test_works_without_length(self, bost_connes):
         g = AxbElement(Fraction(3, 2), 0)
-        idx = reachable_coset_ball(bost_connes, [g], 2)
+        idx = reachable_coset_ball(bost_connes, [double_key(bost_connes, g)], 2)
         assert coset_key(bost_connes, bost_connes.identity) in set(idx.keys)
         assert len(idx.keys) >= 3
 
     def test_depth_zero_is_base_coset(self, dihedral):
-        idx = reachable_coset_ball(dihedral, [DihedralElement(1, 1)], 0)
+        dk = double_key(dihedral, DihedralElement(1, 1))
+        idx = reachable_coset_ball(dihedral, [dk], 0)
         assert [k.key for k in idx.keys] == [(0, 1)]
 
     def test_budget_below_depth_three_set_raises(self, dihedral):
         # the depth-3 set holds 7 cosets
+        dk = double_key(dihedral, DihedralElement(1, 1))
         with pytest.raises(BudgetExceededError) as exc:
-            reachable_coset_ball(dihedral, [DihedralElement(1, 1)], 3, budget=6)
+            reachable_coset_ball(dihedral, [dk], 3, budget=6)
         assert "budget 6" in str(exc.value)
 
     @pytest.mark.parametrize("name, direction", [
@@ -364,8 +367,9 @@ class TestReachable:
     def test_prefix_of_deeper_walk_is_the_shallower_walk(self, pairs, name, direction):
         # norm_lower takes its domain as this prefix of its codomain
         pair = pairs[name]
+        dk = double_key(pair, direction)
         for r in range(4):
-            deeper = reachable_coset_ball(pair, [direction], r + 1).prefix(r)
-            direct = reachable_coset_ball(pair, [direction], r)
+            deeper = reachable_coset_ball(pair, [dk], r + 1).prefix(r)
+            direct = reachable_coset_ball(pair, [dk], r)
             assert [(k.key, k.length) for k in deeper.keys] == \
                 [(k.key, k.length) for k in direct.keys]

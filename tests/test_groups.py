@@ -14,7 +14,6 @@ from heckepairs import (
     BackendMismatchError,
     BudgetExceededError,
     DihedralElement,
-    GeneratingSet,
     IntegerElement,
     MatrixElement,
     SemidirectElement,
@@ -292,18 +291,28 @@ class TestValidateLength:
 
 
 class TestGeneratingSet:
+    # a word length walks the symmetric closure of its generators, which it
+    # keeps as `gens`
     def test_deduplicates(self):
-        gens = GeneratingSet([DihedralElement(1, 1), DihedralElement(1, 1)])
+        gens = word_length([DihedralElement(1, 1), DihedralElement(1, 1)]).gens
         # duplicates collapse; the symmetric closure adds the inverse
-        assert list(gens) == [DihedralElement(1, 1), DihedralElement(-1, 1)]
+        assert gens == (DihedralElement(1, 1), DihedralElement(-1, 1))
 
     def test_symmetrized_contains_inverses(self):
-        gens = GeneratingSet([DihedralElement(1, 1)])
-        assert DihedralElement(-1, 1) in gens.elements
+        gens = word_length([DihedralElement(1, 1)]).gens
+        assert DihedralElement(-1, 1) in gens
 
     def test_mixed_backends_rejected(self):
         with pytest.raises(BackendMismatchError):
-            GeneratingSet([DihedralElement(1, 1), IntegerElement(1)])
+            word_length([DihedralElement(1, 1), IntegerElement(1)])
+        with pytest.raises(BackendMismatchError):
+            word_layers([DihedralElement(1, 1), IntegerElement(1)], 10)
+
+    def test_no_generators_rejected(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            word_length([])
+        with pytest.raises(ValueError, match="at least one generator"):
+            word_layers([], 10)
 
     def test_classes_never_mix(self):
         # equal keys: only the class tells these two apart

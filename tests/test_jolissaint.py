@@ -13,7 +13,6 @@ from heckepairs import (
     CosetKey,
     DihedralElement,
     HeckeElement,
-    JolissaintParams,
     L2Vector,
     QQi,
     SemidirectElement,
@@ -107,19 +106,26 @@ class TestThresholdPredicates:
             if t > 1:
                 assert not length_le_pow(ell, t - 1, alpha)
 
-    def test_params_validation(self):
-        with pytest.raises(ConfigError):
-            JolissaintParams(Fraction(0))
-        with pytest.raises(ConfigError):
-            JolissaintParams(Fraction(1))
-        with pytest.raises(ConfigError):
-            JolissaintParams(Fraction(3, 2))
-        with pytest.raises(ConfigError):
-            JolissaintParams(Fraction(1, 2), q=0)
-        with pytest.raises(ConfigError):
-            JolissaintParams(Fraction(1, 2), n=0)
-        p = JolissaintParams(Fraction(1, 2), q=2, n=5)
-        assert (p.alpha, p.q, p.n) == (Fraction(1, 2), 2, 5)
+    def test_params_validation(self, dihedral):
+        # both seminorms check alpha and q, and the corner its level N
+        f = sigma(dihedral, 3)
+        for alpha in (Fraction(0), Fraction(1), Fraction(3, 2)):
+            with pytest.raises(ConfigError, match="alpha must lie strictly"):
+                corner_seminorm(dihedral, f, 4, alpha=alpha)
+            with pytest.raises(ConfigError, match="alpha must lie strictly"):
+                jolissaint_seminorm(dihedral, f, alpha=alpha)
+        with pytest.raises(ConfigError, match="q must be a positive integer"):
+            corner_seminorm(dihedral, f, 4, q=0)
+        with pytest.raises(ConfigError, match="q must be a positive integer"):
+            jolissaint_seminorm(dihedral, f, q=0)
+        with pytest.raises(ConfigError, match="N must be a positive integer"):
+            corner_seminorm(dihedral, f, 0)
+        # alpha, q and N normalise to a Fraction and two ints
+        res = corner_seminorm(dihedral, f, 4.0, alpha="1/2", q=2.0)
+        assert res.n == 4 and type(res.n) is int
+        assert res.value == corner_seminorm(dihedral, f, 4, alpha=Fraction(1, 2), q=2).value
+        assert jolissaint_seminorm(dihedral, f, alpha="1/2", q=2.0).value == \
+            jolissaint_seminorm(dihedral, f, alpha=Fraction(1, 2), q=2).value
 
 
 _ALPHAS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
@@ -192,8 +198,7 @@ class TestRho:
     def test_sigma3_level_four_frozen(self, dihedral):
         # [DERIVED] alpha=1/2, N=4: each corner block is a 2x2 shift of
         # ones with norm 1, so rho = 4 * (1 + 1)
-        params = JolissaintParams(Fraction(1, 2), q=1, n=4)
-        res = corner_seminorm(dihedral, sigma(dihedral, 3), params=params)
+        res = corner_seminorm(dihedral, sigma(dihedral, 3), 4, alpha=Fraction(1, 2), q=1)
         assert res.value == pytest.approx(8.0, abs=1e-9)
         assert res.block1_norm == pytest.approx(1.0, abs=1e-10)
         assert res.block2_norm == pytest.approx(1.0, abs=1e-10)
@@ -209,8 +214,7 @@ class TestRho:
             for alpha in alphas:
                 for n in (1, 2, 3, 5, 8):
                     want = rho_oracle(dihedral, f, n, alpha, q=1)
-                    got = corner_seminorm(
-                        dihedral, f, params=JolissaintParams(alpha, q=1, n=n)).value
+                    got = corner_seminorm(dihedral, f, n, alpha=alpha, q=1).value
                     assert got == pytest.approx(want, abs=1e-9), (alpha, n)
 
     def test_semidirect_levels_match_lapack_blocks(self, semidirect):
@@ -249,8 +253,8 @@ class TestRho:
 
     def test_q_scales_by_power_of_n(self, dihedral):
         f = sigma(dihedral, 3)
-        v1 = corner_seminorm(dihedral, f, params=JolissaintParams(Fraction(1, 2), q=1, n=4))
-        v3 = corner_seminorm(dihedral, f, params=JolissaintParams(Fraction(1, 2), q=3, n=4))
+        v1 = corner_seminorm(dihedral, f, 4, alpha=Fraction(1, 2), q=1)
+        v3 = corner_seminorm(dihedral, f, 4, alpha=Fraction(1, 2), q=3)
         assert v3.value == pytest.approx(16 * v1.value, abs=1e-9)
 
     def test_vanishes_at_and_beyond_threshold(self, dihedral):
@@ -263,25 +267,21 @@ class TestRho:
             for alpha in alphas:
                 t = vanishing_threshold(ell, alpha)
                 for n in (t, t + 1, t + 7, 10 ** 6):
-                    res = corner_seminorm(
-                        dihedral, f, params=JolissaintParams(alpha, q=1, n=n)
-                    )
+                    res = corner_seminorm(dihedral, f, n, alpha=alpha, q=1)
                     assert res.value == 0.0
                     assert res.vanished
 
     def test_zero_element_vanishes(self, dihedral):
-        res = corner_seminorm(
-            dihedral, HeckeElement.zero(dihedral),
-            params=JolissaintParams(Fraction(1, 2), q=1, n=3),
-        )
+        res = corner_seminorm(dihedral, HeckeElement.zero(dihedral), 3,
+                              alpha=Fraction(1, 2), q=1)
         assert res.value == 0.0 and res.vanished
+        assert (res.n, res.block1_shape, res.block2_shape) == (3, (0, 0), (0, 0))
 
     def test_requires_level(self, dihedral):
-        with pytest.raises(ConfigError):
-            corner_seminorm(
-                dihedral, sigma(dihedral, 2),
-                params=JolissaintParams(Fraction(1, 2), q=1),
-            )
+        with pytest.raises(TypeError):
+            corner_seminorm(dihedral, sigma(dihedral, 2), alpha=Fraction(1, 2), q=1)
+        with pytest.raises(ConfigError, match="N must be a positive integer"):
+            corner_seminorm(dihedral, sigma(dihedral, 2), -1)
 
 
 class TestNu:
@@ -336,6 +336,10 @@ class TestNu:
             lhs = jolissaint_seminorm(dihedral, f + g).value
             rhs = jolissaint_seminorm(dihedral, f).value + jolissaint_seminorm(dihedral, g).value
             assert lhs <= rhs + 1e-9
+
+    def test_zero_element_vanishes(self, dihedral):
+        res = jolissaint_seminorm(dihedral, HeckeElement.zero(dihedral))
+        assert (res.value, res.argmax_n, res.rows, res.threshold) == (0.0, None, [], 1)
 
     def test_short_support_is_identically_zero(self, dihedral):
         # support length 1 satisfies ell <= N^alpha for every N >= 1

@@ -31,11 +31,17 @@ from heckepairs import (
 from heckepairs.diagnostics import K_FACTOR, K_FACTOR_CHAR
 from heckepairs.jolissaint import _window
 from heckepairs import operators
-from heckepairs.operators import _grid
+from heckepairs.operators import SparseOperator, _grid
 
 
 def sigma(pair, n, coeff=1):
     return HeckeElement.delta(pair, DihedralElement(n, 1), coeff=coeff)
+
+
+def sparse(a):
+    """Every entry of the dense array a, zeros included, as a SparseOperator."""
+    rows, cols = np.indices(a.shape).reshape(2, -1)
+    return SparseOperator(rows, cols, a.reshape(-1), a.shape)
 
 
 class TestBrackets:
@@ -144,7 +150,7 @@ class TestSingularValues:
         for n, m in ((3, 3), (5, 2), (8, 8), (70, 70), (80, 3)):
             a = rng.standard_normal((n, m))
             want = np.linalg.svd(a, compute_uv=False)[0]
-            value, _, _, converged = top_singular_value(a)
+            value, _, _, converged = top_singular_value(sparse(a))
             assert converged
             assert value == pytest.approx(want, abs=2e-8)
 
@@ -153,7 +159,7 @@ class TestSingularValues:
         for n in (4, 66):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             want = np.linalg.svd(a, compute_uv=False)[0]
-            value, _, _, converged = top_singular_value(a)
+            value, _, _, converged = top_singular_value(sparse(a))
             assert converged
             assert value == pytest.approx(want, abs=2e-8)
 
@@ -164,25 +170,25 @@ class TestSingularValues:
         row = np.zeros(n)
         row[[0, 1, -1]] = (1.0, -1.0, -1.0)
         a = np.array([np.roll(row, k) for k in range(n)])
-        value, _, _, converged = top_singular_value(a)
+        value, _, _, converged = top_singular_value(sparse(a))
         assert converged
         assert value == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], abs=1e-9)
 
     def test_step_cap_reports_unconverged_lower_bound(self):
         a = spawn_rng(3, 7).standard_normal((300, 300))
-        value, iterations, residual, converged = top_singular_value(a, max_iter=5)
+        value, iterations, residual, converged = top_singular_value(sparse(a), max_iter=5)
         assert (iterations, converged) == (5, False)
         assert residual > 0
         assert 0 < value <= np.linalg.svd(a, compute_uv=False)[0]
 
     def test_zero_and_empty(self):
-        assert top_singular_value(np.zeros((3, 3)))[0] == 0.0
+        assert top_singular_value(sparse(np.zeros((3, 3))))[0] == 0.0
         for shape in ((6, 9), (0, 0), (0, 4), (4, 0)):
             assert block_operator_norm(np.zeros(shape)) == 0.0
 
     def test_rank_one(self):
         u = np.array([[3.0], [4.0]])
-        assert top_singular_value(u @ u.T)[0] == pytest.approx(25.0)
+        assert top_singular_value(sparse(u @ u.T))[0] == pytest.approx(25.0)
 
     @pytest.mark.parametrize("complex_part", [False, True])
     def test_block_norm_drops_zero_rows_and_columns_exactly(self, complex_part):
@@ -273,6 +279,43 @@ class TestActionTable:
         }[norm]
         with pytest.raises(ConfigError, match="past the float range"):
             call()
+
+    def test_schur_bound_past_the_float_range_raises(self, dihedral):
+        # each |c|^2 = 10^308 fits a float, ||f||_1 ||f*||_1 = 4 * 10^308 not
+        from heckepairs import ConfigError
+
+        f = HeckeElement.delta(dihedral, DihedralElement(2, 1), coeff=10 ** 154)
+        with pytest.raises(ConfigError, match="past the float range"):
+            norm_upper(dihedral, f)
+
+    def test_norms_past_the_float_range_raise(self, dihedral):
+        # ||f||_2^2 = 2 * 10^308 has no float
+        from heckepairs import ConfigError, norms
+
+        f = HeckeElement.delta(dihedral, DihedralElement(2, 1), coeff=10 ** 154)
+        with pytest.raises(ConfigError, match="past the float range"):
+            norms(f)
+
+    def test_bracket_past_the_float_range_fails_before_the_solve(self, dihedral,
+                                                                 monkeypatch):
+        from heckepairs import ConfigError
+
+        def solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(operators, "top_singular_value", solve)
+        f = HeckeElement.delta(dihedral, DihedralElement(2, 1), coeff=10 ** 154)
+        with pytest.raises(ConfigError, match="past the float range"):
+            norm_lower(dihedral, f, radius=2)
+
+    def test_overflowed_sigma_is_not_converged(self, dihedral):
+        # sigma^2 = 8 * 10^308 overflows, so the Gram test would read inf <= inf
+        f = HeckeElement.delta(dihedral, DihedralElement(2, 1), coeff=10 ** 154)
+        cod = enumerate_ball(dihedral, dihedral.length, 4).right
+        op = ActionTable(dihedral, f.support, cod.prefix(2), cod).operator_for(f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, iterations, _, converged = top_singular_value(op, max_iter=3)
+        assert (value, iterations, converged) == (math.inf, 3, False)
 
     def test_missing_codomain_raises_without_flag(self, dihedral):
         from heckepairs import UnsupportedLengthError

@@ -2,6 +2,9 @@
 
 import ast
 import copy
+import re
+import sys
+import tomllib
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -157,8 +160,9 @@ class TestLengths:
                 assert not L.locally_finite
 
     def test_gl2q_candidate_validates(self, gl2q):
+        # a float-valued length is checked to the 1e-9 slack it implies
         L = gl2q.candidate_lengths["log-det-prim"]
-        report = gl2q.validate_length(length=L, tol=1e-9)
+        report = gl2q.validate_length(length=L)
         assert report.ok, report.failures
 
     def test_dihedral_length_values(self, dihedral):
@@ -417,3 +421,24 @@ class TestNoUnreadOptions:
                     if name not in attrs and (method or name not in names)}
         assert sorted(unloaded - set(allowed)) == []
         assert sorted(set(allowed) - set(defined)) == []  # no stale entries
+
+
+class TestDeclaredDependencies:
+    def test_every_import_is_declared(self):
+        # a top-level module the package imports is the package itself, ships
+        # with Python, or is declared in pyproject.toml: an install from the
+        # declared list must be able to import every module
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                    for dep in project["dependencies"]}
+        imported = set()
+        for path in sorted(Path(heckepairs.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        assert "numpy" in imported  # the walk sees third-party imports at all
+        undeclared = imported - {"heckepairs"} - set(sys.stdlib_module_names) - declared
+        assert sorted(undeclared) == []
