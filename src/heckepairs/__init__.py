@@ -29,11 +29,9 @@ from .diagnostics import (
     DegreeFit,
     RDReport,
     TransferReport,
-    cauchy_schwarz_constant_check,
     degree_growth_fit,
     fit_power_law,
     haagerup_scan_exact,
-    haagerup_scan_operator,
     random_hecke_element,
     random_l2_vector,
     scan_csv_rows,

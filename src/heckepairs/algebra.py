@@ -435,17 +435,22 @@ def norms(f, length=None, s=1):
     require_float_range(f)
     exact = length.exact and isinstance(s, int) and s >= 0
     l2_sq = sob_sq = prime_sq = Fraction(0) if exact else 0.0
-    for d, c in f.terms.items():
-        a = c.abs_sq()
-        if not exact:
-            a = float(a)
-        deg = degree(pair, d.rep)
-        w = _weight(length(d.rep), s, exact)
-        l2_sq += a * deg
-        sob_sq += a * deg * w
-        prime_sq += a * w
     try:
-        return NormsReport(s, length.name, l1_norm(f), l2_sq, sob_sq, prime_sq, exact)
+        for d, c in f.terms.items():
+            a = c.abs_sq()
+            if not exact:
+                a = float(a)
+            deg = degree(pair, d.rep)
+            w = _weight(length(d.rep), s, exact)
+            l2_sq += a * deg
+            sob_sq += a * deg * w
+            prime_sq += a * w
+        report = NormsReport(s, length.name, l1_norm(f), l2_sq, sob_sq, prime_sq,
+                             exact)
+        # a float power raises OverflowError, but a float sum just turns inf
+        if math.inf in (report.l2, report.sobolev, report.prime):
+            raise OverflowError
     except OverflowError:
         raise ConfigError("a norm of f is past the float range") from None
+    return report
 

@@ -23,7 +23,6 @@ from .diagnostics import (
     _fmt,
     degree_growth_fit,
     haagerup_scan_exact,
-    haagerup_scan_operator,
     random_hecke_element,
     random_l2_vector,
     scan_csv_rows,
@@ -81,6 +80,11 @@ class ExperimentConfig:
         if values.get("mode") not in (None, "exact"):
             raise ConfigError("key 'mode': coefficients are exact only, got %r"
                               % values["mode"])
+        if command == "rd-scan":
+            for key in ("operator", "operator_radii", "operator_samples"):
+                if key in values:
+                    raise ConfigError("key %r: the operator scan is gone; rd-scan "
+                                      "runs the exact scan only" % key)
         return cls(command, values)
 
     def _record(self, key, value):
@@ -120,35 +124,22 @@ class ExperimentConfig:
         self._record(key, val)
         return val
 
-    def get_bool(self, key, default=False):
-        raw = self.values.get(key)
+    def get_radii(self, default):
+        raw = self.values.get("radii")
         if raw is None:
-            val = default
-        elif raw.lower() in ("1", "true", "yes", "on"):
-            val = True
-        elif raw.lower() in ("0", "false", "no", "off"):
-            val = False
-        else:
-            raise ConfigError("key %r: expected boolean, got %r" % (key, raw))
-        self._record(key, val)
-        return val
-
-    def get_radii(self, key="radii", default=None):
-        raw = self.values.get(key)
-        if raw is None:
-            radii = list(default) if default else None
+            radii = list(default)
         else:
             try:
                 radii = [int(tok) for tok in raw.replace(",", " ").split()]
             except ValueError:
-                raise ConfigError("key %r: expected integers, got %r" % (key, raw))
+                raise ConfigError("key 'radii': expected integers, got %r" % (raw,))
         if not radii:
-            raise ConfigError("key %r: need at least one radius" % key)
+            raise ConfigError("key 'radii': need at least one radius")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("radii must be strictly increasing: %r" % (radii,))
         if radii[0] < 0:  # the least, as the radii increase
-            raise ConfigError("key %r: radii must be >= 0, got %r" % (key, radii))
-        self._record(key, ",".join(str(r) for r in radii))
+            raise ConfigError("key 'radii': radii must be >= 0, got %r" % (radii,))
+        self._record("radii", ",".join(str(r) for r in radii))
         return radii
 
     @property
@@ -449,19 +440,11 @@ def cmd_rd_scan(cfg):
     budget = cfg.get_int("budget", 10 ** 6, least=1)
     exact = haagerup_scan_exact(pair, length=length, radii=radii, seed=seed,
                                 samples=samples, budget=budget)
-    op = None
-    if cfg.get_bool("operator", False):
-        op_radii = cfg.get_radii("operator_radii", default=(2, 4, 8))
-        op_samples = cfg.get_int("operator_samples", 25, least=0)
-        op = haagerup_scan_operator(pair, length=length, radii=op_radii,
-                                    seed=seed, samples=op_samples,
-                                    budget=budget)
-    _write_csv(cfg, "rd-scan.csv", scan_csv_rows(exact, op))
-    payload = {"exact": exact.to_json_dict(),
-               "fitted": {"C": exact.fitted_c, "s": exact.fitted_s}}
-    if op is not None:
-        payload["operator"] = op.to_json_dict()
-    _write_json(cfg, "rd-scan.json", payload)
+    _write_csv(cfg, "rd-scan.csv", scan_csv_rows(exact))
+    _write_json(cfg, "rd-scan.json", {
+        "exact": exact.to_json_dict(),
+        "fitted": {"C": exact.fitted_c, "s": exact.fitted_s},
+    })
     return "rd-scan: %d radii, fitted C=%.6g s=%.6g" % (
         len(radii), exact.fitted_c, exact.fitted_s,
     )

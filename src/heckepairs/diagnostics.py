@@ -3,7 +3,8 @@
 The primary rapid-decay diagnostic is the exact ratio ||f * k||_2 over
 ||f||_2 ||k||_2 for nonnegative f supported in a double-coset ball and k in
 a right-coset ball: it is computable in rational arithmetic, so scan maxima
-are exact. Operator-norm scans corroborate but only ever under-report.
+are exact. On a pair with finite H the same ratio is at most sqrt(N_r), with
+N_r the number of right cosets of length <= r, so each scan row is a bracket.
 """
 
 import math
@@ -28,25 +29,19 @@ from .cosets import (
     require_length,
 )
 from .errors import ConfigError, InfiniteSubgroupError, UnsupportedLengthError
-from .operators import ActionTable, norm_lower, norm_upper
+from .operators import ActionTable, norm_upper
 
 # scan windows as multiples of the support radius r (see the scan docstrings)
 K_FACTOR = 2
 K_FACTOR_CHAR = 5
-TRUNC_FACTOR = 2
 # random_hecke_element / random_l2_vector: at most this many terms, with
 # integer coefficient parts in [-RANDOM_COEFF_MAX, RANDOM_COEFF_MAX]
 RANDOM_MAX_TERMS = 4
 RANDOM_COEFF_MAX = 5
-# scans draw random coefficients in [1, SCAN_COEFF_MAX]; the operator scan
-# brackets each norm to norm_lower's SCAN_TOL within SCAN_MAX_ITER steps
+# the scan draws random coefficients in [1, SCAN_COEFF_MAX]
 SCAN_COEFF_MAX = 100
-SCAN_TOL = 1e-10
-SCAN_MAX_ITER = 10 ** 4
 # transfer_check's random group functions take values in [0, TRANSFER_COEFF_MAX]
 TRANSFER_COEFF_MAX = 3
-# cauchy_schwarz_constant_check draws entries in [0, CS_COEFF_MAX]
-CS_COEFF_MAX = 50
 
 
 def spawn_rng(seed, *key):
@@ -191,30 +186,28 @@ def degree_growth_fit(pair, length=None, radius=8, budget=10 ** 6, elements=None
 
 
 class ScanRow:
-    """One radius of a ratio scan."""
+    """One radius of a ratio scan; `upper` is sqrt(ball_right) when H is
+    finite (the bound is proven only there) and None otherwise."""
 
-    def __init__(self, radius, ball_double, ball_right, max_ratio_exact=None,
-                 max_ratio_sq=None, operator_lower=None, schur_upper=None,
-                 argmax_label="", exact=True):
+    def __init__(self, radius, ball_double, ball_right, max_ratio_exact,
+                 max_ratio_sq, upper, schur_upper, argmax_label):
         self.radius = radius
         self.ball_double = ball_double
         self.ball_right = ball_right
         self.max_ratio_exact = max_ratio_exact
         self.max_ratio_sq = max_ratio_sq
-        self.operator_lower = operator_lower
+        self.upper = upper
         self.schur_upper = schur_upper
         self.argmax_label = argmax_label
-        self.exact = exact
 
 
 class RDReport:
     """Scan result: per-radius maxima plus fitted growth constants."""
 
-    def __init__(self, pair_name, length_name, kind, seed, samples, rows,
+    def __init__(self, pair_name, length_name, seed, samples, rows,
                  fitted_c, fitted_s, degree_d=None, degree_t=None, config=None):
         self.pair_name = pair_name
         self.length_name = length_name
-        self.kind = kind
         self.seed = seed
         self.samples = samples
         self.rows = rows
@@ -232,18 +225,14 @@ class RDReport:
                 "ball_double": row.ball_double,
                 "ball_right": row.ball_right,
                 "max_ratio_exact": row.max_ratio_exact,
-                "max_ratio_sq": (
-                    str(row.max_ratio_sq) if row.max_ratio_sq is not None else None
-                ),
-                "max_ratio_operator_lower": row.operator_lower,
+                "max_ratio_sq": str(row.max_ratio_sq),
+                "max_ratio_upper": row.upper,
                 "schur_upper": row.schur_upper,
                 "argmax": row.argmax_label,
-                "exact": row.exact,
             })
         return {
             "pair": self.pair_name,
             "length": self.length_name,
-            "kind": self.kind,
             "seed": self.seed,
             "samples_per_radius": self.samples,
             "rows": rows,
@@ -294,7 +283,8 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
     `K_FACTOR * r` (characteristic k uses `K_FACTOR_CHAR * r`). All ratios
     are exact rationals. The per-radius max is a running max, so the sample
     family at radius r contains every family at smaller radii and the max
-    column is monotone by construction.
+    column is monotone by construction. On a pair with finite H each row
+    also carries the upper bound sqrt(N_r), N_r = |right ball of radius r|.
     """
     length = require_length(pair, length)
     radii = list(radii)
@@ -349,10 +339,9 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         schur = norm_upper(pair, f_elt) / math.sqrt(float(fn2))
         mx = math.sqrt(float(ratio_sq))
         maxes.append(mx)
-        rows.append(ScanRow(
-            r, len(dkeys), len(ball.right), max_ratio_exact=mx, max_ratio_sq=ratio_sq,
-            schur_upper=schur, argmax_label=label, exact=True,
-        ))
+        nr = len(ball.right)
+        upper = math.sqrt(nr) if pair.h_elements is not None else None
+        rows.append(ScanRow(r, len(dkeys), nr, mx, ratio_sq, upper, schur, label))
     fitted_c, fitted_s = _fit_or_flat(radii, maxes)
     try:
         dfit = degree_growth_fit(pair, length, radius=max(radii), budget=budget)
@@ -360,7 +349,7 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
     except ConfigError:
         deg_d = deg_t = None
     return RDReport(
-        pair.name, length.name, "exact", seed, samples, rows, fitted_c, fitted_s,
+        pair.name, length.name, seed, samples, rows, fitted_c, fitted_s,
         degree_d=deg_d, degree_t=deg_t,
         config={
             "radii": radii, "k_factor": K_FACTOR, "k_factor_char": K_FACTOR_CHAR,
@@ -369,74 +358,23 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
     )
 
 
-def haagerup_scan_operator(pair, length=None, radii=(2, 4, 8), seed=0,
-                           samples=25, budget=10 ** 6):
-    """Operator-norm scan: max norm_lower(f)/||f||_2 per support radius.
-
-    Same f family as the exact scan (characteristic functions, deltas,
-    random supports), each bracketed by norm_lower over the ball of radius
-    `TRUNC_FACTOR * r`; ratios are certified lower bounds, with the Schur
-    upper bound of the per-radius argmax recorded alongside.
-    """
-    length = require_length(pair, length)
-    radii = list(radii)
-    rows = []
-    maxes = []
-    for ri, r in enumerate(radii):
-        ball = enumerate_ball(pair, length, r, budget=budget)
-        dkeys = list(ball.double.keys)
-        best = None  # (ratio, label, schur_ratio)
-        for label, _rho, coeffs, _rng in _sample_stream(
-            dkeys, _char_ladder(radii, r), samples, seed, ri, SCAN_COEFF_MAX
-        ):
-            if not coeffs:
-                continue
-            f = HeckeElement(pair, [(dk, QQi(c)) for dk, c in coeffs.items()])
-            fn = math.sqrt(float(l2_norm_sq(f)))
-            nb = norm_lower(
-                pair, f, length=length, radius=TRUNC_FACTOR * r,
-                tol=SCAN_TOL, max_iter=SCAN_MAX_ITER,
-            )
-            ratio = nb.lower / fn
-            if best is None or ratio > best[0]:
-                best = (ratio, label, nb.upper / fn)
-        ratio, label, schur = best
-        maxes.append(ratio)
-        rows.append(ScanRow(
-            r, len(dkeys), len(ball.right), operator_lower=ratio, schur_upper=schur,
-            argmax_label=label, exact=False,
-        ))
-    fitted_c, fitted_s = _fit_or_flat(radii, maxes)
-    return RDReport(
-        pair.name, length.name, "operator", seed, samples, rows, fitted_c, fitted_s,
-        config={
-            "radii": radii, "coeff_max": SCAN_COEFF_MAX, "trunc_factor": TRUNC_FACTOR,
-            "tol": SCAN_TOL, "max_iter": SCAN_MAX_ITER,
-        },
-    )
-
-
-def scan_csv_rows(exact_report, operator_report=None):
-    """CSV rows (header first) merging an exact scan with an operator scan."""
-    header = [
+def scan_csv_rows(report):
+    """CSV rows (header first) of an exact scan; `max_ratio_upper` is blank
+    where H is infinite."""
+    out = [[
         "r", "ball_double", "ball_right", "max_ratio_exact",
-        "max_ratio_operator_lower", "schur_upper", "fitted_C", "fitted_s",
-    ]
-    op_by_r = {}
-    if operator_report is not None:
-        op_by_r = {row.radius: row for row in operator_report.rows}
-    out = [header]
-    for row in exact_report.rows:
-        op = op_by_r.get(row.radius)
+        "max_ratio_upper", "schur_upper", "fitted_C", "fitted_s",
+    ]]
+    for row in report.rows:
         out.append([
             "%d" % row.radius,
             "%d" % row.ball_double,
             "%d" % row.ball_right,
             _fmt(row.max_ratio_exact),
-            _fmt(op.operator_lower) if op is not None else "",
+            _fmt(row.upper),
             _fmt(row.schur_upper),
-            _fmt(exact_report.fitted_c),
-            _fmt(exact_report.fitted_s),
+            _fmt(report.fitted_c),
+            _fmt(report.fitted_s),
         ])
     return out
 
@@ -621,23 +559,3 @@ def transfer_check(pair, f, k, rng=None):
 
     return TransferReport(pair.name, n, items)
 
-
-def cauchy_schwarz_constant_check(m, trials=1000, seed=0):
-    """The averaging constant c(m) = m is sharp: (sum x)^2 <= m sum x^2.
-
-    Returns (max_ratio, achieved_at_constant): the max of (sum x)^2 / sum x^2
-    over random nonnegative integer m-vectors plus the constant vector, as an
-    exact Fraction. Equality holds exactly at constant vectors.
-    """
-    rng = spawn_rng(seed, m)
-    best = Fraction(0)
-    for _ in range(trials):
-        xs = [int(v) for v in rng.integers(0, CS_COEFF_MAX + 1, size=m)]
-        s2 = sum(x * x for x in xs)
-        if s2 == 0:
-            continue
-        best = max(best, Fraction(sum(xs) ** 2, s2))
-    # constant vectors (c, c, ..., c) achieve the constant exactly
-    equality = all(Fraction((c * m) ** 2, m * c * c) == m for c in (1, 2, 7))
-    best = max(best, Fraction(m))
-    return best, equality

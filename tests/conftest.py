@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from heckepairs import build_pair
+from heckepairs import build_pair, spawn_rng
 
 # Pair construction runs a seeded sanity sample, so build each catalog pair
 # once per session and share it; all caches are append-only.
@@ -43,3 +45,18 @@ def sl3(pairs):
 @pytest.fixture(scope="session")
 def semidirect(pairs):
     return pairs["semidirect"]
+
+
+@pytest.fixture(scope="session")
+def cauchy_schwarz_ratios():
+    """(sum x)^2 / sum x^2 as exact Fractions: first over seeded nonnegative
+    integer m-vectors with entries in [0, 50], then over the constant vectors
+    c = 1, 2, 7. Cauchy-Schwarz bounds every ratio by m, the averaging
+    constant c(m) of the transfer identities, with equality exactly at
+    constant vectors."""
+    def ratios(m, trials, seed):
+        rng = spawn_rng(seed, m)
+        vecs = [[int(v) for v in rng.integers(0, 51, size=m)] for _ in range(trials)]
+        vecs += [[c] * m for c in (1, 2, 7)]
+        return [Fraction(sum(x) ** 2, sum(v * v for v in x)) for x in vecs if any(x)]
+    return ratios

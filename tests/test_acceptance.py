@@ -22,7 +22,6 @@ from heckepairs import (
     MatrixElement,
     QQi,
     apply_regular_rep,
-    cauchy_schwarz_constant_check,
     convolve,
     corner_seminorm,
     degree,
@@ -191,7 +190,7 @@ def test_criterion_06_finite_index_haagerup_constant(finite_index):
     )
 
 
-def test_criterion_07_transfer_identities(pairs):
+def test_criterion_07_transfer_identities(pairs, cauchy_schwarz_ratios):
     checked = 0
     for j, name in enumerate(("dihedral", "semidirect")):
         pair = pairs[name]
@@ -208,11 +207,11 @@ def test_criterion_07_transfer_identities(pairs):
             assert rep.ok, (name, i, [x.name for x in rep.items if not x.ok])
             done += 1
             checked += 1
-    # the averaging constant c(m) = m is met with equality on constant
-    # vectors; the helper verifies both the bound and its sharpness
+    # the averaging constant c(m) = m bounds (sum x)^2 / sum x^2 and is met
+    # with equality on constant vectors (the last three ratios)
     for m in (2, 4):
-        value, sharp = cauchy_schwarz_constant_check(m, trials=300, seed=SEED)
-        assert value == Fraction(m) and sharp
+        ratios = cauchy_schwarz_ratios(m, trials=300, seed=SEED)
+        assert max(ratios) <= m and ratios[-3:] == [m] * 3
     report(
         "criterion 7: PASS - lift/average identities (a)-(e) exact on "
         "%d (f, k) draws over dihedral and semidirect, c(m)=m sharp" % checked

@@ -300,14 +300,10 @@ class TestExitCodes:
         assert payload["status"] == "failure"
         assert "finite tol > 0" in payload["message"]
 
-    @pytest.mark.parametrize("command, key", [
-        ("rd-scan", "radii"), ("rd-scan", "operator_radii"), ("normest", "radii"),
-    ])
+    @pytest.mark.parametrize("command, key", [("rd-scan", "radii"), ("normest", "radii")])
     def test_negative_radius_exits_two(self, tmp_path, capsys, command, key):
         # rd-scan with radii = -1, 2 used to die in rng.integers(1, 1), exit 1
-        values = {"pair": "dihedral", "samples": "2", "operator_samples": "2",
-                  "f": "delta:1,1", "operator": "true", "radii": "0,2",
-                  "operator_radii": "0,2"}
+        values = {"pair": "dihedral", "samples": "2", "f": "delta:1,1", "radii": "0,2"}
         ini = write_ini(tmp_path / "ok.ini", command, **values)
         assert run(command, config=ini, seed=1, out=str(tmp_path)) == 0
         values[key] = "-1,2"
@@ -333,9 +329,6 @@ class TestExitCodes:
         ("transfer-check", "samples", {"samples": "-1"}, 1),
         ("transfer-check", "radius", {"samples": "5", "radius": "-1"}, 1),
         ("rd-scan", "samples", {"radii": "2", "samples": "-3"}, 1),
-        ("rd-scan", "operator_samples", {"radii": "2", "samples": "2", "operator": "true",
-                                         "operator_radii": "2",
-                                         "operator_samples": "-1"}, 1),
         ("validate-length", "samples", {"samples": "-2"}, None),
         # enumerate wrote an empty ball and exited 0; degrees exited 2 but
         # said "empty ball: nothing to fit"
@@ -501,6 +494,19 @@ class TestExitCodes:
         assert "exact only" in payload["message"] and "'float'" in payload["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_retired_operator_scan_keys_exit_two(self, tmp_path, capsys):
+        # the operator scan is gone: a config that still asks for it is
+        # refused by name, not run as an exact scan alone
+        for key, value in (("operator", "true"), ("operator_radii", "2"),
+                           ("operator_samples", "2")):
+            ini = write_ini(tmp_path / "c.ini", "rd-scan", pair="dihedral", radii="2",
+                            samples="2", **{key: value})
+            assert run("rd-scan", config=ini, seed=1, out=str(tmp_path / "out")) == 2
+            payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert payload["status"] == "failure" and payload["command"] == "rd-scan"
+            assert repr(key) in payload["message"]
+            assert not (tmp_path / "out").exists()
+
     def test_mode_flag_is_unknown(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["convolve", "--mode", "float"])
@@ -662,8 +668,7 @@ class TestDeterminism:
         "convolve": {"pair": "bost_connes", "left": "delta:1/2,1/3",
                      "right": '{"terms": [{"key": [2, 0], "re": "1/3", "im": "2"}]}'},
         "normest": {"pair": "semidirect", "f": "delta:1,0,0", "radii": "2,4"},
-        "rd-scan": {"pair": "dihedral", "radii": "2,4", "samples": "6",
-                    "operator": "true", "operator_radii": "2"},
+        "rd-scan": {"pair": "dihedral", "radii": "2,4", "samples": "6"},
         "transfer-check": {"pair": "sl3", "samples": "4", "radius": "2"},
         "jolissaint": {"pair": "dihedral", "f": "delta:3,1"},
         "validate-length": {"pair": "semidirect", "samples": "5"},
@@ -692,9 +697,21 @@ class TestDeterminism:
             rows = list(csv.reader(fh))
         assert rows[0] == [
             "r", "ball_double", "ball_right", "max_ratio_exact",
-            "max_ratio_operator_lower", "schur_upper", "fitted_C", "fitted_s",
+            "max_ratio_upper", "schur_upper", "fitted_C", "fitted_s",
         ]
         assert [r[0] for r in rows[1:]] == ["2", "4"]
+
+    def test_readme_rd_scan_example(self, tmp_path, capsys):
+        # the README's [rd-scan] section, run as written, prints the first
+        # three CSV lines that the README shows
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        ini = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "demo.ini").write_text(ini, encoding="utf-8")
+        shown = readme.split("$ head -3 out/rd-scan.csv\n", 1)[1].split("```", 1)[0]
+        out = tmp_path / "out"
+        assert run("rd-scan", config=tmp_path / "demo.ini", out=str(out)) == 0
+        head = (out / "rd-scan.csv").read_bytes().splitlines(keepends=True)[:3]
+        assert b"".join(head) == shown.encode("utf-8")
 
     def test_seed_changes_scan_output(self, tmp_path, capsys):
         ini = write_ini(

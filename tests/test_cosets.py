@@ -26,7 +26,6 @@ from heckepairs import (
     double_key,
     enumerate_ball,
     haagerup_scan_exact,
-    haagerup_scan_operator,
     jolissaint_seminorm,
     norm_lower,
     reachable_coset_ball,
@@ -48,8 +47,6 @@ _LENGTH_CONSUMERS = {
         lambda pair, f, g: degree_growth_fit(pair, elements=[g]),
     "haagerup_scan_exact":
         lambda pair, f, g: haagerup_scan_exact(pair, radii=(2,), samples=2, seed=0),
-    "haagerup_scan_operator":
-        lambda pair, f, g: haagerup_scan_operator(pair, radii=(2,), samples=2, seed=0),
     "corner_seminorm": lambda pair, f, g: corner_seminorm(pair, f, 4),
     "jolissaint_seminorm": lambda pair, f, g: jolissaint_seminorm(pair, f),
     "HeckePair.validate_length": lambda pair, f, g: pair.validate_length(),

@@ -15,12 +15,10 @@ from heckepairs import (
     UnsupportedLengthError,
     apply_regular_rep,
     build_pair,
-    cauchy_schwarz_constant_check,
     degree_growth_fit,
     enumerate_ball,
     fit_power_law,
     haagerup_scan_exact,
-    haagerup_scan_operator,
     l2_norm_sq,
     random_hecke_element,
     scan_csv_rows,
@@ -89,7 +87,7 @@ class TestScans:
         assert [row["r"] for row in jd["rows"]] == [2, 4, 8]
         for row in jd["rows"]:
             assert row["max_ratio_exact"] <= row["schur_upper"] + 1e-9
-            assert row["exact"]
+            assert math.sqrt(Fraction(row["max_ratio_sq"])) == row["max_ratio_exact"]
         # ball indicators are in the sample stream, so the max ratio grows
         # at least like the char ratio
         for row, r in zip(jd["rows"], (2, 4, 8)):
@@ -108,14 +106,9 @@ class TestScans:
         rows = scan_csv_rows(rep)
         assert rows[0] == [
             "r", "ball_double", "ball_right", "max_ratio_exact",
-            "max_ratio_operator_lower", "schur_upper", "fitted_C", "fitted_s",
+            "max_ratio_upper", "schur_upper", "fitted_C", "fitted_s",
         ]
         assert all(len(r) == len(rows[0]) for r in rows)
-
-    def test_operator_scan_lower_below_schur(self, dihedral):
-        rep = haagerup_scan_operator(dihedral, radii=(2, 4), samples=5, seed=1)
-        for row in rep.to_json_dict()["rows"]:
-            assert row["max_ratio_operator_lower"] <= row["schur_upper"] + 1e-8
 
     def test_int64_overflow_caught_before_the_matvec(self, dihedral, monkeypatch):
         # a wrapped int64 sum cannot be detected after matvec_int returns, so
@@ -156,9 +149,20 @@ class TestScans:
         rep = haagerup_scan_exact(build_pair(name, params), radii=radii,
                                   samples=10, seed=2)
         assert [row.radius for row in rep.rows] == list(radii)
-        for row in rep.rows:
+        for row, cells in zip(rep.rows, scan_csv_rows(rep)[1:]):
             assert row.ball_right == ball_right(row.radius)
             assert 1 <= row.max_ratio_sq <= row.ball_right
+            # the CSV's upper column is this bound, sqrt(N_r) (sqrt(2r + 1) on
+            # dihedral), and never below the exact column
+            assert cells[4] == "%.12g" % math.sqrt(ball_right(row.radius))
+            assert float(cells[3]) <= float(cells[4])
+
+    def test_upper_column_blank_where_h_is_infinite(self, finite_index):
+        # H = nZ is infinite, so no upper bound is claimed
+        rows = scan_csv_rows(haagerup_scan_exact(finite_index, radii=(2, 4), samples=5,
+                                                 seed=0))
+        assert rows[0][4] == "max_ratio_upper"
+        assert [row[4] for row in rows[1:]] == ["", ""]
 
     def test_scan_rejects_lengthless_pair(self, gl2q):
         with pytest.raises(UnsupportedLengthError, match="pair 'gl2q' has no length"):
@@ -250,11 +254,14 @@ class TestTransfer:
         with pytest.raises(InfiniteSubgroupError):
             transfer_check(bost_connes, f, k)
 
-    def test_cauchy_schwarz_constant_sharp(self):
+    def test_cauchy_schwarz_constant_sharp(self, cauchy_schwarz_ratios):
+        # (sum x)^2 <= m sum x^2, with equality at the constant vectors
         for m in (1, 2, 4, 9):
-            value, sharp = cauchy_schwarz_constant_check(m, trials=200, seed=0)
-            assert value == Fraction(m)
-            assert sharp
+            ratios = cauchy_schwarz_ratios(m, trials=200, seed=0)
+            assert max(ratios) == m
+            assert ratios[-3:] == [m] * 3
+            if m > 1:
+                assert any(x < m for x in ratios[:-3])
 
 
 class TestRng:

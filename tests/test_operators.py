@@ -296,6 +296,18 @@ class TestActionTable:
         with pytest.raises(ConfigError, match="past the float range"):
             norms(f)
 
+    @pytest.mark.parametrize("coeff, s", [(1, 1000.5), (10 ** 150, 100.5)],
+                             ids=["float-power", "float-sum"])
+    def test_norms_float_path_past_the_float_range_raises(self, dihedral, coeff, s):
+        # a non-integer s takes the float path. There (1 + 3)^2001 overflows
+        # the float power itself; and |c|^2 = 10^300 and the weight 4^201
+        # each fit a float while their product turns inf without an error
+        from heckepairs import ConfigError, norms
+
+        f = HeckeElement.delta(dihedral, DihedralElement(3, 1), coeff=coeff)
+        with pytest.raises(ConfigError, match="^a norm of f is past the float range$"):
+            norms(f, s=s)
+
     def test_bracket_past_the_float_range_fails_before_the_solve(self, dihedral,
                                                                  monkeypatch):
         from heckepairs import ConfigError

@@ -373,7 +373,6 @@ class TestNoUnreadOptions:
             "algebra._Supported.zero": "the additive identity that the benchmark's "
                                        "workloads start their sums from",
             "algebra.norms": "acceptance criterion 12",
-            "diagnostics.cauchy_schwarz_constant_check": "acceptance criterion 7",
             "jolissaint.submultiplicativity_check": "acceptance criterion 11",
         }
         # a method is reached through an attribute (obj.name, self.name); a
