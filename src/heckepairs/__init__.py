@@ -59,7 +59,6 @@ from .groups import (
     SemidirectElement,
     dihedral_abs_length,
     validate_length,
-    word_length,
 )
 from .jolissaint import (
     NuResult,

@@ -18,7 +18,7 @@ import traceback
 from fractions import Fraction
 
 from .algebra import HeckeElement, QQi, convolve
-from .cosets import degree, enumerate_ball
+from .cosets import degree, enumerate_ball, has_ball
 from .diagnostics import (
     _fmt,
     degree_growth_fit,
@@ -326,11 +326,11 @@ def cmd_enumerate(cfg):
     length = cfg.resolve_length(pair)
     radius = cfg.get_int("radius", 6, least=0)
     budget = cfg.get_int("budget", 10 ** 6, least=1)
-    ball = enumerate_ball(pair, length, radius, budget=budget)
+    ball = enumerate_ball(pair, length, radius)
     rows = [["key", "length", "degree"]]
     doubles = []
     for dk in ball.double:
-        deg = degree(pair, dk.rep)
+        deg = degree(pair, dk.rep, budget=budget)
         comps = dk.rep.components()
         rows.append([json.dumps(comps), dk.length, deg])
         doubles.append({"key": comps, "length": str(dk.length), "degree": deg})
@@ -349,11 +349,11 @@ def cmd_degrees(cfg):
     length = cfg.resolve_length(pair)
     budget = cfg.get_int("budget", 10 ** 6, least=1)
     radius = elements = None
-    if length is not None and not length.locally_finite:
+    if length is not None and not has_ball(pair, length):
         rng = spawn_rng(cfg.seed or 0, 3)
         count = cfg.get_int("samples", 50, least=0)
         elements = [pair.random_element(rng) for _ in range(count)]
-    else:  # only a ball walk reads the radius
+    else:  # only a ball reads the radius
         radius = cfg.get_int("radius", 8, least=0)
     fit = degree_growth_fit(pair, length=length, radius=radius, budget=budget,
                             elements=elements)

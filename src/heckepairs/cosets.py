@@ -1,11 +1,10 @@
 """Coset keys, double-coset decomposition, degrees, and length balls."""
 
-import math
 from bisect import bisect_right
 from itertools import chain, islice
 
 from .errors import UnsupportedLengthError
-from .groups import walk_layers, word_layers
+from .groups import walk_layers
 
 
 class CosetKey:
@@ -191,45 +190,30 @@ def require_length(pair, length=None):
     return length
 
 
-def enumerate_ball(pair, length, radius, budget=10 ** 6):
+def has_ball(pair, length):
+    """Whether `length` has balls on `pair`: it is the pair's own length and
+    the pair reads its balls from the closed form `ball_rights`."""
+    return (pair.ball_rights is not None and pair.length is not None
+            and length.name == pair.length.name)
+
+
+def enumerate_ball(pair, length, radius):
     """All right cosets of length <= radius, with the double cosets among them.
 
-    length=None uses the pair's attached length. A closed-form right ball
-    (`ball_rights`) is read directly; otherwise a word length's ball of the
-    whole group, walked in the length's own generators, is projected (the
-    induced double-coset length is the minimum word length over the double
-    coset, which is H-bi-invariant by construction) and each double coset
-    contributes its right cosets at that length.
+    length=None uses the pair's attached length, the only one with balls
+    (`has_ball`); the right ball is the closed form `ball_rights`.
     """
     length = require_length(pair, length)
-    # every word length is named "word"; its generators tell them apart
-    cache_key = (length.name, length.gens, radius)
-    hit = pair.ball_cache.get(cache_key)
-    if hit is not None:
-        return hit
-
-    if (
-        pair.ball_rights is not None
-        and pair.length is not None
-        and length.name == pair.length.name
-    ):
-        rights = [CosetKey(rep, length(rep)) for rep in pair.ball_rights(radius)]
-    elif length.gens is not None:
-        # layer r of the word walk is word length r, so length() is not called
-        dlen = {}
-        count = max(0, math.floor(radius) + 1)  # layers 0..floor(radius)
-        for r, layer in enumerate(islice(word_layers(length.gens, budget), count)):
-            for g in layer:
-                dlen.setdefault(pair.double_rep(g), r)
-        rights = [CosetKey(ck.rep, r) for rep, r in dlen.items()
-                  for ck in decompose_double_coset(pair, rep, budget=budget)]
-    else:
+    if not has_ball(pair, length):
         raise UnsupportedLengthError(
             "no ball enumeration for length %r on pair %r" % (length.name, pair.name)
         )
-
+    hit = pair.ball_cache.get(radius)
+    if hit is not None:
+        return hit
+    rights = [CosetKey(rep, length(rep)) for rep in pair.ball_rights(radius)]
     ball = PairBall(pair.double_rep, BallIndex(radius, rights))
-    pair.ball_cache[cache_key] = ball
+    pair.ball_cache[radius] = ball
     return ball
 
 

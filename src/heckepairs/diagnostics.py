@@ -3,8 +3,8 @@
 The primary rapid-decay diagnostic is the exact ratio ||f * k||_2 over
 ||f||_2 ||k||_2 for nonnegative f supported in a double-coset ball and k in
 a right-coset ball: it is computable in rational arithmetic, so scan maxima
-are exact. On a pair with finite H the same ratio is at most sqrt(N_r), with
-N_r the number of right cosets of length <= r, so each scan row is a bracket.
+are exact. The same ratio is at most sqrt(N_r), with N_r the number of right
+cosets of length <= r, so each scan row is a bracket.
 """
 
 import math
@@ -157,8 +157,8 @@ def degree_growth_fit(pair, length=None, radius=8, budget=10 ** 6, elements=None
     """Fit degree growth against length over a ball (or explicit elements).
 
     Rows are (key, length, degree) of the ball's double cosets in ball
-    order. `elements` bypasses ball enumeration for pairs whose interesting
-    lengths are not locally finite, with one row per element.
+    order. `elements` bypasses ball enumeration for lengths without balls
+    (`cosets.has_ball`), with one row per element.
     """
     length = require_length(pair, length)
     if elements is not None:
@@ -167,7 +167,7 @@ def degree_growth_fit(pair, length=None, radius=8, budget=10 ** 6, elements=None
             for g in elements
         ]
     else:
-        ball = enumerate_ball(pair, length, radius, budget=budget).double
+        ball = enumerate_ball(pair, length, radius).double
         table = [(k, k.length, degree(pair, k.rep, budget=budget)) for k in ball.keys]
     if not table:
         what = "empty ball" if elements is None else "no elements sampled"
@@ -186,8 +186,8 @@ def degree_growth_fit(pair, length=None, radius=8, budget=10 ** 6, elements=None
 
 
 class ScanRow:
-    """One radius of a ratio scan; `upper` is sqrt(ball_right) when H is
-    finite (the bound is proven only there) and None otherwise."""
+    """One radius of a ratio scan; `upper` is sqrt(ball_right), an upper
+    bound for the ratio on every pair with a ball."""
 
     def __init__(self, radius, ball_double, ball_right, max_ratio_exact,
                  max_ratio_sq, upper, schur_upper, argmax_label):
@@ -244,31 +244,23 @@ class RDReport:
         }
 
 
-def _char_ladder(radii, r):
-    """Characteristic-function radii to include at scan radius r (nested)."""
-    ladder = {rho for rho in radii if 1 <= rho <= r}
-    ladder.add(max(1, r))
-    return sorted(ladder)
+def _sample_stream(dkeys, rho, samples, seed, ri, coeff_max):
+    """Yield (label, {double key: positive int coeff}, rng_or_None).
 
-
-def _sample_stream(dkeys, ladder, samples, seed, ri, coeff_max):
-    """Yield (label, rho, {double key: positive int coeff}, rng_or_None).
-
-    Deterministic family: ball characteristic functions for each ladder
-    radius, every single delta in the ball, then seeded random supports.
-    rho is the ladder radius of the characteristic k to pair with the
-    sample (the top of the ladder for deltas), None for random samples.
+    Deterministic family: the characteristic function of the radius-rho
+    ball, every single delta in the ball, then seeded random supports. The
+    first two pair with the characteristic k, random samples (rng given)
+    with a random k.
     """
-    for rho in ladder:
-        yield "char:%s" % rho, rho, {k: 1 for k in dkeys if k.length <= rho}, None
+    yield "char:%s" % rho, {k: 1 for k in dkeys if k.length <= rho}, None
     for k in dkeys:
-        yield "delta:%r" % (k.rep.key,), ladder[-1], {k: 1}, None
+        yield "delta:%r" % (k.rep.key,), {k: 1}, None
     for si in range(samples):
         rng = spawn_rng(seed, ri, si)
         m = int(rng.integers(1, len(dkeys) + 1))
         picked = sorted(int(i) for i in rng.choice(len(dkeys), size=m, replace=False))
         coeffs = rng.integers(1, coeff_max + 1, size=m)
-        yield "random:%d" % si, None, {
+        yield "random:%d" % si, {
             dkeys[i]: int(c) for i, c in zip(picked, coeffs)
         }, rng
 
@@ -283,8 +275,10 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
     `K_FACTOR * r` (characteristic k uses `K_FACTOR_CHAR * r`). All ratios
     are exact rationals. The per-radius max is a running max, so the sample
     family at radius r contains every family at smaller radii and the max
-    column is monotone by construction. On a pair with finite H each row
-    also carries the upper bound sqrt(N_r), N_r = |right ball of radius r|.
+    column is monotone by construction; so each radius samples one
+    characteristic f, of radius max(1, r), as those of earlier radii are
+    already in the max. Each row also carries the upper bound sqrt(N_r),
+    N_r = |right ball of radius r|.
     """
     length = require_length(pair, length)
     radii = list(radii)
@@ -293,9 +287,9 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
     maxes = []
     for ri, r in enumerate(radii):
         kmax = max(K_FACTOR, K_FACTOR_CHAR) * r
-        big = enumerate_ball(pair, length, kmax + r, budget=budget).right
+        big = enumerate_ball(pair, length, kmax + r).right
         dom = big.prefix(kmax)
-        ball = enumerate_ball(pair, length, r, budget=budget)
+        ball = enumerate_ball(pair, length, r)
         dkeys = list(ball.double.keys)
         table = ActionTable(pair, dkeys, dom, big)
         # most entries delta_D puts in one row, for bounding |out| before
@@ -303,18 +297,16 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         row_mult = {dk: int(np.bincount(rows).max(initial=0))
                     for dk, (rows, _) in table.tables.items()}
         dom_len = np.array([float(k.length) for k in dom.keys])
-        char_k = {
-            rho: (dom_len <= K_FACTOR_CHAR * rho).astype(np.int64)
-            for rho in _char_ladder(radii, r)
-        }
+        rho = max(1, r)
+        char_k = (dom_len <= K_FACTOR_CHAR * rho).astype(np.int64)
         rand_mask = (dom_len <= K_FACTOR * r).astype(np.int64)
-        for label, rho, coeffs, rng in _sample_stream(
-            dkeys, sorted(char_k), samples, seed, ri, coeff_max
+        for label, coeffs, rng in _sample_stream(
+            dkeys, rho, samples, seed, ri, coeff_max
         ):
             if not coeffs:
                 continue
-            if rho is not None:
-                kvec = char_k[rho]
+            if rng is None:
+                kvec = char_k
             else:
                 kvec = rng.integers(0, coeff_max + 1, size=len(dom)) * rand_mask
             bound = sum(abs(c) * row_mult[dk] for dk, c in coeffs.items())
@@ -340,8 +332,8 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         mx = math.sqrt(float(ratio_sq))
         maxes.append(mx)
         nr = len(ball.right)
-        upper = math.sqrt(nr) if pair.h_elements is not None else None
-        rows.append(ScanRow(r, len(dkeys), nr, mx, ratio_sq, upper, schur, label))
+        rows.append(ScanRow(r, len(dkeys), nr, mx, ratio_sq, math.sqrt(nr), schur,
+                            label))
     fitted_c, fitted_s = _fit_or_flat(radii, maxes)
     try:
         dfit = degree_growth_fit(pair, length, radius=max(radii), budget=budget)
@@ -359,8 +351,8 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
 
 
 def scan_csv_rows(report):
-    """CSV rows (header first) of an exact scan; `max_ratio_upper` is blank
-    where H is infinite."""
+    """CSV rows (header first) of an exact scan; `max_ratio_upper` is
+    sqrt(ball_right)."""
     out = [[
         "r", "ball_double", "ball_right", "max_ratio_exact",
         "max_ratio_upper", "schur_upper", "fitted_C", "fitted_s",
@@ -418,18 +410,6 @@ class TransferReport:
         return "TransferReport(%s, n=%d, %d/%d ok)" % (
             self.pair_name, self.n, good, len(self.items),
         )
-
-    def to_json_dict(self):
-        return {
-            "pair": self.pair_name,
-            "n": self.n,
-            "ok": self.ok,
-            "items": [
-                {"name": i.name, "ok": i.ok, "lhs": str(i.lhs), "rhs": str(i.rhs),
-                 "note": i.note}
-                for i in self.items
-            ],
-        }
 
 
 def _lift(pair, v):

@@ -11,7 +11,8 @@ class BackendMismatchError(HeckeError):
 
 
 class BudgetExceededError(HeckeError):
-    """An enumeration (orbit closure, word ball) exceeded its node budget.
+    """An orbit walk (double-coset decomposition, reachable set, H sample)
+    exceeded its node budget.
 
     `partial_size` records how many nodes were found before giving up, so a
     caller can distinguish "barely over" from "clearly divergent".
@@ -23,7 +24,8 @@ class BudgetExceededError(HeckeError):
 
 
 class UnsupportedLengthError(HeckeError):
-    """The requested operation needs a (locally finite) length this pair lacks."""
+    """The requested operation needs a length, or a length with balls, that
+    this pair lacks."""
 
 
 class ModeMismatchError(HeckeError):

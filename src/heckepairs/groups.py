@@ -1,4 +1,4 @@
-"""Group element classes, word-length layers and length functions.
+"""Group element classes, the breadth-first orbit walk and length functions.
 
 Every element is immutable and hashable; equality compares the class as well
 as the key, so elements from different groups never compare equal. Each class
@@ -281,7 +281,8 @@ class SemidirectElement(GroupElement):
     def action(self):
         return self._key[2]
 
-    def _alpha(self, w):
+    def alpha(self, w):
+        """The order-two action of this element's group on the vector w."""
         if self.action == "negate":
             return tuple(-x for x in w)
         return tuple(reversed(w))
@@ -293,13 +294,13 @@ class SemidirectElement(GroupElement):
             raise BackendMismatchError("semidirect actions differ")
         if len(v) != len(w):
             raise BackendMismatchError("semidirect ranks differ")
-        ww = self._alpha(w) if s else w
+        ww = self.alpha(w) if s else w
         return SemidirectElement(tuple(a + b for a, b in zip(v, ww)), (s + t) % 2, act)
 
     def inv(self):
         v, s, act = self._key
         nv = tuple(-x for x in v)
-        return SemidirectElement(self._alpha(nv) if s else nv, s, act)
+        return SemidirectElement(self.alpha(nv) if s else nv, s, act)
 
     def components(self):
         return [list(self.vec), self.flip]
@@ -313,23 +314,6 @@ class SemidirectElement(GroupElement):
     @classmethod
     def split_flat(cls, parts, like):
         return [parts[:-1], parts[-1]]
-
-
-def _symmetric(gens):
-    """The generators followed by their new inverses, in first-seen order.
-
-    Raises ValueError when there are none and BackendMismatchError when they
-    mix element classes.
-    """
-    gens = tuple(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    if any(type(g) is not type(gens[0]) for g in gens):
-        raise BackendMismatchError("mixed element types in generating set")
-    seen = dict.fromkeys(gens)
-    for g in gens:
-        seen.setdefault(g.inv())
-    return tuple(seen)
 
 
 def walk_layers(start, step, budget, what):
@@ -358,30 +342,16 @@ def walk_layers(start, step, budget, what):
         layer = nxt
 
 
-def word_layers(gens, budget):
-    """`walk_layers` from the identity under right multiplication by the
-    symmetrized `gens`: layer r holds the elements of word length r."""
-    gen_list = _symmetric(gens)
-    g = gen_list[0]
-    return walk_layers(
-        g * g.inv(), lambda x: [x * s for s in gen_list], budget, "word ball",
-    )
-
-
 class LengthFunction:
     """A length on a group: callable, with metadata the diagnostics rely on.
 
-    locally_finite means balls {L <= r} are finite, which the ball-based
-    machinery requires. exact means values are ints/Fractions. gens is the
-    symmetric generator tuple of a word length, else None.
+    exact means values are ints/Fractions. Whether the length has balls is
+    the pair's business (`cosets.has_ball`), not the length's.
     """
 
-    gens = None
-
-    def __init__(self, name, fn, locally_finite=True, exact=True):
+    def __init__(self, name, fn, exact=True):
         self.name = name
         self._fn = fn
-        self.locally_finite = locally_finite
         self.exact = exact
 
     def __call__(self, g):
@@ -389,32 +359,6 @@ class LengthFunction:
 
     def __repr__(self):
         return "LengthFunction(%r)" % (self.name,)
-
-
-def word_length(gens, budget=10 ** 6):
-    """Word length w.r.t. a symmetric generating set, memoized lazily.
-
-    Each query pulls word-ball layers only until the element appears.
-    Queries for elements outside the budgeted ball raise BudgetExceededError.
-    """
-    gen_list = _symmetric(gens)
-    known = {}
-    layers = enumerate(word_layers(gen_list, budget))
-
-    def fn(g):
-        while g not in known:
-            r, layer = next(layers, (None, None))
-            if layer is None:
-                raise BudgetExceededError(
-                    "%r not reached by the word-length walk (budget %d)"
-                    % (g, budget)
-                )
-            known.update(dict.fromkeys(layer, r))
-        return known[g]
-
-    length = LengthFunction("word", fn)
-    length.gens = gen_list
-    return length
 
 
 def dihedral_abs_length():

@@ -197,6 +197,7 @@ _BASIS = 64  # Krylov vectors per cycle: memory O(_BASIS * (m + n))
 # a Lanczos coefficient this small against the largest so far marks an
 # invariant subspace, on which the cycle's Ritz values are exact
 _BREAKDOWN = 1e-12
+_RES_SCALE = 2.0 ** 600
 
 
 def _reorth(x, basis):
@@ -260,7 +261,11 @@ def top_singular_value(a, tol=1e-10, max_iter=10 ** 4, seed=0):
             y /= np.linalg.norm(y)
         w = matvec(y)
         s2 = float(np.vdot(w, w).real)
-        res = float(np.linalg.norm(rmatvec(w) - s2 * y))
+        # squares of entries past about 1e154 overflow, so a large residual
+        # is measured at the scale 2**-600: a power of two, hence exact
+        d = rmatvec(w) - s2 * y
+        scale = _RES_SCALE if np.abs(d).max() > 2.0 ** 480 else 1.0
+        res = float(np.linalg.norm(d / scale)) * scale
         # a residual past the float range fails the test; an overflowed
         # sigma^2 would pass it as inf <= inf
         converged = math.isfinite(s2) and res <= tol * max(s2, 1.0)
@@ -318,10 +323,10 @@ class NormBracket:
         )
 
 
-def norm_lower(pair, f, length=None, radius=6, tol=1e-10, max_iter=10 ** 4, seed=0):
+def norm_lower(pair, f, length=None, radius=6, tol=1e-10, seed=0):
     """Lower/upper bracket for ||lambda(f)||.
 
-    With a locally finite length the domain is the right-coset ball of the
+    With a length that has balls the domain is the right-coset ball of the
     given radius. Without one, the domain is the set of cosets reachable
     from H in `radius` convolution steps along supp(f) and supp(f*), which
     is still an exhaustion, so the lower bound stays monotone in radius.
@@ -342,7 +347,7 @@ def norm_lower(pair, f, length=None, radius=6, tol=1e-10, max_iter=10 ** 4, seed
     dom = cod.prefix(radius)
     table = ActionTable(pair, f.support, dom, cod)
     sigma, iters, res, conv = top_singular_value(
-        table.operator_for(f), tol=tol, max_iter=max_iter, seed=seed
+        table.operator_for(f), tol=tol, seed=seed
     )
     return NormBracket(
         sigma, upper, method, iters, res, conv,

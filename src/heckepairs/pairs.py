@@ -253,7 +253,7 @@ def _build_finite_index(params):
         return [IntegerElement(k) for k in range(n)] if r >= 0 else []
 
     # coset space is finite, so the zero length still has finite balls here
-    zero = LengthFunction("zero", lambda g: 0, locally_finite=True)
+    zero = LengthFunction("zero", lambda g: 0)
 
     return HeckePair(
         "finite_index", {"n": n}, e,
@@ -382,9 +382,7 @@ def _build_gl2q(params):
             g = g * pool[int(rng.integers(len(pool)))]
         return g
 
-    cand = LengthFunction(
-        "log-det-prim", det_prim_log, locally_finite=False, exact=False
-    )
+    cand = LengthFunction("log-det-prim", det_prim_log, exact=False)
 
     return HeckePair(
         "gl2q", {}, e,
@@ -465,10 +463,8 @@ def _build_bost_connes(params):
         b = Fraction(int(rng.integers(-8, 9)), b_dens[int(rng.integers(len(b_dens)))])
         return AxbElement(a, b)
 
-    cand = LengthFunction(
-        "abs-log-a", lambda g: abs(math.log(float(g.a))),
-        locally_finite=False, exact=False,
-    )
+    cand = LengthFunction("abs-log-a", lambda g: abs(math.log(float(g.a))),
+                          exact=False)
 
     return HeckePair(
         "bost_connes", {}, e,
@@ -579,15 +575,12 @@ def _build_semidirect(params):
     e = SemidirectElement((0,) * rank, 0, action)
     flip = SemidirectElement((0,) * rank, 1, action)
 
-    def alpha(v):
-        return tuple(-x for x in v) if action == "negate" else tuple(reversed(v))
-
     def coset_rep(g):
-        return SemidirectElement(g.vec if g.flip == 0 else alpha(g.vec), 0, action)
+        return SemidirectElement(g.vec if g.flip == 0 else g.alpha(g.vec), 0, action)
 
     def double_rep(g):
-        v = g.vec if g.flip == 0 else alpha(g.vec)
-        return SemidirectElement(min(v, alpha(v)), 0, action)
+        v = g.vec if g.flip == 0 else g.alpha(g.vec)
+        return SemidirectElement(min(v, g.alpha(v)), 0, action)
 
     def random_element(rng):
         v = tuple(int(x) for x in rng.integers(-6, 7, size=rank))

@@ -251,6 +251,17 @@ class TestExitCodes:
         assert payload["status"] == "failure"
         assert "budget 1" in payload["message"]
 
+    def test_enumerate_budget_governs_its_degree_walks(self, tmp_path, capsys):
+        # the ball is a closed form; the budget bounds the orbit walk behind
+        # each double coset's degree, and sigma_1 has two right cosets
+        ini = write_ini(tmp_path / "c.ini", "enumerate", pair="dihedral", radius="3",
+                        budget="1")
+        assert run("enumerate", config=ini, out=str(tmp_path / "out")) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["status"] == "failure" and payload["command"] == "enumerate"
+        assert "budget 1" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_semidirect_key_of_wrong_rank_exits_two(self, tmp_path, capsys):
         # a rank-1 key on the rank-2 pair used to convolve as a truncated vector
         ini = write_ini(tmp_path / "c.ini", "convolve", pair="semidirect",
@@ -471,6 +482,22 @@ class TestExitCodes:
         assert payload["status"] == "failure" and payload["command"] == "normest"
         assert "past the float range" in payload["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("exp", [100, 153])
+    def test_normest_converges_on_large_coefficients(self, tmp_path, capsys, exp):
+        # the Gram residual's squares used to overflow from about 1e154 on,
+        # so both solves ran all 10,000 steps and ended NOT converged
+        f = json.dumps({"terms": [{"key": [2, 1], "re": str(10 ** exp)}]})
+        ini = write_ini(tmp_path / "c.ini", "normest", pair="dihedral", f=f, radii="2")
+        assert run("normest", config=ini, out=str(tmp_path)) == 0
+        assert not capsys.readouterr().out.strip().endswith("NOT converged")
+        with open(tmp_path / "normest.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["converged"] == "True" and int(row["iterations"]) < 100
+        assert math.isfinite(float(row["residual"]))
+        # lambda(sigma_2) on the radius-2 ball has norm sqrt(3); the Schur bound is 2
+        assert float(row["lower"]) == pytest.approx(math.sqrt(3) * 10.0 ** exp, rel=1e-9)
+        assert float(row["upper"]) == pytest.approx(2 * 10.0 ** exp, rel=1e-12)
 
     def test_corner_blocks_at_the_float_range_edge_still_run(self, tmp_path, capsys):
         # LAPACK scales its blocks, so the seminorm of 10^154 delta(2, 1) is

@@ -1,6 +1,7 @@
 """Coset keys, double coset decomposition, and ball indices."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from heckepairs import (
     DoubleCosetKey,
     DihedralElement,
     HeckeElement,
+    IntegerElement,
     MatrixElement,
     SemidirectElement,
     UnsupportedLengthError,
@@ -30,14 +32,9 @@ from heckepairs import (
     norm_lower,
     reachable_coset_ball,
     spawn_rng,
-    word_length,
 )
 from heckepairs.jolissaint import _window
 
-
-FLIP = DihedralElement(0, -1)
-# the generators of the dihedral group: unit translations and the flip
-DIHEDRAL_GENS = (DihedralElement(1, 1), DihedralElement(-1, 1), FLIP)
 
 # every public entry point that falls back on the pair's own length
 _LENGTH_CONSUMERS = {
@@ -51,6 +48,25 @@ _LENGTH_CONSUMERS = {
     "jolissaint_seminorm": lambda pair, f, g: jolissaint_seminorm(pair, f),
     "HeckePair.validate_length": lambda pair, f, g: pair.validate_length(),
 }
+
+
+# a box of group elements that holds every coset of length <= b - 1 of each
+# pair with a ball_rights hook, with room to spare
+_BOXES = {
+    "dihedral": lambda pair, b: [DihedralElement(n, eps) for n in range(-b, b + 1)
+                                 for eps in (1, -1)],
+    "finite_index": lambda pair, b: [IntegerElement(k) for k in
+                                     range(-b * pair.params["n"], b * pair.params["n"] + 1)],
+    "semidirect": lambda pair, b: [
+        SemidirectElement(v, s, pair.params["action"])
+        for v in product(range(-b, b + 1), repeat=pair.params["rank"]) for s in (0, 1)],
+}
+
+# every pair with a ball_rights hook, over the params that change its ball
+_BALL_PAIRS = [
+    ("dihedral", {}), ("finite_index", {"n": 2}), ("finite_index", {"n": 5}),
+] + [("semidirect", {"rank": rank, "action": action})
+     for action in ("swap", "negate") for rank in (1, 2, 3)]
 
 
 def brute_double_coset_keys(pair, g):
@@ -195,45 +211,23 @@ class TestEnumerateBall:
         with pytest.raises(UnsupportedLengthError, match="^pair 'gl2q' has no length$"):
             _LENGTH_CONSUMERS[name](gl2q, f, t2)
 
-    def test_word_ball_agrees_with_closed_form(self, dihedral):
-        # min word length over a double coset is |n|, so the projected word
-        # ball must reproduce the closed-form ball key for key
-        wl = word_length(DIHEDRAL_GENS)
-        via_word = enumerate_ball(dihedral, wl, 3)
-        direct = enumerate_ball(dihedral, dihedral.length, 3)
-        assert [k.key for k in via_word.right.keys] == [k.key for k in direct.right.keys]
-        assert [k.length for k in via_word.double.keys] == [0, 1, 2, 3]
+    @pytest.mark.parametrize("name, params", _BALL_PAIRS)
+    def test_ball_rights_match_a_brute_force_sweep(self, name, params):
+        # oracle without enumerate_ball or ball_rights: every element of a box
+        # holding the ball, through coset_rep, kept where its length is at
+        # most r; the ball must list exactly those cosets, in (length, key)
+        # order, each with the length of its elements
+        pair = build_pair(name, params)
+        for radius in range(7):
+            want = {}
+            for g in _BOXES[name](pair, radius + 1):
+                L = pair.length(g)
+                if L <= radius:
+                    assert want.setdefault(pair.coset_rep(g).key, L) == L
+            got = [(k.key, k.length) for k in enumerate_ball(pair, None, radius).right]
+            assert got == sorted(want.items(), key=lambda kv: (kv[1], kv[0]))
 
-    def test_budget_enforced_on_word_path(self, dihedral):
-        wl = word_length(DIHEDRAL_GENS)
-        with pytest.raises(BudgetExceededError):
-            enumerate_ball(dihedral, wl, 100, budget=30)
-
-    def test_word_ball_walks_the_lengths_own_generators(self, dihedral):
-        # with a translation by 2 among the generators, four letters reach
-        # |n| = 8, so the radius-4 ball holds sigma_0..sigma_8
-        wl = word_length([DihedralElement(2, 1), DihedralElement(1, 1), FLIP])
-        ball = enumerate_ball(dihedral, wl, 4)
-        assert [k.rep.n for k in ball.double.keys] == list(range(9))
-        assert [k.length for k in ball.double.keys] == [0, 1, 1, 2, 2, 3, 3, 4, 4]
-
-    @pytest.mark.parametrize("first_long", [False, True])
-    def test_word_lengths_get_their_own_balls(self, first_long):
-        # both lengths are named "word"; a cache keyed on the name alone
-        # hands the second one the first one's ball. A fresh pair per order
-        # keeps the session-wide pair's caches out of it.
-        pair = build_pair("dihedral")
-        short = word_length(DIHEDRAL_GENS)
-        long_ = word_length([DihedralElement(2, 1), DihedralElement(1, 1), FLIP])
-        order = [long_, short] if first_long else [short, long_]
-        sizes = {wl: len(enumerate_ball(pair, wl, 4).double) for wl in order}
-        assert (sizes[short], sizes[long_]) == (5, 9)
-
-
-    @pytest.mark.parametrize("name, params", [
-        ("dihedral", {}), ("finite_index", {"n": 2}), ("finite_index", {"n": 5}),
-    ] + [("semidirect", {"rank": rank, "action": action})
-         for action in ("swap", "negate") for rank in (1, 2, 3)])
+    @pytest.mark.parametrize("name, params", _BALL_PAIRS)
     def test_double_ball_is_the_image_of_the_right_ball(self, name, params):
         # oracle: a bi-invariant length is constant on HgH, so HgH lies in
         # the ball iff its right cosets do; the double ball is the set of
@@ -270,12 +264,13 @@ class TestEnumerateBall:
         f = HeckeElement.delta(pair, SemidirectElement((2, 1), 0, "swap"))
         norm_lower(pair, f, radius=4)
         jolissaint_seminorm(pair, f)
-        built = sorted(key[2] for key, ball in pair.ball_cache.items()
+        # the ball cache is keyed on the radius alone
+        built = sorted(radius for radius, ball in pair.ball_cache.items()
                        if ball._double is not None)
         assert built == [1, 2]
         # the scan's codomains (6r), the bracket's codomain (its domain is a
         # prefix of it), the corner seminorm's ball
-        assert sorted(key[2] for key in pair.ball_cache) == [1, 2, 6, 7, 11, 12]
+        assert sorted(pair.ball_cache) == [1, 2, 6, 7, 11, 12]
 
 
 class TestBallIndex:

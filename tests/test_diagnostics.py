@@ -139,13 +139,15 @@ class TestScans:
          lambda r: (2 * r + 1) * (2 * r * r + 2 * r + 3) // 3),
     ], ids=["dihedral", "semidirect-rank2-swap", "semidirect-rank3-negate"])
     def test_max_ratio_sq_below_ball_right(self, name, params, radii, ball_right):
-        # [PROVEN] for finite H and f = sum c_D delta_D on the double ball B_r:
-        # every column of lambda(delta_D) holds deg D ones and every row
-        # deg D* = deg D (H ∩ gHg^-1 and H ∩ g^-1Hg are conjugate), so the
-        # Schur test gives ||lambda(delta_D)|| <= deg D, and Cauchy-Schwarz
-        # (sum |c_D| deg D)^2 <= (sum c_D^2 deg D)(sum deg D) gives
-        # ||f * k||^2 <= ||f||^2 ||k||^2 N_r, with N_r = sum over B_r of deg D,
-        # the number of right cosets of length <= r
+        # [PROVEN] for f = sum c_D delta_D on the double ball B_r, with H
+        # finite or not: every column of lambda(delta_D) holds deg D ones and
+        # every row deg D* ones, so the Schur test gives
+        # ||lambda(delta_D)|| <= sqrt(deg D deg D*). Weighted Cauchy-Schwarz
+        # gives (sum |c_D| sqrt(deg D deg D*))^2 <= ||f||_2^2 sum_{B_r} deg D*,
+        # with ||f||_2^2 = sum |c_D|^2 deg D. The length is symmetric and
+        # bi-invariant, so D -> D* maps B_r onto itself and that sum is N_r,
+        # the number of right cosets of length <= r: ||f * k||^2 <=
+        # ||f||^2 ||k||^2 N_r
         rep = haagerup_scan_exact(build_pair(name, params), radii=radii,
                                   samples=10, seed=2)
         assert [row.radius for row in rep.rows] == list(radii)
@@ -157,12 +159,20 @@ class TestScans:
             assert cells[4] == "%.12g" % math.sqrt(ball_right(row.radius))
             assert float(cells[3]) <= float(cells[4])
 
-    def test_upper_column_blank_where_h_is_infinite(self, finite_index):
-        # H = nZ is infinite, so no upper bound is claimed
-        rows = scan_csv_rows(haagerup_scan_exact(finite_index, radii=(2, 4), samples=5,
-                                                 seed=0))
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_upper_column_reads_sqrt_n_on_finite_index(self, n):
+        # H = nZ is infinite, but the bound above needs no finite H: every
+        # ball holds the n cosets of Z/n, so the column reads sqrt(n), and
+        # the scan attains it (f = k = the ball's characteristic function)
+        rep = haagerup_scan_exact(build_pair("finite_index", {"n": n}),
+                                  radii=(0, 1, 2, 4), samples=5, seed=0)
+        rows = scan_csv_rows(rep)
         assert rows[0][4] == "max_ratio_upper"
-        assert [row[4] for row in rows[1:]] == ["", ""]
+        for row, cells in zip(rep.rows, rows[1:]):
+            assert row.ball_right == n
+            assert row.max_ratio_sq == n
+            assert row.upper == row.max_ratio_exact == math.sqrt(n)
+            assert cells[4] == cells[3] == "%.12g" % math.sqrt(n)
 
     def test_scan_rejects_lengthless_pair(self, gl2q):
         with pytest.raises(UnsupportedLengthError, match="pair 'gl2q' has no length"):
@@ -205,15 +215,12 @@ class TestTransfer:
         k = L2Vector.delta_identity(dihedral)
         rep = transfer_check(dihedral, f, k, rng=spawn_rng(4, 0))
         assert rep.ok
-        got = {
-            item["name"]: item
-            for item in rep.to_json_dict()["items"]
-        }
-        assert got["a:lift-right-norm"]["lhs"] == "2"
-        assert got["b:lift-double-norm"]["lhs"] == "4"
-        assert got["c:norm"]["lhs"] == got["c:norm"]["rhs"] == "16"
-        assert got["d:double-average"]["lhs"] == "32"
-        assert got["d:right-average"]["lhs"] == "4"
+        got = {item.name: item for item in rep.items}
+        assert got["a:lift-right-norm"].lhs == 2
+        assert got["b:lift-double-norm"].lhs == 4
+        assert got["c:norm"].lhs == got["c:norm"].rhs == 16
+        assert got["d:double-average"].lhs == 32
+        assert got["d:right-average"].lhs == 4
 
     def test_random_inputs_all_pass(self, dihedral):
         rng = spawn_rng(4, 1)

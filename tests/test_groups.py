@@ -1,9 +1,7 @@
 """Group backends against independent matrix oracles, and length axioms."""
 
 import ast
-import math
 from fractions import Fraction
-from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -12,18 +10,14 @@ import heckepairs
 from heckepairs import (
     AxbElement,
     BackendMismatchError,
-    BudgetExceededError,
     DihedralElement,
-    IntegerElement,
     MatrixElement,
     SemidirectElement,
     dihedral_abs_length,
-    enumerate_ball,
     spawn_rng,
     validate_length,
-    word_length,
 )
-from heckepairs.groups import LengthFunction, coordinate_sum_length, word_layers
+from heckepairs.groups import LengthFunction, coordinate_sum_length
 
 
 def dihedral_to_matrix(g):
@@ -157,77 +151,10 @@ class TestSemidirect:
             b * a
 
 
-class TestWordBall:
-    # enumerate_ball walks a word length's ball as the layers of word_layers
-
-    def test_dihedral_ball_matches_brute_force(self):
-        gens = [DihedralElement(1, 1), DihedralElement(0, -1)]
-        ball = list(chain.from_iterable(islice(word_layers(gens, 10 ** 6), 3)))
-        # brute force: all products of <= 2 symmetrized generators
-        sym = [DihedralElement(1, 1), DihedralElement(-1, 1), DihedralElement(0, -1)]
-        expect = {DihedralElement(0, 1)}
-        expect.update(sym)
-        for a in sym:
-            for b in sym:
-                expect.add(a * b)
-        assert set(ball) == expect
-        assert len(ball) == len(expect) == 8
-
-    def test_sorted_by_length_then_key(self, dihedral):
-        # layer r is word length r, which enumerate_ball takes as each
-        # double coset's length; its balls are ordered by (length, key)
-        gens = [DihedralElement(1, 1), DihedralElement(0, -1)]
-        wl = word_length(gens)
-        layers = list(islice(word_layers(gens, 10 ** 6), 5))
-        assert layers[0] == [DihedralElement(0, 1)]
-        for r, layer in enumerate(layers):
-            assert {wl(g) for g in layer} == {r}
-        ball = enumerate_ball(dihedral, wl, 4)
-        for index in (ball.double, ball.right):
-            order = [(k.length, k.key) for k in index]
-            assert order == sorted(order)
-            assert {L for L, _ in order} == set(range(5))
-
-    def test_budget_enforced(self):
-        with pytest.raises(BudgetExceededError):
-            list(islice(word_layers([IntegerElement(1)], 10), 101))
-
-    def test_negative_radius_empty(self, dihedral):
-        gens = [DihedralElement(1, 1), DihedralElement(0, -1)]
-        ball = enumerate_ball(dihedral, word_length(gens), -1)
-        assert len(ball.double) == len(ball.right) == 0
-
-
-class TestWordLength:
-    def test_dihedral_values(self):
-        gens = [DihedralElement(1, 1), DihedralElement(0, -1)]
-        wl = word_length(gens)
-        assert wl(DihedralElement(0, 1)) == 0
-        assert wl(DihedralElement(0, -1)) == 1
-        assert wl(DihedralElement(3, 1)) == 3
-        assert wl(DihedralElement(-2, -1)) == 3
-
-    def test_triangle_inequality(self):
-        gens = [DihedralElement(1, 1), DihedralElement(0, -1)]
-        wl = word_length(gens)
-        rng = spawn_rng(0, 7)
-        for _ in range(100):
-            g = DihedralElement(int(rng.integers(-6, 7)), 1 if rng.integers(2) else -1)
-            h = DihedralElement(int(rng.integers(-6, 7)), 1 if rng.integers(2) else -1)
-            assert wl(g * h) <= wl(g) + wl(h)
-
-    def test_unreachable_element_raises(self):
-        # the flip alone generates {e, flip}; the walk ends without (1, 1)
-        wl = word_length([DihedralElement(0, -1)])
-        assert wl(DihedralElement(0, -1)) == 1
-        with pytest.raises(BudgetExceededError):
-            wl(DihedralElement(1, 1))
-
-
 def test_budget_errors_only_come_from_the_walker():
     # every breadth-first search goes through groups.walk_layers; a budget
     # error raised anywhere else means a hand-rolled walk has come back
-    allowed = {("groups.py", "walk_layers"), ("groups.py", "word_length.fn")}
+    allowed = {("groups.py", "walk_layers")}
 
     def builds_budget_error(node):
         f = getattr(node, "func", None)
@@ -246,7 +173,7 @@ def test_budget_errors_only_come_from_the_walker():
     found = []
     for path in sorted(Path(heckepairs.__file__).parent.glob("*.py")):
         walk(ast.parse(path.read_text(encoding="utf-8")), (), path, found)
-    # both allowed sites must still exist, or the guard checks nothing
+    # the allowed site must still exist, or the guard checks nothing
     assert sorted(found) == sorted(allowed)
 
 
@@ -291,29 +218,6 @@ class TestValidateLength:
 
 
 class TestGeneratingSet:
-    # a word length walks the symmetric closure of its generators, which it
-    # keeps as `gens`
-    def test_deduplicates(self):
-        gens = word_length([DihedralElement(1, 1), DihedralElement(1, 1)]).gens
-        # duplicates collapse; the symmetric closure adds the inverse
-        assert gens == (DihedralElement(1, 1), DihedralElement(-1, 1))
-
-    def test_symmetrized_contains_inverses(self):
-        gens = word_length([DihedralElement(1, 1)]).gens
-        assert DihedralElement(-1, 1) in gens
-
-    def test_mixed_backends_rejected(self):
-        with pytest.raises(BackendMismatchError):
-            word_length([DihedralElement(1, 1), IntegerElement(1)])
-        with pytest.raises(BackendMismatchError):
-            word_layers([DihedralElement(1, 1), IntegerElement(1)], 10)
-
-    def test_no_generators_rejected(self):
-        with pytest.raises(ValueError, match="at least one generator"):
-            word_length([])
-        with pytest.raises(ValueError, match="at least one generator"):
-            word_layers([], 10)
-
     def test_classes_never_mix(self):
         # equal keys: only the class tells these two apart
         d, a = DihedralElement(1, 1), AxbElement(1, 1)

@@ -21,9 +21,11 @@ from heckepairs import (
     MatrixElement,
     PairSanityError,
     SemidirectElement,
+    UnsupportedLengthError,
     build_pair,
     catalog_list,
     degree,
+    enumerate_ball,
 )
 from heckepairs import pairs as pairs_module
 
@@ -157,7 +159,8 @@ class TestLengths:
             assert pair.length is None
             assert pair.candidate_lengths
             for L in pair.candidate_lengths.values():
-                assert not L.locally_finite
+                with pytest.raises(UnsupportedLengthError, match="no ball enumeration"):
+                    enumerate_ball(pair, L, 2)
 
     def test_gl2q_candidate_validates(self, gl2q):
         # a float-valued length is checked to the 1e-9 slack it implies
@@ -367,7 +370,6 @@ class TestNoUnreadOptions:
         # these few are kept on purpose, each for the reason given
         allowed = {
             "cli.run": "the programmatic entry point beside main",
-            "groups.word_length": "the length that G's own (RD) is usually stated for",
             "algebra.L2Vector.inner": "the inner product of the module ell^2(H\\G)",
             "algebra.L2Vector.delta_identity": "the cyclic vector delta_H",
             "algebra._Supported.zero": "the additive identity that the benchmark's "
