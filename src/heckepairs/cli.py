@@ -21,6 +21,7 @@ from .algebra import HeckeElement, QQi, convolve
 from .cosets import degree, enumerate_ball, has_ball
 from .diagnostics import (
     _fmt,
+    check_radii,
     degree_growth_fit,
     haagerup_scan_exact,
     random_hecke_element,
@@ -127,18 +128,13 @@ class ExperimentConfig:
     def get_radii(self, default):
         raw = self.values.get("radii")
         if raw is None:
-            radii = list(default)
+            radii = default
         else:
             try:
                 radii = [int(tok) for tok in raw.replace(",", " ").split()]
             except ValueError:
                 raise ConfigError("key 'radii': expected integers, got %r" % (raw,))
-        if not radii:
-            raise ConfigError("key 'radii': need at least one radius")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ConfigError("radii must be strictly increasing: %r" % (radii,))
-        if radii[0] < 0:  # the least, as the radii increase
-            raise ConfigError("key 'radii': radii must be >= 0, got %r" % (radii,))
+        radii = check_radii(radii)
         self._record("radii", ",".join(str(r) for r in radii))
         return radii
 

@@ -244,25 +244,37 @@ class RDReport:
         }
 
 
+def check_radii(radii):
+    """The radii as a list; ConfigError unless they are nonempty, nonnegative
+    and strictly increasing."""
+    radii = list(radii)
+    if not radii:
+        raise ConfigError("key 'radii': need at least one radius")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError("radii must be strictly increasing: %r" % (radii,))
+    if radii[0] < 0:  # the least, as the radii increase
+        raise ConfigError("key 'radii': radii must be >= 0, got %r" % (radii,))
+    return radii
+
+
 def _sample_stream(dkeys, rho, samples, seed, ri, coeff_max):
-    """Yield (label, {double key: positive int coeff}, rng_or_None).
+    """Yield (label, [(index into dkeys, positive int coeff)], rng_or_None).
 
     Deterministic family: the characteristic function of the radius-rho
     ball, every single delta in the ball, then seeded random supports. The
     first two pair with the characteristic k, random samples (rng given)
-    with a random k.
+    with a random k. Terms are positions in dkeys, so a sample that the
+    scan skips never builds a key map.
     """
-    yield "char:%s" % rho, {k: 1 for k in dkeys if k.length <= rho}, None
-    for k in dkeys:
-        yield "delta:%r" % (k.rep.key,), {k: 1}, None
+    yield "char:%s" % rho, [(i, 1) for i, k in enumerate(dkeys) if k.length <= rho], None
+    for i, k in enumerate(dkeys):
+        yield "delta:%r" % (k.rep.key,), [(i, 1)], None
     for si in range(samples):
         rng = spawn_rng(seed, ri, si)
         m = int(rng.integers(1, len(dkeys) + 1))
-        picked = sorted(int(i) for i in rng.choice(len(dkeys), size=m, replace=False))
+        picked = np.sort(rng.choice(len(dkeys), size=m, replace=False)).tolist()
         coeffs = rng.integers(1, coeff_max + 1, size=m)
-        yield "random:%d" % si, {
-            dkeys[i]: int(c) for i, c in zip(picked, coeffs)
-        }, rng
+        yield "random:%d" % si, list(zip(picked, coeffs.tolist())), rng
 
 
 def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
@@ -272,16 +284,36 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
     f runs over nonnegative integer elements supported in the double-coset
     ball of radius r (characteristic functions, single deltas, seeded random
     supports); k over nonnegative integer right-coset vectors in a window
-    `K_FACTOR * r` (characteristic k uses `K_FACTOR_CHAR * r`). All ratios
-    are exact rationals. The per-radius max is a running max, so the sample
-    family at radius r contains every family at smaller radii and the max
-    column is monotone by construction; so each radius samples one
-    characteristic f, of radius max(1, r), as those of earlier radii are
-    already in the max. Each row also carries the upper bound sqrt(N_r),
-    N_r = |right ball of radius r|.
+    `K_FACTOR * r` (characteristic k uses `K_FACTOR_CHAR * r`). Every
+    computed ratio is an exact rational. The per-radius max is a running
+    max, so the sample family at radius r contains every family at smaller
+    radii and the max column is monotone by construction; so each radius
+    samples one characteristic f, of radius max(1, r), as those of earlier
+    radii are already in the max. Each row also carries the upper bound
+    sqrt(N_r), N_r = |right ball of radius r|.
+
+    A sample is skipped, without its product, when its Schur bound cannot
+    beat the running max. With w_D the width of delta_D's table (D's degree)
+    and rm_D the most entries delta_D puts in one row, let
+    col = sum c_D w_D, bound = sum c_D rm_D and fn2 = sum c_D^2 w_D =
+    ||f||_2^2. The table's compression A of lambda(f) has column sums at
+    most col and row sums at most bound (triangle inequality), so the Schur
+    test gives ||A k||^2 <= col bound ||k||^2, and the sample's ratio_sq is
+    at most col bound / fn2. The max is replaced only on a strict >, so a
+    sample with col bound / fn2 <= max changes neither the max, nor its
+    label, nor the f behind `schur_upper`. No finite H is assumed. The k of
+    each sample is drawn, and refused if too large for int64, before the
+    test; every sample has its own stream, so skips change no draws.
+
+    Raises ConfigError for radii that are empty, negative or not strictly
+    increasing, for samples < 0 and for coeff_max < 1.
     """
     length = require_length(pair, length)
-    radii = list(radii)
+    radii = check_radii(radii)
+    if samples < 0:
+        raise ConfigError("samples must be >= 0, got %r" % (samples,))
+    if coeff_max < 1:
+        raise ConfigError("coeff_max must be >= 1, got %r" % (coeff_max,))
     rows = []
     best = None  # (ratio_sq, label, f_coeffs, f_norm_sq) carried across radii
     maxes = []
@@ -292,26 +324,36 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         ball = enumerate_ball(pair, length, r)
         dkeys = list(ball.double.keys)
         table = ActionTable(pair, dkeys, dom, big)
-        # most entries delta_D puts in one row, for bounding |out| before
-        # matvec_int: a wrapped int64 sum cannot be detected afterwards
-        row_mult = {dk: int(np.bincount(rows).max(initial=0))
-                    for dk, (rows, _) in table.tables.items()}
+        # (rm_D, w_D) by position in dkeys: the most entries delta_D puts in
+        # one row, which bounds |out| before matvec_int (a wrapped int64 sum
+        # cannot be detected afterwards), and the entries a column, which is
+        # D's degree since a scan table keeps every row
+        shape = [(int(np.bincount(table.tables[dk][0]).max(initial=0)), table.widths[dk])
+                 for dk in dkeys]
         dom_len = np.array([float(k.length) for k in dom.keys])
         rho = max(1, r)
         char_k = (dom_len <= K_FACTOR_CHAR * rho).astype(np.int64)
         rand_mask = (dom_len <= K_FACTOR * r).astype(np.int64)
-        for label, coeffs, rng in _sample_stream(
+        for label, terms, rng in _sample_stream(
             dkeys, rho, samples, seed, ri, coeff_max
         ):
-            if not coeffs:
-                continue
             if rng is None:
                 kvec = char_k
             else:
                 kvec = rng.integers(0, coeff_max + 1, size=len(dom)) * rand_mask
-            bound = sum(abs(c) * row_mult[dk] for dk, c in coeffs.items())
+            bound = col = fn2 = 0
+            for i, c in terms:
+                rm, w = shape[i]
+                bound += c * rm
+                col += c * w
+                fn2 += c * c * w
             if bound * int(np.abs(kvec).max(initial=0)) >= 2 ** 63:
                 raise ConfigError("scan coefficients too large for exact int64 path")
+            # the Schur skip of the docstring: ratio_sq <= col * bound / fn2
+            if best is not None and \
+                    col * bound * best[0].denominator <= best[0].numerator * fn2:
+                continue
+            coeffs = {dkeys[i]: c for i, c in terms}
             out = table.matvec_int(coeffs, kvec)
             amax = int(np.abs(out).max(initial=0))
             if amax and amax * amax * len(out) >= 2 ** 63:
@@ -319,12 +361,9 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
             num = int(out @ out)
             if num == 0:
                 continue
-            kn2 = int(kvec @ kvec)
-            # a scan table keeps every row, so its width is D's degree
-            fn2 = sum(c * c * table.widths[dk] for dk, c in coeffs.items())
-            ratio_sq = Fraction(num, fn2 * kn2)
+            ratio_sq = Fraction(num, fn2 * int(kvec @ kvec))
             if best is None or ratio_sq > best[0]:
-                best = (ratio_sq, label, dict(coeffs), fn2)
+                best = (ratio_sq, label, coeffs, fn2)
         del table  # free this radius's table before the next, larger one is built
         ratio_sq, label, fco, fn2 = best
         f_elt = HeckeElement(pair, [(dk, QQi(c)) for dk, c in fco.items()])

@@ -65,7 +65,10 @@ class ActionTable:
     domain's box shifted by D's box can leave the codomain's box are the
     translates outside it masked to -1. Without a grid (no hook, or a box
     over `_grid`'s cap) the rows come from `coset_rep` of each product.
-    Neither path touches `pair.action_cache`.
+    Neither path touches `pair.action_cache`. A table that keeps every row
+    has cols = repeat(arange(len(domain)), width), and all such tables of one
+    width share one read-only cols array; an `allow_missing` table that
+    misses rows keeps its own masked rows and cols.
     """
 
     def __init__(self, pair, doubles, domain, codomain, allow_missing=False):
@@ -75,6 +78,7 @@ class ActionTable:
         self.tables = {}
         # entries per column of D's table, or None if it misses some rows
         self.widths = {}
+        shared = {}  # width -> the read-only cols of every full table that wide
         grid = pair.coset_coords and _grid(codomain.coords(pair.coset_coords))
         if grid is not None:
             flat, lo, hi, strides = grid
@@ -102,9 +106,13 @@ class ActionTable:
             if not (allow_missing or full):
                 raise UnsupportedLengthError("codomain ball misses an image coset of %r"
                                              % (dk,))
-            cols = np.repeat(np.arange(len(domain), dtype=np.int64), len(rights))
-            self.tables[dk] = (rows[hit], cols[hit])
-            self.widths[dk] = len(rights) if full else None
+            w = len(rights)
+            cols = shared.get(w)
+            if cols is None:
+                cols = shared[w] = np.repeat(np.arange(len(domain), dtype=np.int64), w)
+                cols.flags.writeable = False
+            self.tables[dk] = (rows, cols) if full else (rows[hit], cols[hit])
+            self.widths[dk] = w if full else None
 
     def operator_for(self, f):
         """Sparse lambda(f) on this index pattern; complex only if f is.

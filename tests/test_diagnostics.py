@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heckepairs import (
@@ -12,18 +13,27 @@ from heckepairs import (
     HeckeElement,
     InfiniteSubgroupError,
     L2Vector,
+    QQi,
     UnsupportedLengthError,
     apply_regular_rep,
     build_pair,
+    decompose_double_coset,
     degree_growth_fit,
     enumerate_ball,
     fit_power_law,
     haagerup_scan_exact,
     l2_norm_sq,
+    norm_upper,
     random_hecke_element,
     scan_csv_rows,
     spawn_rng,
     transfer_check,
+)
+from heckepairs.diagnostics import (
+    K_FACTOR,
+    K_FACTOR_CHAR,
+    SCAN_COEFF_MAX,
+    _sample_stream,
 )
 
 
@@ -63,6 +73,64 @@ def char_ratio_sq_closed_form(r, factor=5):
 def exact_ratio_sq(pair, f, k):
     """The scan's squared ratio ||f * k||_2^2 / (||f||_2^2 ||k||_2^2), exact."""
     return apply_regular_rep(pair, f, k).norm_sq() / (l2_norm_sq(f) * k.norm_sq())
+
+
+def unpruned_scan(pair, radii, samples, seed):
+    """Every sample of haagerup_scan_exact's family evaluated exactly, from
+    the same draws and with no skip.
+
+    Yields, per radius, the running max (ratio_sq, label, f, fn2) carried
+    across radii and the (ratio_sq, col * bound / fn2) of every sample, with
+    col = sum c_D deg D, bound = sum c_D rm_D (rm_D the most entries delta_D
+    puts in one row) and fn2 = ||f||_2^2. The product is one scatter of the
+    table entries, not matvec_int.
+    """
+    L = pair.length
+    best = None
+    for ri, r in enumerate(radii):
+        kmax = max(K_FACTOR, K_FACTOR_CHAR) * r
+        big = enumerate_ball(pair, L, kmax + r).right
+        dom = big.prefix(kmax)
+        dkeys = list(enumerate_ball(pair, L, r).double.keys)
+        table = ActionTable(pair, dkeys, dom, big)
+        dom_len = np.array([float(k.length) for k in dom.keys])
+        rho = max(1, r)
+        char_k = (dom_len <= K_FACTOR_CHAR * rho).astype(np.int64)
+        rand_mask = (dom_len <= K_FACTOR * r).astype(np.int64)
+        seen = []
+        for label, terms, rng in _sample_stream(dkeys, rho, samples, seed, ri,
+                                                SCAN_COEFF_MAX):
+            if rng is None:
+                kvec = char_k
+            else:
+                kvec = rng.integers(0, SCAN_COEFF_MAX + 1, size=len(dom)) * rand_mask
+            out = np.zeros(len(big), dtype=np.int64)
+            f, col, bound, fn2 = {}, 0, 0, 0
+            for i, c in terms:
+                dk = dkeys[i]
+                rows, cols = table.tables[dk]
+                np.add.at(out, rows, c * kvec[cols])
+                deg = len(decompose_double_coset(pair, dk.rep))
+                f[dk] = c
+                col += c * deg
+                bound += c * int(np.bincount(rows).max())
+                fn2 += c * c * deg
+            ratio_sq = Fraction(int(out @ out), fn2 * int(kvec @ kvec))
+            seen.append((ratio_sq, Fraction(col * bound, fn2)))
+            if ratio_sq and (best is None or ratio_sq > best[0]):
+                best = (ratio_sq, label, f, fn2)
+        yield best, seen
+
+
+SCAN_PAIRS = [
+    ("dihedral", {}),
+    ("finite_index", {"n": 2}),
+    ("finite_index", {"n": 5}),
+    ("semidirect", {"rank": 2, "action": "swap"}),
+    ("semidirect", {"rank": 2, "action": "negate"}),
+    ("semidirect", {"rank": 3, "action": "swap"}),
+    ("semidirect", {"rank": 1, "action": "negate"}),
+]
 
 
 class TestExactRatio:
@@ -173,6 +241,63 @@ class TestScans:
             assert row.max_ratio_sq == n
             assert row.upper == row.max_ratio_exact == math.sqrt(n)
             assert cells[4] == cells[3] == "%.12g" % math.sqrt(n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name, params", SCAN_PAIRS,
+                             ids=["%s%s" % (n, "".join("-%s" % v for v in p.values()))
+                                  for n, p in SCAN_PAIRS])
+    def test_schur_skip_matches_unpruned_oracle(self, name, params, seed):
+        pair = build_pair(name, params)
+        radii = (1, 2, 4)
+        rep = haagerup_scan_exact(pair, radii=radii, samples=20, seed=seed)
+        for row, (best, seen) in zip(rep.rows, unpruned_scan(pair, radii, 20, seed)):
+            ratio_sq, label, f, fn2 = best
+            assert row.max_ratio_sq == ratio_sq
+            assert row.argmax_label == label
+            # the carried f behind schur_upper
+            f_elt = HeckeElement(pair, [(dk, QQi(c)) for dk, c in f.items()])
+            assert l2_norm_sq(f_elt) == fn2
+            assert row.schur_upper == norm_upper(pair, f_elt) / math.sqrt(float(fn2))
+            # [PROVEN] A, the table's compression of lambda(f), has column
+            # absolute sums <= col (each column of delta_D's table holds
+            # deg D ones) and row absolute sums <= bound (each row holds at
+            # most rm_D entries of delta_D), by the triangle inequality. The
+            # Schur test gives ||A||^2 <= col * bound, so ||f * k||^2 <=
+            # col * bound * ||k||^2 and ratio_sq <= col * bound / fn2. The
+            # running max is replaced only on a strict >, so a sample whose
+            # bound is at most the max cannot change the row
+            for exact, schur in seen:
+                assert exact <= schur
+
+    def test_scan_skips_the_products_its_schur_bound_rules_out(self, monkeypatch):
+        # an operation count, not a timing: only the characteristic f and the
+        # random samples that can beat the max reach the product
+        calls = []
+        original = ActionTable.matvec_int
+
+        def counted(table, coeffs, vec):
+            calls.append(len(coeffs))
+            return original(table, coeffs, vec)
+
+        monkeypatch.setattr(ActionTable, "matvec_int", counted)
+        radii = (4, 8)
+        haagerup_scan_exact(build_pair("semidirect", {"rank": 2, "action": "swap"}),
+                            radii=radii, samples=200, seed=1)
+        assert 0 < len(calls) <= 2 * len(radii)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"radii": (8, 4)}, r"radii must be strictly increasing: \[8, 4\]"),
+        ({"radii": ()}, "key 'radii': need at least one radius"),
+        ({"radii": (-1, 2)}, r"key 'radii': radii must be >= 0, got \[-1, 2\]"),
+        ({"radii": (2,), "samples": -3}, "samples must be >= 0, got -3"),
+        ({"radii": (2,), "coeff_max": 0}, "coeff_max must be >= 1, got 0"),
+    ], ids=["decreasing-radii", "no-radii", "negative-radius", "negative-samples",
+            "zero-coeff-max"])
+    def test_scan_refuses_bad_inputs(self, dihedral, kwargs, match):
+        # (8, 4) used to report at r = 4 the r = 8 max, 11.199, above that
+        # row's own proven bound sqrt(41)
+        with pytest.raises(ConfigError, match=match):
+            haagerup_scan_exact(dihedral, seed=0, **kwargs)
 
     def test_scan_rejects_lengthless_pair(self, gl2q):
         with pytest.raises(UnsupportedLengthError, match="pair 'gl2q' has no length"):

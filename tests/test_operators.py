@@ -485,6 +485,62 @@ class TestCoordinateTables:
         assert pair.action_cache == {}
 
 
+class TestSharedColumns:
+    """A table that kept every row stores the cols of its width once; a
+    table with misses keeps its own masked copy."""
+
+    @staticmethod
+    def _table(cod_radius, allow_missing=False):
+        pair = build_pair("semidirect", {"rank": 2, "action": "swap"})
+        L = pair.length
+        dkeys = enumerate_ball(pair, L, 3).double.keys
+        dom = enumerate_ball(pair, L, 4).right
+        cod = enumerate_ball(pair, L, cod_radius).right
+        return pair, dkeys, dom, ActionTable(pair, dkeys, dom, cod,
+                                             allow_missing=allow_missing)
+
+    def test_full_tables_of_one_width_share_a_read_only_array(self):
+        _, _, dom, table = self._table(7)
+        by_width = {}
+        for dk, (_, cols) in table.tables.items():
+            by_width.setdefault(table.widths[dk], []).append(cols)
+        # the swap pair has doubles of degree 1 (on the diagonal) and 2
+        assert sorted(by_width) == [1, 2]
+        for w, arrays in by_width.items():
+            assert len(arrays) >= 2
+            assert all(cols is arrays[0] for cols in arrays)
+            assert not arrays[0].flags.writeable
+            assert np.array_equal(arrays[0], np.repeat(np.arange(len(dom)), w))
+            with pytest.raises(ValueError, match="read-only"):
+                arrays[0][0] = 1
+        assert by_width[1][0] is not by_width[2][0]
+
+    def test_a_partial_table_keeps_its_own_cols(self):
+        # the identity double keeps every row of the radius-4 domain; the
+        # others send its rim past radius 5
+        pair, _, dom, table = self._table(5, allow_missing=True)
+        partial = [dk for dk, w in table.widths.items() if w is None]
+        assert partial and len(partial) < len(table.tables)
+        for dk in partial:
+            rows, cols = table.tables[dk]
+            assert cols.flags.writeable
+            assert len(rows) == len(cols) < len(dom) * len(decompose_double_coset(pair, dk.rep))
+            assert not any(np.shares_memory(cols, other[1])
+                           for ok, other in table.tables.items() if ok != dk)
+
+    def test_operator_and_matrix_copy_the_shared_columns(self):
+        pair, dkeys, dom, table = self._table(7)
+        f = HeckeElement(pair, [(dk, QQi(i + 1)) for i, dk in enumerate(dkeys)])
+        op = table.operator_for(f)
+        assert op.cols.flags.writeable
+        assert not any(np.shares_memory(op.cols, cols) for _, cols in table.tables.values())
+        dense = np.zeros(op.shape)
+        for i, dk in enumerate(dkeys):
+            rows, cols = table.tables[dk]
+            dense[rows, cols] += i + 1
+        assert np.array_equal(table.matrix_for(f), dense)
+
+
 def _matvec_oracle(pair, coeffs, vec, dom, cod):
     """lambda(f) k from coset products alone: delta_D sends Hx to every
     H a x for Ha in D, and no ActionTable is read."""
