@@ -82,10 +82,10 @@ class ExperimentConfig:
             raise ConfigError("key 'mode': coefficients are exact only, got %r"
                               % values["mode"])
         if command == "rd-scan":
-            for key in ("operator", "operator_radii", "operator_samples"):
+            for key in ("operator", "operator_radii", "operator_samples", "budget"):
                 if key in values:
-                    raise ConfigError("key %r: the operator scan is gone; rd-scan "
-                                      "runs the exact scan only" % key)
+                    raise ConfigError("key %r is retired: rd-scan runs the exact "
+                                      "scan only, and takes no budget" % key)
         return cls(command, values)
 
     def _record(self, key, value):
@@ -433,9 +433,8 @@ def cmd_rd_scan(cfg):
     radii = cfg.get_radii(default=(4, 8, 16, 32, 64))
     seed = cfg.require_seed()
     samples = cfg.get_int("samples", 200, least=0)
-    budget = cfg.get_int("budget", 10 ** 6, least=1)
     exact = haagerup_scan_exact(pair, length=length, radii=radii, seed=seed,
-                                samples=samples, budget=budget)
+                                samples=samples)
     _write_csv(cfg, "rd-scan.csv", scan_csv_rows(exact))
     _write_json(cfg, "rd-scan.json", {
         "exact": exact.to_json_dict(),

@@ -217,7 +217,10 @@ def enumerate_ball(pair, length, radius):
     return ball
 
 
-def reachable_coset_ball(pair, directions, depth, budget=10 ** 6):
+REACHABLE_BUDGET = 10 ** 6  # nodes each walk of reachable_coset_ball may visit
+
+
+def reachable_coset_ball(pair, directions, depth):
     """Right cosets reachable from H in <= depth convolution steps.
 
     `directions` is an iterable of double-coset keys; one step from coset Hx
@@ -225,11 +228,12 @@ def reachable_coset_ball(pair, directions, depth, budget=10 ** 6):
     reported "length" of a key is its discovery depth, which gives a
     monotone exhaustion usable when no locally finite length exists.
     """
-    decs = [decompose_double_coset(pair, d.rep, budget=budget) for d in directions]
+    decs = [decompose_double_coset(pair, d.rep, budget=REACHABLE_BUDGET)
+            for d in directions]
     layers = walk_layers(
         pair.coset_rep(pair.identity),
         lambda x: [pair.coset_rep(a.rep * x) for dec in decs for a in dec],
-        budget, "reachable set",
+        REACHABLE_BUDGET, "reachable set",
     )
     keys = [
         CosetKey(rep, level)

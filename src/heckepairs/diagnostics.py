@@ -257,40 +257,37 @@ def check_radii(radii):
     return radii
 
 
-def _sample_stream(dkeys, rho, samples, seed, ri, coeff_max):
-    """Yield (label, [(index into dkeys, positive int coeff)], rng_or_None).
+def _sample_stream(dkeys, rand_mask, r, samples, seed, ri):
+    """Yield (label, [(index into dkeys, positive int coeff)], int64 k).
 
-    Deterministic family: the characteristic function of the radius-rho
-    ball, every single delta in the ball, then seeded random supports. The
-    first two pair with the characteristic k, random samples (rng given)
-    with a random k. Terms are positions in dkeys, so a sample that the
-    scan skips never builds a key map.
+    The characteristic function of the radius-r double ball with k = 1 on
+    the whole domain, then seeded random supports, each with a random k on
+    rand_mask drawn from its own stream. Terms are positions in dkeys, so a
+    sample that the scan skips never builds a key map.
     """
-    yield "char:%s" % rho, [(i, 1) for i, k in enumerate(dkeys) if k.length <= rho], None
-    for i, k in enumerate(dkeys):
-        yield "delta:%r" % (k.rep.key,), [(i, 1)], None
+    yield "char:%s" % r, [(i, 1) for i in range(len(dkeys))], np.ones_like(rand_mask)
     for si in range(samples):
         rng = spawn_rng(seed, ri, si)
         m = int(rng.integers(1, len(dkeys) + 1))
         picked = np.sort(rng.choice(len(dkeys), size=m, replace=False)).tolist()
-        coeffs = rng.integers(1, coeff_max + 1, size=m)
-        yield "random:%d" % si, list(zip(picked, coeffs.tolist())), rng
+        coeffs = rng.integers(1, SCAN_COEFF_MAX + 1, size=m)
+        kvec = rng.integers(0, SCAN_COEFF_MAX + 1, size=len(rand_mask)) * rand_mask
+        yield "random:%d" % si, list(zip(picked, coeffs.tolist())), kvec
 
 
 def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
-                        samples=200, coeff_max=SCAN_COEFF_MAX, budget=10 ** 6):
+                        samples=200):
     """Exact scan of max ||f * k||_2 / (||f||_2 ||k||_2) per support radius.
 
     f runs over nonnegative integer elements supported in the double-coset
-    ball of radius r (characteristic functions, single deltas, seeded random
-    supports); k over nonnegative integer right-coset vectors in a window
-    `K_FACTOR * r` (characteristic k uses `K_FACTOR_CHAR * r`). Every
+    ball of radius r (its characteristic function, then seeded random
+    supports with coefficients in [1, SCAN_COEFF_MAX]); k over nonnegative
+    integer right-coset vectors in a window `K_FACTOR * r` (the
+    characteristic k fills the whole `K_FACTOR_CHAR * r` domain). Every
     computed ratio is an exact rational. The per-radius max is a running
     max, so the sample family at radius r contains every family at smaller
-    radii and the max column is monotone by construction; so each radius
-    samples one characteristic f, of radius max(1, r), as those of earlier
-    radii are already in the max. Each row also carries the upper bound
-    sqrt(N_r), N_r = |right ball of radius r|.
+    radii and the max column is monotone by construction. Each row also
+    carries the upper bound sqrt(N_r), N_r = |right ball of radius r|.
 
     A sample is skipped, without its product, when its Schur bound cannot
     beat the running max. With w_D the width of delta_D's table (D's degree)
@@ -306,14 +303,12 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
     test; every sample has its own stream, so skips change no draws.
 
     Raises ConfigError for radii that are empty, negative or not strictly
-    increasing, for samples < 0 and for coeff_max < 1.
+    increasing, and for samples < 0.
     """
     length = require_length(pair, length)
     radii = check_radii(radii)
     if samples < 0:
         raise ConfigError("samples must be >= 0, got %r" % (samples,))
-    if coeff_max < 1:
-        raise ConfigError("coeff_max must be >= 1, got %r" % (coeff_max,))
     rows = []
     best = None  # (ratio_sq, label, f_coeffs, f_norm_sq) carried across radii
     maxes = []
@@ -331,16 +326,8 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         shape = [(int(np.bincount(table.tables[dk][0]).max(initial=0)), table.widths[dk])
                  for dk in dkeys]
         dom_len = np.array([float(k.length) for k in dom.keys])
-        rho = max(1, r)
-        char_k = (dom_len <= K_FACTOR_CHAR * rho).astype(np.int64)
         rand_mask = (dom_len <= K_FACTOR * r).astype(np.int64)
-        for label, terms, rng in _sample_stream(
-            dkeys, rho, samples, seed, ri, coeff_max
-        ):
-            if rng is None:
-                kvec = char_k
-            else:
-                kvec = rng.integers(0, coeff_max + 1, size=len(dom)) * rand_mask
+        for label, terms, kvec in _sample_stream(dkeys, rand_mask, r, samples, seed, ri):
             bound = col = fn2 = 0
             for i, c in terms:
                 rm, w = shape[i]
@@ -375,7 +362,7 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
                             label))
     fitted_c, fitted_s = _fit_or_flat(radii, maxes)
     try:
-        dfit = degree_growth_fit(pair, length, radius=max(radii), budget=budget)
+        dfit = degree_growth_fit(pair, length, radius=max(radii))
         deg_d, deg_t = dfit.d, dfit.t
     except ConfigError:
         deg_d = deg_t = None
@@ -384,7 +371,7 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
         degree_d=deg_d, degree_t=deg_t,
         config={
             "radii": radii, "k_factor": K_FACTOR, "k_factor_char": K_FACTOR_CHAR,
-            "coeff_max": coeff_max,
+            "coeff_max": SCAN_COEFF_MAX,
         },
     )
 

@@ -43,12 +43,6 @@ def _grid(cod):
     return grid.reshape(-1), lo, hi, strides
 
 
-# entries per np.add.at in matvec_int: a call per double costs more than its
-# arithmetic, and a call per sample would copy every prefix at once, which
-# raises peak memory
-_BATCH = 1 << 14
-
-
 class ActionTable:
     """Index pattern of the module action between two coset balls.
 
@@ -142,37 +136,15 @@ class ActionTable:
     def matvec_int(self, coeffs, vec):
         """Exact integer action: coeffs maps double keys to ints, vec is int64.
 
-        Reads only the entries whose column is at or before the last nonzero
-        of vec: each table's cols never decrease, so they are a prefix, and
-        the rest would add zeros. A domain is sorted by length, so the scan's
-        random k (radius 2r in a 5r domain) reaches about (2/5)^2 of the
-        columns on a rank-2 lattice: 545 of 3,281 at r = 8. Each table must
-        have kept every row (no allow_missing drop), so it has `width`
-        entries a column: its prefix is end * width long and reads vec[:end]
-        with each entry repeated width times. The prefixes go to np.add.at
-        in batches of up to _BATCH entries, or one prefix if it is longer.
+        Each table must have kept every row (no allow_missing drop): one that
+        dropped rows would return a truncated product, not f * k.
         """
         out = np.zeros(len(self.codomain), dtype=np.int64)
-        nonzero = np.flatnonzero(vec)
-        end = nonzero[-1] + 1 if len(nonzero) else 0
-        spread = {}  # width -> vec[:end] with each entry repeated width times
-        rows, vals, size = [], [], 0
         for dk, c in coeffs.items():
-            r, w = self.tables[dk][0], self.widths[dk]
-            if w is None:
+            if self.widths[dk] is None:
                 raise ValueError("matvec_int needs tables that kept every row")
-            m = end * w
-            v = spread.get(w)
-            if v is None:
-                v = spread[w] = np.repeat(vec[:end], w)
-            if size and size + m > _BATCH:
-                np.add.at(out, np.concatenate(rows), np.concatenate(vals))
-                rows, vals, size = [], [], 0
-            rows.append(r[:m])
-            vals.append(c * v)
-            size += m
-        if size:
-            np.add.at(out, np.concatenate(rows), np.concatenate(vals))
+            rows, cols = self.tables[dk]
+            np.add.at(out, rows, c * vec[cols])
         return out
 
 
@@ -202,6 +174,7 @@ class SparseOperator:
 
 
 _BASIS = 64  # Krylov vectors per cycle: memory O(_BASIS * (m + n))
+MAX_ITER = 10 ** 4  # Lanczos steps per top_singular_value solve
 # a Lanczos coefficient this small against the largest so far marks an
 # invariant subspace, on which the cycle's Ritz values are exact
 _BREAKDOWN = 1e-12
@@ -242,7 +215,7 @@ def _bidiagonalise(matvec, rmatvec, v, m, k):
     return vs[:k], b[:, :k]
 
 
-def top_singular_value(a, tol=1e-10, max_iter=10 ** 4, seed=0):
+def top_singular_value(a, tol=1e-10, seed=0):
     """Largest singular value by restarted Golub-Kahan-Lanczos bidiagonalisation.
 
     `a` is a SparseOperator. Cycles of at most _BASIS steps with full
@@ -250,7 +223,7 @@ def top_singular_value(a, tol=1e-10, max_iter=10 ** 4, seed=0):
     the top Ritz vector y. sigma = ||A y|| for unit y, always a valid lower
     bound; the solve has converged once sigma^2 is finite and the Gram
     residual ||A^H A y - sigma^2 y|| is at most tol * max(sigma^2, 1).
-    max_iter counts Lanczos steps.
+    A solve stops after MAX_ITER Lanczos steps.
 
     Returns (sigma, iterations, residual, converged).
     """
@@ -262,7 +235,7 @@ def top_singular_value(a, tol=1e-10, max_iter=10 ** 4, seed=0):
     y = (y / np.linalg.norm(y)).astype(np.result_type(a.dtype, np.float64))
     steps = 0
     while True:
-        vs, b = _bidiagonalise(matvec, rmatvec, y, m, min(_BASIS, max_iter - steps))
+        vs, b = _bidiagonalise(matvec, rmatvec, y, m, min(_BASIS, MAX_ITER - steps))
         steps += len(vs)
         if b.size:
             y = np.linalg.svd(b)[2][0].conj() @ vs
@@ -277,7 +250,7 @@ def top_singular_value(a, tol=1e-10, max_iter=10 ** 4, seed=0):
         # a residual past the float range fails the test; an overflowed
         # sigma^2 would pass it as inf <= inf
         converged = math.isfinite(s2) and res <= tol * max(s2, 1.0)
-        if converged or steps >= max_iter:
+        if converged or steps >= MAX_ITER:
             return math.sqrt(s2), steps, res, converged
 
 

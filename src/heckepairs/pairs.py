@@ -26,6 +26,7 @@ from .groups import (
     SemidirectElement,
     coordinate_sum_length,
     dihedral_abs_length,
+    validate_length,
     walk_layers,
 )
 
@@ -103,14 +104,12 @@ class HeckePair:
     def validate_length(self, length=None, sample=None):
         """Run the length-axiom checks against this pair's data: exact for an
         exact length, else to an absolute slack of 1e-9."""
-        from .groups import validate_length as _vl
-
         length = require_length(self, length)
         if sample is None:
             rng = np.random.default_rng(0)
             sample = [self.random_element(rng) for _ in range(30)]
         tol = None if length.exact else 1e-9
-        return _vl(length, self.identity, sample, self.h_sample(), tol=tol)
+        return validate_length(length, self.identity, sample, self.h_sample(), tol=tol)
 
     def __repr__(self):
         return "HeckePair(%r, %r)" % (self.name, self.params)

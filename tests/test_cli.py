@@ -383,12 +383,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, values", [
         ("enumerate", {"pair": "dihedral"}),
         ("degrees", {"pair": "gl2q", "length": "log-det-prim", "samples": "8"}),
-        ("rd-scan", {"pair": "dihedral", "radii": "2", "samples": "2"}),
-    ], ids=["enumerate", "degrees", "rd-scan"])
+    ], ids=["enumerate", "degrees"])
     def test_budget_below_one_exits_two(self, tmp_path, capsys, command, values,
                                         budget):
-        # a walk always holds its start; enumerate and rd-scan used to run
-        # and record the budget, degrees to fail on "exceeded budget -1"
+        # a walk always holds its start; enumerate used to run and record the
+        # budget, degrees to fail on "exceeded budget -1"
         ini = write_ini(tmp_path / "c.ini", command, budget=budget, **values)
         assert run(command, config=ini, seed=1, out=str(tmp_path)) == 2
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -523,9 +522,12 @@ class TestExitCodes:
 
     def test_retired_operator_scan_keys_exit_two(self, tmp_path, capsys):
         # the operator scan is gone: a config that still asks for it is
-        # refused by name, not run as an exact scan alone
+        # refused by name, not run as an exact scan alone. So is a budget:
+        # the scan's table build walks every orbit that the degree fit
+        # walks, under the default budget, so the key changed nothing
         for key, value in (("operator", "true"), ("operator_radii", "2"),
-                           ("operator_samples", "2")):
+                           ("operator_samples", "2"), ("budget", "-1"),
+                           ("budget", "1"), ("budget", "1000000")):
             ini = write_ini(tmp_path / "c.ini", "rd-scan", pair="dihedral", radii="2",
                             samples="2", **{key: value})
             assert run("rd-scan", config=ini, seed=1, out=str(tmp_path / "out")) == 2

@@ -33,6 +33,7 @@ from heckepairs import (
     reachable_coset_ball,
     spawn_rng,
 )
+from heckepairs import cosets
 from heckepairs.jolissaint import _window
 
 
@@ -345,11 +346,12 @@ class TestReachable:
         idx = reachable_coset_ball(dihedral, [dk], 0)
         assert [k.key for k in idx.keys] == [(0, 1)]
 
-    def test_budget_below_depth_three_set_raises(self, dihedral):
+    def test_budget_below_depth_three_set_raises(self, dihedral, monkeypatch):
         # the depth-3 set holds 7 cosets
+        monkeypatch.setattr(cosets, "REACHABLE_BUDGET", 6)
         dk = double_key(dihedral, DihedralElement(1, 1))
         with pytest.raises(BudgetExceededError) as exc:
-            reachable_coset_ball(dihedral, [dk], 3, budget=6)
+            reachable_coset_ball(dihedral, [dk], 3)
         assert "budget 6" in str(exc.value)
 
     @pytest.mark.parametrize("name, direction", [

@@ -29,12 +29,8 @@ from heckepairs import (
     spawn_rng,
     transfer_check,
 )
-from heckepairs.diagnostics import (
-    K_FACTOR,
-    K_FACTOR_CHAR,
-    SCAN_COEFF_MAX,
-    _sample_stream,
-)
+from heckepairs import diagnostics
+from heckepairs.diagnostics import K_FACTOR, K_FACTOR_CHAR, SCAN_COEFF_MAX
 
 
 def char_element(pair, radius):
@@ -76,14 +72,18 @@ def exact_ratio_sq(pair, f, k):
 
 
 def unpruned_scan(pair, radii, samples, seed):
-    """Every sample of haagerup_scan_exact's family evaluated exactly, from
-    the same draws and with no skip.
+    """Every sample of a family that holds haagerup_scan_exact's, evaluated
+    exactly with no skip.
 
-    Yields, per radius, the running max (ratio_sq, label, f, fn2) carried
-    across radii and the (ratio_sq, col * bound / fn2) of every sample, with
+    Per radius r the family is, in this order: the characteristic f of the
+    double ball with the characteristic k of the K_FACTOR_CHAR * r domain,
+    every single delta of the ball with that same k, then the scan's random
+    f and k, drawn from the same spawn_rng streams in the same order. Yields,
+    per radius, the running max (ratio_sq, label, f, fn2) carried across
+    radii and the (ratio_sq, col * bound / fn2) of every sample, with
     col = sum c_D deg D, bound = sum c_D rm_D (rm_D the most entries delta_D
     puts in one row) and fn2 = ||f||_2^2. The product is one scatter of the
-    table entries, not matvec_int.
+    table entries per double.
     """
     L = pair.length
     best = None
@@ -94,20 +94,25 @@ def unpruned_scan(pair, radii, samples, seed):
         dkeys = list(enumerate_ball(pair, L, r).double.keys)
         table = ActionTable(pair, dkeys, dom, big)
         dom_len = np.array([float(k.length) for k in dom.keys])
-        rho = max(1, r)
-        char_k = (dom_len <= K_FACTOR_CHAR * rho).astype(np.int64)
-        rand_mask = (dom_len <= K_FACTOR * r).astype(np.int64)
+        char_k = (dom_len <= K_FACTOR_CHAR * r).astype(np.int64)
+        family = [("char:%s" % r, [(dk, 1) for dk in dkeys], char_k)]
+        family += [("delta:%r" % (dk.rep.key,), [(dk, 1)], char_k) for dk in dkeys]
+        for si in range(samples):
+            rng = spawn_rng(seed, ri, si)
+            m = int(rng.integers(1, len(dkeys) + 1))
+            picked = np.sort(rng.choice(len(dkeys), size=m, replace=False)).tolist()
+            coeffs = rng.integers(1, SCAN_COEFF_MAX + 1, size=m).tolist()
+            kvec = rng.integers(0, SCAN_COEFF_MAX + 1, size=len(dom)) \
+                * (dom_len <= K_FACTOR * r)
+            family.append(("random:%d" % si,
+                           [(dkeys[i], c) for i, c in zip(picked, coeffs)], kvec))
         seen = []
-        for label, terms, rng in _sample_stream(dkeys, rho, samples, seed, ri,
-                                                SCAN_COEFF_MAX):
-            if rng is None:
-                kvec = char_k
-            else:
-                kvec = rng.integers(0, SCAN_COEFF_MAX + 1, size=len(dom)) * rand_mask
+        for label, terms, kvec in family:
+            if not kvec.any():
+                continue  # a zero k, possible at r = 0, has no ratio
             out = np.zeros(len(big), dtype=np.int64)
             f, col, bound, fn2 = {}, 0, 0, 0
-            for i, c in terms:
-                dk = dkeys[i]
+            for dk, c in terms:
                 rows, cols = table.tables[dk]
                 np.add.at(out, rows, c * kvec[cols])
                 deg = len(decompose_double_coset(pair, dk.rep))
@@ -117,7 +122,7 @@ def unpruned_scan(pair, radii, samples, seed):
                 fn2 += c * c * deg
             ratio_sq = Fraction(int(out @ out), fn2 * int(kvec @ kvec))
             seen.append((ratio_sq, Fraction(col * bound, fn2)))
-            if ratio_sq and (best is None or ratio_sq > best[0]):
+            if best is None or ratio_sq > best[0]:
                 best = (ratio_sq, label, f, fn2)
         yield best, seen
 
@@ -194,9 +199,9 @@ class TestScans:
             return out
 
         monkeypatch.setattr(ActionTable, "matvec_int", checked)
+        monkeypatch.setattr(diagnostics, "SCAN_COEFF_MAX", 2 ** 40)
         with pytest.raises(ConfigError, match="too large"):
-            haagerup_scan_exact(dihedral, radii=(2,), samples=2, seed=0,
-                                coeff_max=2 ** 40)
+            haagerup_scan_exact(dihedral, radii=(2,), samples=2, seed=0)
 
     @pytest.mark.parametrize("name, params, radii, ball_right", [
         ("dihedral", {}, (1, 2, 4, 8), lambda r: 2 * r + 1),
@@ -247,27 +252,48 @@ class TestScans:
                              ids=["%s%s" % (n, "".join("-%s" % v for v in p.values()))
                                   for n, p in SCAN_PAIRS])
     def test_schur_skip_matches_unpruned_oracle(self, name, params, seed):
+        # [PROVEN] on these pairs the oracle's single deltas, which the scan
+        # does not sample, never change a row. A delta's Schur quotient (below)
+        # is rm_D <= deg D*: each row of lambda(delta_D) holds deg D* ones.
+        # That is at most 2 on every catalog pair with a ball (1 on
+        # finite_index). The characteristic sample runs first at each radius,
+        # and its ratio_sq at r = 1 is 91/33 on dihedral and 91/33, 1269/305
+        # or 2837/539 on semidirect rank 1, 2 or 3, above 2; on finite_index
+        # it is n > 1 from r = 0 on. The max is replaced only on a strict >,
+        # so no delta reaches it; at r = 0 the only delta, delta_H, is the
+        # characteristic sample itself
         pair = build_pair(name, params)
-        radii = (1, 2, 4)
-        rep = haagerup_scan_exact(pair, radii=radii, samples=20, seed=seed)
-        for row, (best, seen) in zip(rep.rows, unpruned_scan(pair, radii, 20, seed)):
-            ratio_sq, label, f, fn2 = best
-            assert row.max_ratio_sq == ratio_sq
-            assert row.argmax_label == label
-            # the carried f behind schur_upper
-            f_elt = HeckeElement(pair, [(dk, QQi(c)) for dk, c in f.items()])
-            assert l2_norm_sq(f_elt) == fn2
-            assert row.schur_upper == norm_upper(pair, f_elt) / math.sqrt(float(fn2))
-            # [PROVEN] A, the table's compression of lambda(f), has column
-            # absolute sums <= col (each column of delta_D's table holds
-            # deg D ones) and row absolute sums <= bound (each row holds at
-            # most rm_D entries of delta_D), by the triangle inequality. The
-            # Schur test gives ||A||^2 <= col * bound, so ||f * k||^2 <=
-            # col * bound * ||k||^2 and ratio_sq <= col * bound / fn2. The
-            # running max is replaced only on a strict >, so a sample whose
-            # bound is at most the max cannot change the row
-            for exact, schur in seen:
-                assert exact <= schur
+        for radii in ((1, 2, 4), (0, 1, 3)):
+            rep = haagerup_scan_exact(pair, radii=radii, samples=20, seed=seed)
+            for row, (best, seen) in zip(rep.rows,
+                                         unpruned_scan(pair, radii, 20, seed)):
+                ratio_sq, label, f, fn2 = best
+                assert row.max_ratio_sq == ratio_sq
+                assert row.argmax_label == label
+                # the carried f behind schur_upper
+                f_elt = HeckeElement(pair, [(dk, QQi(c)) for dk, c in f.items()])
+                assert l2_norm_sq(f_elt) == fn2
+                assert row.schur_upper == \
+                    norm_upper(pair, f_elt) / math.sqrt(float(fn2))
+                # [PROVEN] A, the table's compression of lambda(f), has column
+                # absolute sums <= col (each column of delta_D's table holds
+                # deg D ones) and row absolute sums <= bound (each row holds
+                # at most rm_D entries of delta_D), by the triangle
+                # inequality. The Schur test gives ||A||^2 <= col * bound, so
+                # ||f * k||^2 <= col * bound * ||k||^2 and ratio_sq <=
+                # col * bound / fn2. The running max is replaced only on a
+                # strict >, so a sample whose bound is at most the max cannot
+                # change the row
+                for exact, schur in seen:
+                    assert exact <= schur
+
+    def test_radius_zero_row_is_the_identity_sample(self, dihedral):
+        # at r = 0 the ball holds H alone, so f = k = delta_H, ratio_sq 1, and
+        # the row names the radius it sampled
+        rep = haagerup_scan_exact(dihedral, radii=(0, 1), samples=5, seed=0)
+        assert rep.rows[0].argmax_label == "char:0"
+        assert rep.rows[0].max_ratio_sq == 1
+        assert rep.rows[1].argmax_label == "char:1"
 
     def test_scan_skips_the_products_its_schur_bound_rules_out(self, monkeypatch):
         # an operation count, not a timing: only the characteristic f and the
@@ -290,9 +316,7 @@ class TestScans:
         ({"radii": ()}, "key 'radii': need at least one radius"),
         ({"radii": (-1, 2)}, r"key 'radii': radii must be >= 0, got \[-1, 2\]"),
         ({"radii": (2,), "samples": -3}, "samples must be >= 0, got -3"),
-        ({"radii": (2,), "coeff_max": 0}, "coeff_max must be >= 1, got 0"),
-    ], ids=["decreasing-radii", "no-radii", "negative-radius", "negative-samples",
-            "zero-coeff-max"])
+    ], ids=["decreasing-radii", "no-radii", "negative-radius", "negative-samples"])
     def test_scan_refuses_bad_inputs(self, dihedral, kwargs, match):
         # (8, 4) used to report at r = 4 the r = 8 max, 11.199, above that
         # row's own proven bound sqrt(41)

@@ -174,9 +174,10 @@ class TestSingularValues:
         assert converged
         assert value == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], abs=1e-9)
 
-    def test_step_cap_reports_unconverged_lower_bound(self):
+    def test_step_cap_reports_unconverged_lower_bound(self, monkeypatch):
+        monkeypatch.setattr(operators, "MAX_ITER", 5)
         a = spawn_rng(3, 7).standard_normal((300, 300))
-        value, iterations, residual, converged = top_singular_value(sparse(a), max_iter=5)
+        value, iterations, residual, converged = top_singular_value(sparse(a))
         assert (iterations, converged) == (5, False)
         assert residual > 0
         assert 0 < value <= np.linalg.svd(a, compute_uv=False)[0]
@@ -320,13 +321,14 @@ class TestActionTable:
         with pytest.raises(ConfigError, match="past the float range"):
             norm_lower(dihedral, f, radius=2)
 
-    def test_overflowed_sigma_is_not_converged(self, dihedral):
+    def test_overflowed_sigma_is_not_converged(self, dihedral, monkeypatch):
         # sigma^2 = 8 * 10^308 overflows, so the Gram test would read inf <= inf
         f = HeckeElement.delta(dihedral, DihedralElement(2, 1), coeff=10 ** 154)
         cod = enumerate_ball(dihedral, dihedral.length, 4).right
         op = ActionTable(dihedral, f.support, cod.prefix(2), cod).operator_for(f)
+        monkeypatch.setattr(operators, "MAX_ITER", 3)
         with np.errstate(over="ignore", invalid="ignore"):
-            value, iterations, _, converged = top_singular_value(op, max_iter=3)
+            value, iterations, _, converged = top_singular_value(op)
         assert (value, iterations, converged) == (math.inf, 3, False)
 
     def test_missing_codomain_raises_without_flag(self, dihedral):
@@ -406,8 +408,7 @@ def _check_coordinate_table(pair, dkeys, dom, cod, allow_missing=False):
 
 
 def _assert_cols_never_decrease(table):
-    # matvec_int reads each table's entries up to the last nonzero of the
-    # vector as a prefix, which needs the column-major order
+    # ActionTable stores each double's entries column-major
     for _, cols in table.tables.values():
         assert np.all(np.diff(cols) >= 0)
 
@@ -555,64 +556,38 @@ def _matvec_oracle(pair, coeffs, vec, dom, cod):
 class TestMatvecInt:
     @pytest.mark.parametrize("name", ["semidirect", "dihedral"])  # grid, coset_rep
     def test_matches_coset_product_oracle(self, name):
-        # the scan's shapes at r = 2: deltas of the radius-r double ball acting
-        # on a 5r window of the (5r + r)-ball
+        # the scan's shapes at r = 2 and 4: deltas of the radius-r double
+        # ball acting on a 5r window of the (5r + r)-ball
         pair = build_pair(name)
-        L, r = pair.length, 2
-        dkeys = enumerate_ball(pair, L, r).double.keys
-        cod = enumerate_ball(pair, L, K_FACTOR_CHAR * r + r).right
-        dom = cod.prefix(K_FACTOR_CHAR * r)
-        table = ActionTable(pair, dkeys, dom, cod)
-        _assert_cols_never_decrease(table)
+        L = pair.length
         rng = np.random.default_rng(0)
-        coeffs = {k: int(c) for k, c in zip(dkeys, rng.integers(1, 6, len(dkeys)))}
-        dom_len = np.array([float(k.length) for k in dom.keys])
-        masked = rng.integers(1, 6, len(dom)) * (dom_len <= K_FACTOR * r)
-        assert masked[0] and not masked[-1]  # its zeros are a proper suffix
-        interior = rng.integers(0, 6, len(dom))
-        interior[::3] = 0
-        interior[-1] = 7
-        zero = np.zeros(len(dom), dtype=np.int64)
-        for cs, vec in ((coeffs, masked), (coeffs, interior), (coeffs, zero),
-                        ({}, interior)):
-            vec = vec.astype(np.int64)
-            got = table.matvec_int(cs, vec)
-            assert got.dtype == np.int64
-            assert got.tolist() == _matvec_oracle(pair, cs, vec, dom, cod)
-        assert table.matvec_int(coeffs, masked.astype(np.int64)).any()
-
-    # semidirect takes the grid path, dihedral the coset_rep one; their
-    # prefixes are 841 or 1,682 and 41 or 82 entries long, so the smaller cap
-    # of each pair puts one prefix over it, the larger several in a batch,
-    # and None keeps the module's own cap
-    @pytest.mark.parametrize("name, batch", [
-        ("semidirect", 1000), ("semidirect", 4000), ("semidirect", None),
-        ("dihedral", 60), ("dihedral", 150), ("dihedral", None)])
-    def test_batched_scatter_matches_coset_product_oracle(self, name, batch, monkeypatch):
-        # matvec_int sums the picked doubles' prefixes in batches of at most
-        # _BATCH entries, or one prefix if it is longer
-        if batch:
-            monkeypatch.setattr(operators, "_BATCH", batch)
-        pair = build_pair(name)
-        L, r = pair.length, 4
-        dkeys = enumerate_ball(pair, L, r).double.keys
-        cod = enumerate_ball(pair, L, K_FACTOR_CHAR * r + r).right
-        dom = cod.prefix(K_FACTOR_CHAR * r)
-        table = ActionTable(pair, dkeys, dom, cod)
-        ones = np.ones(len(dom), dtype=np.int64)
-        every = {k: 1 + i % 3 for i, k in enumerate(dkeys)}
-        if batch:
-            assert _entries(table) > 2 * batch
-        for cs in (every, {dkeys[-1]: 5}, {}):
-            got = table.matvec_int(cs, ones)
-            assert got.dtype == np.int64
-            assert got.tolist() == _matvec_oracle(pair, cs, ones, dom, cod)
+        for r in (2, 4):
+            dkeys = enumerate_ball(pair, L, r).double.keys
+            cod = enumerate_ball(pair, L, K_FACTOR_CHAR * r + r).right
+            dom = cod.prefix(K_FACTOR_CHAR * r)
+            table = ActionTable(pair, dkeys, dom, cod)
+            _assert_cols_never_decrease(table)
+            coeffs = {k: int(c) for k, c in zip(dkeys, rng.integers(1, 6, len(dkeys)))}
+            dom_len = np.array([float(k.length) for k in dom.keys])
+            masked = rng.integers(1, 6, len(dom)) * (dom_len <= K_FACTOR * r)
+            assert masked[0] and not masked[-1]  # its zeros are a proper suffix
+            interior = rng.integers(0, 6, len(dom))
+            interior[::3] = 0
+            interior[-1] = 7
+            zero = np.zeros(len(dom), dtype=np.int64)
+            ones = np.ones(len(dom), dtype=np.int64)
+            for cs, vec in ((coeffs, masked), (coeffs, interior), (coeffs, zero),
+                            ({}, interior), (coeffs, ones), ({dkeys[-1]: 5}, ones)):
+                vec = vec.astype(np.int64)
+                got = table.matvec_int(cs, vec)
+                assert got.dtype == np.int64
+                assert got.tolist() == _matvec_oracle(pair, cs, vec, dom, cod)
+            assert table.matvec_int(coeffs, masked.astype(np.int64)).any()
 
     @pytest.mark.parametrize("name", ["semidirect", "dihedral"])
     def test_table_with_missing_rows_is_refused(self, name):
-        # a codomain no larger than the domain drops images, so a column
-        # holds fewer entries than D has right cosets and end * width is
-        # not the prefix
+        # a codomain no larger than the domain drops images, so the table
+        # holds only part of lambda(f) and a product would be truncated
         pair = build_pair(name)
         L = pair.length
         dkeys = enumerate_ball(pair, L, 2).double.keys

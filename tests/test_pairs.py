@@ -424,6 +424,90 @@ class TestNoUnreadOptions:
         assert sorted(set(allowed) - set(defined)) == []  # no stale entries
 
 
+    def test_every_defaulted_parameter_is_passed(self):
+        # a parameter with a default that no call in the package passes, by
+        # keyword or by position, is an option only tests can set: make it a
+        # module constant that its tests monkeypatch. Calls are matched by the
+        # bare name they use (f(...), obj.f(...), a class or a subclass that
+        # inherits its __init__, cls(...) inside that class), so a name
+        # shared by two definitions counts the calls of both. These are kept
+        # on purpose, each for the reason given
+        allowed = {
+            "diagnostics.random_hecke_element.complex_part":
+                "the benchmark's convolve workload draws complex elements",
+            "diagnostics.random_l2_vector.complex_part":
+                "the vector twin of random_hecke_element's draw",
+            "algebra.norms.length": "acceptance criterion 12",
+            "algebra.norms.s": "acceptance criterion 12",
+            "jolissaint.submultiplicativity_check.alpha": "acceptance criterion 11",
+            "jolissaint.submultiplicativity_check.q": "acceptance criterion 11",
+            "cli.run.config": "the programmatic entry point beside main",
+            "cli.run.seed": "the programmatic entry point beside main",
+            "cli.run.out": "the programmatic entry point beside main",
+        }
+        defaulted, calls, bases = {}, [], {}  # where -> (class or None, name, params)
+
+        def visit(node, where, cls):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    bases[child.name] = [b.id for b in child.bases
+                                         if isinstance(b, ast.Name)]
+                    visit(child, where + (child.name,), child.name)
+                    continue
+                if isinstance(child, ast.FunctionDef):
+                    method = isinstance(node, ast.ClassDef)
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    skip = 1 if method and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in child.decorator_list) else 0
+                    # a default's position counts the arguments a call writes
+                    params = {a.arg: i - skip for i, a in enumerate(positional)
+                              if i >= len(positional) - len(args.defaults)}
+                    params.update({a.arg: None for a, d in
+                                   zip(args.kwonlyargs, args.kw_defaults) if d})
+                    if params and (child.name == "__init__" or
+                                   not child.name.startswith("__")):
+                        defaulted[".".join(where + (child.name,))] = (
+                            node.name if method else None, child.name, params)
+                    visit(child, where + (child.name,), cls)
+                    continue
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    name = f.id if isinstance(f, ast.Name) else \
+                        f.attr if isinstance(f, ast.Attribute) else None
+                    star = any(isinstance(a, ast.Starred) for a in child.args) or \
+                        any(k.arg is None for k in child.keywords)
+                    calls.append((cls if name == "cls" else name, len(child.args),
+                                  {k.arg for k in child.keywords}, star))
+                visit(child, where, cls)
+
+        for path in sorted(Path(heckepairs.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,), None)
+        inits = {where.split(".")[-2] for where in defaulted
+                 if where.endswith(".__init__")}
+
+        def names(cls, name):
+            if name != "__init__":
+                return {name}
+            out = {cls}
+            for sub, parents in bases.items():  # subclasses that inherit it
+                if cls in parents and sub not in inits:
+                    out |= names(sub, name)
+            return out
+
+        assert "cosets.decompose_double_coset" in defaulted  # the walk sees defs
+        unpassed = sorted(
+            "%s.%s" % (where, param)
+            for where, (cls, name, params) in defaulted.items()
+            for param, pos in params.items()
+            if not any(called in names(cls, name) and
+                       (star or param in kws or (pos is not None and npos > pos))
+                       for called, npos, kws, star in calls))
+        assert sorted(set(unpassed) - set(allowed)) == []
+        assert sorted(set(allowed) - set(unpassed)) == []  # no stale entries
+
+
 class TestDeclaredDependencies:
     def test_every_import_is_declared(self):
         # a top-level module the package imports is the package itself, ships
