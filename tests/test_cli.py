@@ -380,19 +380,23 @@ class TestExitCodes:
         assert payload["message"] == message
 
     @pytest.mark.parametrize("budget", ["-1", "0"])
-    @pytest.mark.parametrize("command, values", [
-        ("enumerate", {"pair": "dihedral"}),
-        ("degrees", {"pair": "gl2q", "length": "log-det-prim", "samples": "8"}),
-    ], ids=["enumerate", "degrees"])
+    @pytest.mark.parametrize("command, values, message", [
+        ("enumerate", {"pair": "dihedral"}, "key 'budget': need an integer >= 1, got {}"),
+        ("degrees", {"pair": "gl2q", "length": "log-det-prim", "samples": "8"},
+         "key 'budget': need an integer >= 1, got {}"),
+        ("rd-scan", {"pair": "dihedral", "radii": "2", "samples": "2"},
+         "key 'budget' is retired: rd-scan runs the exact scan only, and takes no budget"),
+    ], ids=["enumerate", "degrees", "rd-scan"])
     def test_budget_below_one_exits_two(self, tmp_path, capsys, command, values,
-                                        budget):
-        # a walk always holds its start; enumerate used to run and record the
-        # budget, degrees to fail on "exceeded budget -1"
+                                        message, budget):
+        # a walk always holds its start; enumerate and rd-scan used to run
+        # and record the budget, degrees to fail on "exceeded budget -1".
+        # rd-scan now takes no budget at all
         ini = write_ini(tmp_path / "c.ini", command, budget=budget, **values)
         assert run(command, config=ini, seed=1, out=str(tmp_path)) == 2
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["status"] == "failure"
-        assert payload["message"] == "key 'budget': need an integer >= 1, got %s" % budget
+        assert payload["message"] == message.format(budget)
 
     def test_transfer_check_on_infinite_h_exits_two(self, tmp_path, capsys):
         # InfiniteSubgroupError used to escape as a traceback with exit 1

@@ -556,33 +556,54 @@ def _matvec_oracle(pair, coeffs, vec, dom, cod):
 class TestMatvecInt:
     @pytest.mark.parametrize("name", ["semidirect", "dihedral"])  # grid, coset_rep
     def test_matches_coset_product_oracle(self, name):
-        # the scan's shapes at r = 2 and 4: deltas of the radius-r double
-        # ball acting on a 5r window of the (5r + r)-ball
+        # the scan's shapes at r = 2: deltas of the radius-r double ball acting
+        # on a 5r window of the (5r + r)-ball
         pair = build_pair(name)
-        L = pair.length
+        L, r = pair.length, 2
+        dkeys = enumerate_ball(pair, L, r).double.keys
+        cod = enumerate_ball(pair, L, K_FACTOR_CHAR * r + r).right
+        dom = cod.prefix(K_FACTOR_CHAR * r)
+        table = ActionTable(pair, dkeys, dom, cod)
+        _assert_cols_never_decrease(table)
         rng = np.random.default_rng(0)
-        for r in (2, 4):
-            dkeys = enumerate_ball(pair, L, r).double.keys
-            cod = enumerate_ball(pair, L, K_FACTOR_CHAR * r + r).right
-            dom = cod.prefix(K_FACTOR_CHAR * r)
-            table = ActionTable(pair, dkeys, dom, cod)
-            _assert_cols_never_decrease(table)
-            coeffs = {k: int(c) for k, c in zip(dkeys, rng.integers(1, 6, len(dkeys)))}
-            dom_len = np.array([float(k.length) for k in dom.keys])
-            masked = rng.integers(1, 6, len(dom)) * (dom_len <= K_FACTOR * r)
-            assert masked[0] and not masked[-1]  # its zeros are a proper suffix
-            interior = rng.integers(0, 6, len(dom))
-            interior[::3] = 0
-            interior[-1] = 7
-            zero = np.zeros(len(dom), dtype=np.int64)
-            ones = np.ones(len(dom), dtype=np.int64)
-            for cs, vec in ((coeffs, masked), (coeffs, interior), (coeffs, zero),
-                            ({}, interior), (coeffs, ones), ({dkeys[-1]: 5}, ones)):
-                vec = vec.astype(np.int64)
-                got = table.matvec_int(cs, vec)
-                assert got.dtype == np.int64
-                assert got.tolist() == _matvec_oracle(pair, cs, vec, dom, cod)
-            assert table.matvec_int(coeffs, masked.astype(np.int64)).any()
+        coeffs = {k: int(c) for k, c in zip(dkeys, rng.integers(1, 6, len(dkeys)))}
+        dom_len = np.array([float(k.length) for k in dom.keys])
+        masked = rng.integers(1, 6, len(dom)) * (dom_len <= K_FACTOR * r)
+        assert masked[0] and not masked[-1]  # its zeros are a proper suffix
+        interior = rng.integers(0, 6, len(dom))
+        interior[::3] = 0
+        interior[-1] = 7
+        zero = np.zeros(len(dom), dtype=np.int64)
+        for cs, vec in ((coeffs, masked), (coeffs, interior), (coeffs, zero),
+                        ({}, interior)):
+            vec = vec.astype(np.int64)
+            got = table.matvec_int(cs, vec)
+            assert got.dtype == np.int64
+            assert got.tolist() == _matvec_oracle(pair, cs, vec, dom, cod)
+        assert table.matvec_int(coeffs, masked.astype(np.int64)).any()
+
+    # limit keeps the first doubles of the ball: None all of them, 1 only
+    # the trivial double H, whose delta acts as the identity
+    @pytest.mark.parametrize("name, limit", [
+        ("semidirect", None), ("semidirect", 1), ("dihedral", None), ("dihedral", 1)])
+    def test_batched_scatter_matches_coset_product_oracle(self, name, limit):
+        # matvec_int scatters every picked double's table into one output
+        # vector; at r = 4 several doubles land on the same right cosets
+        pair = build_pair(name)
+        L, r = pair.length, 4
+        dkeys = enumerate_ball(pair, L, r).double.keys[:limit]
+        cod = enumerate_ball(pair, L, K_FACTOR_CHAR * r + r).right
+        dom = cod.prefix(K_FACTOR_CHAR * r)
+        table = ActionTable(pair, dkeys, dom, cod)
+        ones = np.ones(len(dom), dtype=np.int64)
+        every = {k: 1 + i % 3 for i, k in enumerate(dkeys)}
+        for cs in (every, {dkeys[-1]: 5}, {}):
+            got = table.matvec_int(cs, ones)
+            assert got.dtype == np.int64
+            assert got.tolist() == _matvec_oracle(pair, cs, ones, dom, cod)
+        if limit == 1:
+            assert table.matvec_int(every, ones).tolist() == (
+                ones.tolist() + [0] * (len(cod) - len(dom)))
 
     @pytest.mark.parametrize("name", ["semidirect", "dihedral"])
     def test_table_with_missing_rows_is_refused(self, name):
