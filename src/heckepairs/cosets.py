@@ -66,7 +66,8 @@ def decompose_double_coset(pair, g, budget=10 ** 6):
 
     Orbit closure of the coset of g under right multiplication by generators
     of H. Almost-normality makes the orbit finite; the budget turns a
-    divergent orbit into a diagnosable error instead of a hang.
+    divergent orbit into a diagnosable error instead of a hang, and binds a
+    cached orbit as it binds a cold one.
     """
     drep = pair.double_rep(g)
     hit = pair.decompose_cache.get(drep)
@@ -78,6 +79,11 @@ def decompose_double_coset(pair, g, budget=10 ** 6):
         )
         reps = sorted(chain.from_iterable(layers), key=lambda r: r.key)
         hit = pair.decompose_cache[drep] = tuple(CosetKey(rep) for rep in reps)
+    elif len(hit) > budget:
+        # replay the cached orbit through the walk, so that a budget it
+        # overflows raises the error a cold walk raises: same message and
+        # partial_size, budgets below 1 included
+        list(walk_layers(hit[0], lambda x: hit, budget, "double coset of %r" % (g,)))
     return hit
 
 
@@ -201,7 +207,10 @@ def enumerate_ball(pair, length, radius):
     """All right cosets of length <= radius, with the double cosets among them.
 
     length=None uses the pair's attached length, the only one with balls
-    (`has_ball`); the right ball is the closed form `ball_rights`.
+    (`has_ball`); the right ball is the closed form `ball_rights`. A radius
+    below one already cached is the `prefix` of the smallest cached ball
+    above it, so a caller that asks for its largest ball first builds only
+    that one.
     """
     length = require_length(pair, length)
     if not has_ball(pair, length):
@@ -209,12 +218,15 @@ def enumerate_ball(pair, length, radius):
             "no ball enumeration for length %r on pair %r" % (length.name, pair.name)
         )
     hit = pair.ball_cache.get(radius)
-    if hit is not None:
-        return hit
-    rights = [CosetKey(rep, length(rep)) for rep in pair.ball_rights(radius)]
-    ball = PairBall(pair.double_rep, BallIndex(radius, rights))
-    pair.ball_cache[radius] = ball
-    return ball
+    if hit is None:
+        above = [r for r in pair.ball_cache if r > radius]
+        if above:
+            right = pair.ball_cache[min(above)].right.prefix(radius)
+        else:
+            right = BallIndex(radius, [CosetKey(rep, length(rep))
+                                       for rep in pair.ball_rights(radius)])
+        hit = pair.ball_cache[radius] = PairBall(pair.double_rep, right)
+    return hit
 
 
 REACHABLE_BUDGET = 10 ** 6  # nodes each walk of reachable_coset_ball may visit

@@ -50,7 +50,10 @@ def spawn_rng(seed, *key):
     Streams are split by (seed, radius index, sample index); aggregation
     order never affects the draws, so parallel sampling stays reproducible.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    # the Generator that default_rng builds from a SeedSequence (the same
+    # stream, which a test freezes), without default_rng's argument dispatch
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def _nonzero_int(rng, nonneg):
@@ -257,22 +260,21 @@ def check_radii(radii):
     return radii
 
 
-def _sample_stream(dkeys, rand_mask, r, samples, seed, ri):
-    """Yield (label, [(index into dkeys, positive int coeff)], int64 k).
+def _sample_stream(n, r, samples, seed, ri):
+    """Yield (label, sorted positions, int64 coeffs, rng) for each sample f.
 
-    The characteristic function of the radius-r double ball with k = 1 on
-    the whole domain, then seeded random supports, each with a random k on
-    rand_mask drawn from its own stream. Terms are positions in dkeys, so a
-    sample that the scan skips never builds a key map.
+    The characteristic function of the radius-r double ball (positions
+    0..n-1 into its doubles, coefficient 1, rng None), then seeded random
+    supports, each with the rng of its own stream, from which the scan draws
+    the sample's k only if the sample reaches a product. Terms are positions,
+    so a sample that the scan skips never builds a key map.
     """
-    yield "char:%s" % r, [(i, 1) for i in range(len(dkeys))], np.ones_like(rand_mask)
+    yield "char:%s" % r, np.arange(n), np.ones(n, dtype=np.int64), None
     for si in range(samples):
         rng = spawn_rng(seed, ri, si)
-        m = int(rng.integers(1, len(dkeys) + 1))
-        picked = np.sort(rng.choice(len(dkeys), size=m, replace=False)).tolist()
-        coeffs = rng.integers(1, SCAN_COEFF_MAX + 1, size=m)
-        kvec = rng.integers(0, SCAN_COEFF_MAX + 1, size=len(rand_mask)) * rand_mask
-        yield "random:%d" % si, list(zip(picked, coeffs.tolist())), kvec
+        m = int(rng.integers(1, n + 1))
+        picked = np.sort(rng.choice(n, size=m, replace=False))
+        yield "random:%d" % si, picked, rng.integers(1, SCAN_COEFF_MAX + 1, size=m), rng
 
 
 def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
@@ -298,53 +300,66 @@ def haagerup_scan_exact(pair, length=None, radii=(4, 8, 16, 32, 64), seed=0,
     test gives ||A k||^2 <= col bound ||k||^2, and the sample's ratio_sq is
     at most col bound / fn2. The max is replaced only on a strict >, so a
     sample with col bound / fn2 <= max changes neither the max, nor its
-    label, nor the f behind `schur_upper`. No finite H is assumed. The k of
-    each sample is drawn, and refused if too large for int64, before the
-    test; every sample has its own stream, so skips change no draws.
+    label, nor the f behind `schur_upper`. No finite H is assumed. Before
+    the test, every sample is refused if bound * kcap could overflow int64,
+    with kcap = 1 for the characteristic k and SCAN_COEFF_MAX, at least
+    max|k|, for a random one; a random k is drawn after the test, only for
+    a sample that passes it. Every sample has its own stream, drawn in the
+    order support, coefficients, k, so skips change no draws.
 
     Raises ConfigError for radii that are empty, negative or not strictly
-    increasing, and for samples < 0.
+    increasing, for samples < 0, and for sums that could leave int64.
     """
     length = require_length(pair, length)
     radii = check_radii(radii)
     if samples < 0:
         raise ConfigError("samples must be >= 0, got %r" % (samples,))
+    too_large = "scan coefficients too large for exact int64 path"
     rows = []
     best = None  # (ratio_sq, label, f_coeffs, f_norm_sq) carried across radii
     maxes = []
+    # every ball below is a prefix of this one (`enumerate_ball`)
+    enumerate_ball(pair, length, (max(K_FACTOR, K_FACTOR_CHAR) + 1) * radii[-1])
     for ri, r in enumerate(radii):
         kmax = max(K_FACTOR, K_FACTOR_CHAR) * r
         big = enumerate_ball(pair, length, kmax + r).right
         dom = big.prefix(kmax)
+        window = len(dom.prefix(K_FACTOR * r))  # a random k is 0 past it
         ball = enumerate_ball(pair, length, r)
         dkeys = list(ball.double.keys)
         table = ActionTable(pair, dkeys, dom, big)
-        # (rm_D, w_D) by position in dkeys: the most entries delta_D puts in
-        # one row, which bounds |out| before matvec_int (a wrapped int64 sum
-        # cannot be detected afterwards), and the entries a column, which is
-        # D's degree since a scan table keeps every row
-        shape = [(int(np.bincount(table.tables[dk][0]).max(initial=0)), table.widths[dk])
-                 for dk in dkeys]
-        dom_len = np.array([float(k.length) for k in dom.keys])
-        rand_mask = (dom_len <= K_FACTOR * r).astype(np.int64)
-        for label, terms, kvec in _sample_stream(dkeys, rand_mask, r, samples, seed, ri):
-            bound = col = fn2 = 0
-            for i, c in terms:
-                rm, w = shape[i]
-                bound += c * rm
-                col += c * w
-                fn2 += c * c * w
-            if bound * int(np.abs(kvec).max(initial=0)) >= 2 ** 63:
-                raise ConfigError("scan coefficients too large for exact int64 path")
+        # by position in dkeys: rm_D, the most entries delta_D puts in one
+        # row, which bounds |out| before matvec_int (a wrapped int64 sum
+        # cannot be detected afterwards), and w_D, the entries a column,
+        # which is D's degree since a scan table keeps every row
+        rm = np.array([np.bincount(table.tables[dk][0]).max(initial=0) for dk in dkeys],
+                      dtype=np.int64)
+        w = np.array([table.widths[dk] for dk in dkeys], dtype=np.int64)
+        # each Schur sum is at most SCAN_COEFF_MAX^2 max(sum w, sum rm), so
+        # when that is below 2^63 the int64 dot products are exact
+        if SCAN_COEFF_MAX ** 2 * max(int(w.sum()), int(rm.sum())) >= 2 ** 63:
+            raise ConfigError(too_large)
+        for label, picked, cs, rng in _sample_stream(len(dkeys), r, samples, seed, ri):
+            bound = int(rm[picked] @ cs)
+            if bound * (1 if rng is None else SCAN_COEFF_MAX) >= 2 ** 63:
+                raise ConfigError(too_large)
+            wp = w[picked]
+            col = int(wp @ cs)
+            fn2 = int(wp @ (cs * cs))
             # the Schur skip of the docstring: ratio_sq <= col * bound / fn2
             if best is not None and \
                     col * bound * best[0].denominator <= best[0].numerator * fn2:
                 continue
-            coeffs = {dkeys[i]: c for i, c in terms}
+            if rng is None:
+                kvec = np.ones(len(dom), dtype=np.int64)
+            else:
+                kvec = rng.integers(0, SCAN_COEFF_MAX + 1, size=len(dom))
+                kvec[window:] = 0
+            coeffs = {dkeys[i]: c for i, c in zip(picked.tolist(), cs.tolist())}
             out = table.matvec_int(coeffs, kvec)
             amax = int(np.abs(out).max(initial=0))
             if amax and amax * amax * len(out) >= 2 ** 63:
-                raise ConfigError("scan coefficients too large for exact int64 path")
+                raise ConfigError(too_large)
             num = int(out @ out)
             if num == 0:
                 continue

@@ -96,6 +96,26 @@ class TestDecompose:
         assert exc.value.partial_size == 2
         assert "budget 1" in str(exc.value)
 
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    def test_budget_binds_a_cached_orbit_as_a_cold_one(self, budget):
+        # HgH holds two right cosets: budgets 0 and 1 overflow at the second,
+        # with or without a decomposition already in the cache
+        g = DihedralElement(1, 1)
+
+        def outcome(warm):
+            pair = build_pair("dihedral")
+            if warm:
+                degree(pair, g)
+            try:
+                return degree(pair, g, budget=budget)
+            except BudgetExceededError as exc:
+                return str(exc), exc.partial_size
+
+        want = 2 if budget == 2 else (
+            "double coset of %r exceeded budget %d" % (g, budget), 2)
+        assert outcome(warm=False) == want
+        assert outcome(warm=True) == want
+
     def test_dihedral_translation_splits_in_two(self, dihedral):
         dec = decompose_double_coset(dihedral, DihedralElement(3, 1))
         assert {k.key for k in dec} == {(3, 1), (-3, 1)}
@@ -272,6 +292,46 @@ class TestEnumerateBall:
         # the scan's codomains (6r), the bracket's codomain (its domain is a
         # prefix of it), the corner seminorm's ball
         assert sorted(pair.ball_cache) == [1, 2, 6, 7, 11, 12]
+
+    @pytest.mark.parametrize("name, params", [
+        ("dihedral", {}), ("finite_index", {"n": 2}),
+        ("semidirect", {"rank": 2, "action": "swap"}),
+        ("semidirect", {"rank": 3, "action": "negate"}),
+    ])
+    def test_smaller_radius_is_a_prefix_of_a_cached_ball(self, name, params):
+        pair = build_pair(name, params)
+        calls = []
+        rights = pair.ball_rights
+        pair.ball_rights = lambda radius: calls.append(radius) or rights(radius)
+        big = enumerate_ball(pair, None, 9).right
+        # each radius below 9 cuts the smallest cached ball above it
+        for radius in (6, 0, 2, Fraction(7, 2)):
+            got = enumerate_ball(pair, None, radius)
+            assert enumerate_ball(pair, None, radius) is got
+            want = enumerate_ball(build_pair(name, params), None, radius)
+            assert got.right.radius == want.right.radius == radius
+            for side in ("right", "double"):
+                assert [(k.length, k.key) for k in getattr(got, side)] == [
+                    (k.length, k.key) for k in getattr(want, side)]
+            assert got.right._length_list == want.right._length_list
+            if pair.coset_coords is not None:
+                rows = got.right.coords(pair.coset_coords)
+                assert np.shares_memory(rows, big.coords(pair.coset_coords)) or not len(rows)
+                assert np.array_equal(rows, want.right.coords(pair.coset_coords))
+        assert calls == [9]
+        enumerate_ball(pair, None, 12)  # nothing cached above 12
+        assert calls == [9, 12]
+
+    @pytest.mark.parametrize("name, radii", [("dihedral", (1, 2, 4)),
+                                             ("semidirect", (0, 2, 3))])
+    def test_scan_builds_one_ball(self, name, radii):
+        pair = build_pair(name)
+        calls = []
+        rights = pair.ball_rights
+        pair.ball_rights = lambda radius: calls.append(radius) or rights(radius)
+        haagerup_scan_exact(pair, radii=radii, samples=3, seed=0)
+        # its largest codomain, K_FACTOR_CHAR + 1 = 6 times its largest radius
+        assert calls == [6 * radii[-1]]
 
 
 class TestBallIndex:

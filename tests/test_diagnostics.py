@@ -432,3 +432,16 @@ class TestRng:
         a = spawn_rng(5, 1, 2).integers(0, 10 ** 9, size=4)
         b = spawn_rng(5, 2, 1).integers(0, 10 ** 9, size=4)
         assert list(a) != list(b)
+
+    @pytest.mark.parametrize("key, ints, unit", [
+        ((0, 1, 2), [246652178264506925, 2622860870865159114, 2711284903339206095],
+         0.8612567208425707),
+        ((7, 11, 3), [1651026389508076433, 1646971384099226868, 667546490573287472],
+         0.5992007347949003),
+    ])
+    def test_streams_are_frozen(self, key, ints, unit):
+        # the cli (degrees, transfer, validate-length), the scan and the tests
+        # draw from these streams, so one that moved would change artifacts
+        rng = spawn_rng(*key)
+        assert rng.integers(0, 2 ** 62, size=3).tolist() == ints
+        assert rng.random() == unit
